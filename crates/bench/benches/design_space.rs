@@ -1,10 +1,10 @@
 //! Design-space machinery — eq. (1)/(2) enumeration, the 10 368-point
-//! diverse sample, analytic design-point evaluation, and EEMP LUT
-//! construction.
+//! diverse sample, analytic design-point evaluation, EEMP LUT
+//! construction, and the cold fill of the EEMP/RMP planning tables.
 
 use std::hint::black_box;
 use teem_bench::microbench::Runner;
-use teem_core::baselines::Eemp;
+use teem_core::baselines::{Eemp, MaxVfTable};
 use teem_dse::{enumerate, evaluate, sample, DesignPoint};
 use teem_soc::{Board, ClusterFreqs, CpuMapping, MHz};
 use teem_workload::{App, Partition};
@@ -35,6 +35,12 @@ fn main() {
 
     r.bench("eemp_lut_build_128", || {
         Eemp::build(black_box(&board), App::Covariance)
+    });
+
+    // What a process pays once to fill the planning memo: every app's
+    // table, each on a fresh board as the memo builds it.
+    r.bench("max_vf_tables_all_apps", || {
+        App::all().map(|app| MaxVfTable::build(&Board::odroid_xu4_ideal(), black_box(app)))
     });
 
     r.finish();

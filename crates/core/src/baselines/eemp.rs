@@ -8,24 +8,16 @@
 //! kernel trip is all that protects the chip, which is why EEMP reaches
 //! the thermal limit in Fig. 5(b) and pays for it in energy and time.
 
-use teem_dse::{evaluate, DesignPoint, DesignPointLut};
-use teem_soc::{Board, ClusterFreqs, CpuMapping, MHz};
-use teem_workload::{App, Partition};
+use super::MaxVfTable;
+use teem_dse::{DesignPoint, DesignPointLut};
+use teem_soc::{Board, CpuMapping};
+use teem_workload::App;
 
 /// The EEMP baseline: stored LUT + static minimum-energy selection at
 /// maximum V/f.
 #[derive(Debug, Clone)]
 pub struct Eemp {
     lut: DesignPointLut,
-}
-
-/// The maximum-frequency setting EEMP executes at.
-fn max_freqs() -> ClusterFreqs {
-    ClusterFreqs {
-        big: MHz(2000),
-        little: MHz(1400),
-        gpu: MHz(600),
-    }
 }
 
 impl Eemp {
@@ -36,23 +28,20 @@ impl Eemp {
     /// Evaluated with the analytic model (the paper's EEMP stores
     /// measured values; ours stores the simulator's predictions).
     pub fn build(board: &Board, app: App) -> Eemp {
-        let chars = app.characteristics();
-        let mut entries = Vec::with_capacity(DesignPointLut::EEMP_ENTRIES);
-        for little in 1..=4u32 {
-            for big in 1..=4u32 {
-                for eighths in 1..=8u8 {
-                    let dp = DesignPoint {
-                        mapping: CpuMapping::new(little, big),
-                        freqs: max_freqs(),
-                        partition: Partition::from_eighths(eighths),
-                    };
-                    entries.push((dp, evaluate::predict(board, &chars, &dp)));
-                }
-            }
-        }
+        Eemp::from_table(&MaxVfTable::build(board, app))
+    }
+
+    /// EEMP's LUT read from an evaluated table: the combination
+    /// mappings' rows without their leading GPU-only partition, in table
+    /// order.
+    pub fn from_table(table: &MaxVfTable) -> Eemp {
+        let entries: Vec<_> = MaxVfTable::combination_mappings()
+            .flat_map(|m| &table.row(m)[1..])
+            .copied()
+            .collect();
         debug_assert_eq!(entries.len(), DesignPointLut::EEMP_ENTRIES);
         Eemp {
-            lut: DesignPointLut::new(app.abbrev(), entries),
+            lut: DesignPointLut::new(table.app().abbrev(), entries),
         }
     }
 
@@ -102,6 +91,8 @@ impl Eemp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teem_dse::evaluate;
+    use teem_soc::MHz;
 
     #[test]
     fn builds_exactly_128_entries_at_max_vf() {

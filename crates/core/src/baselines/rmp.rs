@@ -7,9 +7,10 @@
 //! infringement is determined."* The decision is made at design time; no
 //! online optimisation follows — the gap TEEM's §III-B closes.
 
-use teem_dse::{evaluate, DesignPoint};
-use teem_soc::{Board, ClusterFreqs, CpuMapping, MHz};
-use teem_workload::{App, Partition};
+use super::MaxVfTable;
+use teem_dse::DesignPoint;
+use teem_soc::{Board, CpuMapping};
+use teem_workload::App;
 
 /// The RMP baseline planner.
 #[derive(Debug, Clone)]
@@ -38,29 +39,26 @@ impl Rmp {
         treq_s: f64,
         mapping: Option<CpuMapping>,
     ) -> Rmp {
+        Rmp::from_table(&MaxVfTable::build(board, app), treq_s, mapping)
+    }
+
+    /// RMP's decision read from an evaluated table: the search of
+    /// [`Rmp::build_with_mapping`] over the table's stored points.
+    pub fn from_table(table: &MaxVfTable, treq_s: f64, mapping: Option<CpuMapping>) -> Rmp {
         // "Minimal performance trade-off": RMP accepts up to 15% longer
         // execution for the GPU-only mapping's superior temperature
         // behaviour (big cluster idle).
         let slack = 1.15;
-        let chars = app.characteristics();
+        let rmp = |decision| Rmp {
+            gpu_only_slack: slack,
+            app: table.app(),
+            decision,
+        };
 
         // Option 1: GPU only (cool: the big cluster idles).
-        let gpu_only = DesignPoint {
-            mapping: CpuMapping::new(0, 0),
-            freqs: ClusterFreqs {
-                big: MHz(200),
-                little: MHz(600),
-                gpu: MHz(600),
-            },
-            partition: Partition::all_gpu(),
-        };
-        let gpu_eval = evaluate::predict(board, &chars, &gpu_only);
+        let (gpu_only, gpu_eval) = *table.gpu_only();
         if gpu_eval.et_s <= treq_s * slack {
-            return Rmp {
-                gpu_only_slack: slack,
-                app,
-                decision: gpu_only,
-            };
+            return rmp(gpu_only);
         }
 
         // Option 2: the coolest CPU-GPU partition meeting the deadline
@@ -72,56 +70,30 @@ impl Rmp {
         let mut best_any: Option<(DesignPoint, f64)> = None;
         let candidates: Vec<CpuMapping> = match mapping {
             Some(m) => vec![m],
-            None => {
-                let mut v = Vec::new();
-                for little in 1..=4u32 {
-                    for big in 1..=4u32 {
-                        v.push(CpuMapping::new(little, big));
-                    }
-                }
-                v
-            }
+            None => MaxVfTable::combination_mappings().collect(),
         };
-        {
-            for m in candidates {
-                for partition in Partition::offline_grid() {
-                    let dp = DesignPoint {
-                        mapping: m,
-                        freqs: ClusterFreqs {
-                            big: MHz(2000),
-                            little: MHz(1400),
-                            gpu: MHz(600),
-                        },
-                        partition,
-                    };
-                    let e = evaluate::predict(board, &chars, &dp);
-                    if !e.et_s.is_finite() {
-                        continue;
-                    }
-                    // RMP trades up to `slack` of the deadline for
-                    // better temperature behaviour.
-                    if e.et_s <= treq_s * slack {
-                        let better = best_ok.map(|(_, t)| e.peak_temp_c < t).unwrap_or(true);
-                        if better {
-                            best_ok = Some((dp, e.peak_temp_c));
-                        }
-                    }
-                    let faster = best_any.map(|(_, t)| e.et_s < t).unwrap_or(true);
-                    if faster {
-                        best_any = Some((dp, e.et_s));
-                    }
+        for &(dp, e) in candidates.into_iter().flat_map(|m| table.row(m)) {
+            if !e.et_s.is_finite() {
+                continue;
+            }
+            // RMP trades up to `slack` of the deadline for better
+            // temperature behaviour.
+            if e.et_s <= treq_s * slack {
+                let better = best_ok.map(|(_, t)| e.peak_temp_c < t).unwrap_or(true);
+                if better {
+                    best_ok = Some((dp, e.peak_temp_c));
                 }
+            }
+            let faster = best_any.map(|(_, t)| e.et_s < t).unwrap_or(true);
+            if faster {
+                best_any = Some((dp, e.et_s));
             }
         }
         let decision = best_ok
             .or(best_any)
             .map(|(dp, _)| dp)
             .expect("candidate space is non-empty");
-        Rmp {
-            gpu_only_slack: slack,
-            app,
-            decision,
-        }
+        rmp(decision)
     }
 
     /// The planned static design point.
@@ -144,7 +116,9 @@ impl Rmp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teem_soc::perf;
+    use teem_dse::evaluate;
+    use teem_soc::{perf, MHz};
+    use teem_workload::Partition;
 
     #[test]
     fn gpu_friendly_apps_go_gpu_only() {

@@ -3,12 +3,12 @@
 //! the paper's metrics. This is the engine behind the Fig. 1 and Fig. 5
 //! experiments.
 
-use crate::baselines::{Eemp, Rmp};
+use crate::baselines::{Eemp, MaxVfTable, Rmp};
 use crate::online::{plan, TeemTunables};
 use crate::profile::AppProfile;
 use crate::requirements::UserRequirement;
 use teem_governors::{Ondemand, Userspace};
-use teem_soc::{Board, ClusterFreqs, CpuMapping, MHz, Manager, RunResult, RunSpec, Simulation};
+use teem_soc::{Board, ClusterFreqs, CpuMapping, Manager, RunResult, RunSpec, Simulation};
 use teem_workload::{App, Partition};
 
 /// The management approaches the paper compares.
@@ -165,11 +165,7 @@ pub fn plan_launch(
     partition_override: Option<Partition>,
     tunables: &TeemTunables,
 ) -> LaunchPlan {
-    let max = ClusterFreqs {
-        big: MHz(2000),
-        little: MHz(1400),
-        gpu: MHz(600),
-    };
+    let max = MaxVfTable::FREQS;
     match approach {
         Approach::Teem => {
             let profile = profile.expect("TEEM requires a profile");
@@ -181,7 +177,7 @@ pub fn plan_launch(
             }
         }
         Approach::Eemp => {
-            let eemp = Eemp::build(&Board::odroid_xu4_ideal(), app);
+            let eemp = Eemp::from_table(&MaxVfTable::ideal(app));
             let dp = match mapping_override {
                 Some(m) => eemp.plan_with_mapping(req.treq_s, m),
                 None => eemp.plan(req.treq_s),
@@ -196,12 +192,7 @@ pub fn plan_launch(
             }
         }
         Approach::Rmp => {
-            let rmp = Rmp::build_with_mapping(
-                &Board::odroid_xu4_ideal(),
-                app,
-                req.treq_s,
-                mapping_override,
-            );
+            let rmp = Rmp::from_table(&MaxVfTable::ideal(app), req.treq_s, mapping_override);
             let dp = rmp.plan();
             let mapping = mapping_override.unwrap_or(dp.mapping);
             let partition = partition_override.unwrap_or(dp.partition);
@@ -322,6 +313,7 @@ pub fn run(
 mod tests {
     use super::*;
     use crate::offline::profile_app;
+    use teem_soc::MHz;
 
     #[test]
     fn approaches_report_paper_names() {

@@ -4,7 +4,7 @@
 //! conductance system once per network and then advances arbitrary time
 //! spans in closed form, so the decomposition itself is cold code: a
 //! dense `O(n³)`-per-sweep Jacobi iteration on a handful of nodes is
-//! the right tool, exactly as [`crate::solve::lu_solve`] is for the
+//! the right tool, exactly as [`crate::solve::lu_factor`] is for the
 //! steady-state solves. Jacobi is chosen over QR/Householder because it
 //! is short, unconditionally convergent for symmetric input, and
 //! delivers orthogonal eigenvectors to machine precision — which the

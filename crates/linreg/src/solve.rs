@@ -1,5 +1,7 @@
-//! Dense linear solvers: Cholesky for the SPD normal equations and LU with
-//! partial pivoting as the general fallback / cross-check.
+//! Dense linear solvers: Cholesky for the SPD normal equations, and LU
+//! with partial pivoting for general systems (the thermal network's
+//! steady state, factorised once and solved many times) and as a
+//! cross-check.
 
 use crate::error::{LinregError, Result};
 use crate::matrix::Matrix;
@@ -135,16 +137,29 @@ impl Cholesky {
     }
 }
 
-/// Solves `A x = b` by LU decomposition with partial pivoting.
+/// LU factorisation with partial pivoting, `P A = L U`.
 ///
-/// General-purpose fallback used in tests to cross-check [`cholesky`] and
-/// available for non-symmetric systems.
+/// Produced by [`lu_factor`]; solves `A x = b` in `O(n^2)` per
+/// right-hand side once the `O(n^3)` elimination is done, so a system
+/// whose matrix never changes (a thermal network's conductances) is
+/// factorised once and solved many times.
+#[derive(Debug, Clone)]
+pub struct Lu {
+    /// `U` on and above the diagonal, the multipliers of the unit
+    /// lower-triangular `L` below it, rows in pivot order.
+    lu: Matrix,
+    /// `perm[i]` is the row of `A` that ended up as row `i`.
+    perm: Vec<usize>,
+}
+
+/// Computes the LU factorisation of a square matrix by Gaussian
+/// elimination with partial pivoting.
 ///
 /// # Errors
 ///
 /// Returns [`LinregError::Singular`] for (numerically) singular `A` and
-/// [`LinregError::DimensionMismatch`] for shape errors.
-pub fn lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
+/// [`LinregError::DimensionMismatch`] for a non-square one.
+pub fn lu_factor(a: &Matrix) -> Result<Lu> {
     if a.rows() != a.cols() {
         return Err(LinregError::DimensionMismatch {
             op: "lu_solve",
@@ -153,15 +168,7 @@ pub fn lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
         });
     }
     let n = a.rows();
-    if b.len() != n {
-        return Err(LinregError::DimensionMismatch {
-            op: "lu_solve rhs",
-            lhs: (n, n),
-            rhs: (b.len(), 1),
-        });
-    }
     let mut lu = a.clone();
-    let mut x: Vec<f64> = b.to_vec();
     let mut perm: Vec<usize> = (0..n).collect();
     let scale = lu.max_abs();
     let tol = scale * 1e-13 + f64::MIN_POSITIVE;
@@ -185,7 +192,6 @@ pub fn lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
                 lu[(k, c)] = lu[(piv, c)];
                 lu[(piv, c)] = tmp;
             }
-            x.swap(k, piv);
             perm.swap(k, piv);
         }
         for i in (k + 1)..n {
@@ -195,18 +201,69 @@ pub fn lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
                 let v = lu[(k, c)];
                 lu[(i, c)] -= f * v;
             }
-            x[i] -= f * x[k];
         }
     }
-    // Back substitution on U
-    for i in (0..n).rev() {
-        let mut s = x[i];
-        for c in (i + 1)..n {
-            s -= lu[(i, c)] * x[c];
-        }
-        x[i] = s / lu[(i, i)];
+    Ok(Lu { lu, perm })
+}
+
+impl Lu {
+    /// Dimension of the factorised matrix.
+    pub fn dim(&self) -> usize {
+        self.lu.rows()
     }
-    Ok(x)
+
+    /// Solves `A x = b` using the stored factorisation.
+    ///
+    /// Each row multiplier travels with its row through the pivot
+    /// swaps, so forward substitution on the permuted `b` applies the
+    /// same multiply-subtract sequence to every element, in the same
+    /// order, as eliminating `b` alongside `A` would: the result is
+    /// bit-identical to a one-shot elimination.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinregError::DimensionMismatch`] when `b.len() != dim()`.
+    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+        let n = self.dim();
+        if b.len() != n {
+            return Err(LinregError::DimensionMismatch {
+                op: "lu_solve rhs",
+                lhs: (n, n),
+                rhs: (b.len(), 1),
+            });
+        }
+        let lu = &self.lu;
+        // Forward substitution on the unit-lower L: L y = P b
+        let mut x: Vec<f64> = self.perm.iter().map(|&r| b[r]).collect();
+        for i in 0..n {
+            for k in 0..i {
+                x[i] -= lu[(i, k)] * x[k];
+            }
+        }
+        // Back substitution on U
+        for i in (0..n).rev() {
+            let mut s = x[i];
+            for c in (i + 1)..n {
+                s -= lu[(i, c)] * x[c];
+            }
+            x[i] = s / lu[(i, i)];
+        }
+        Ok(x)
+    }
+}
+
+/// Solves `A x = b` by LU decomposition with partial pivoting:
+/// [`lu_factor`] then [`Lu::solve`].
+///
+/// General-purpose fallback used in tests to cross-check [`cholesky`] and
+/// available for non-symmetric systems.
+///
+/// # Errors
+///
+/// Returns [`LinregError::Singular`] for (numerically) singular `A` and
+/// [`LinregError::DimensionMismatch`] for shape errors.
+pub fn lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
+    lu_factor(a)?.solve(b)
 }
 
 #[cfg(test)]

@@ -278,7 +278,8 @@ impl SweepObsReport {
         registry.add_named("sweep.completed", stats.completed as u64);
         registry.add_named("sweep.failed", stats.failed as u64);
         registry.add_named("sweep.skipped", stats.skipped as u64);
-        registry.set_named("sweep.wall_s", stats.wall.as_secs_f64());
+        let wall_s = stats.wall.as_secs_f64();
+        registry.set_named("sweep.wall_s", wall_s);
         registry.set_named("sweep.cells_per_sec", stats.cells_per_sec());
 
         for w in &per_worker {
@@ -301,14 +302,12 @@ impl SweepObsReport {
             let idle_s = w.idle_ns as f64 / 1e9;
             registry.set_named(&format!("worker.{id:02}.busy_s"), busy_s);
             registry.set_named(&format!("worker.{id:02}.idle_s"), idle_s);
-            let lifetime = busy_s + idle_s;
+            // Over the sweep's whole wall clock: idle only counts time
+            // inside the claim path, so busy + idle misses spawn, start-up
+            // and every wait outside it.
             registry.set_named(
                 &format!("worker.{id:02}.utilization"),
-                if lifetime > 0.0 {
-                    busy_s / lifetime
-                } else {
-                    0.0
-                },
+                if wall_s > 0.0 { busy_s / wall_s } else { 0.0 },
             );
             registry.merge_histogram("cell.wall_ns", &w.cell_wall);
             registry.merge_histogram("pool.steal_size", &w.pool.steal_sizes);

@@ -3,7 +3,8 @@
 //!
 //! * every cell the pool executed appears in exactly one worker's
 //!   counters — the per-worker `worker.NN.cells` counters sum to
-//!   `SweepRunStats::cells`;
+//!   `SweepRunStats::cells` — and each worker's utilization is its busy
+//!   time over the sweep's wall clock;
 //! * the Chrome trace-event export validates (well-formed lines through
 //!   the journal's JSON parser, monotone timestamps per track) with one
 //!   track per pool worker and one complete event per cell;
@@ -90,6 +91,15 @@ fn instrumented_500_cell_sweep_accounts_for_every_cell() {
         "cells lost or counted twice"
     );
     assert_eq!(worker_failed, stats.failed as u64);
+    // Utilization is busy time over the sweep's wall clock, never more
+    // than the whole of it.
+    let wall_s = snap.gauge("sweep.wall_s").expect("wall gauge registered");
+    for w in 0..report.workers {
+        let gauge = |name: &str| snap.gauge(&format!("worker.{w:02}.{name}")).unwrap();
+        let util = gauge("utilization");
+        assert_eq!(util, gauge("busy_s") / wall_s, "worker {w}");
+        assert!((0.0..=1.0).contains(&util), "worker {w} utilization {util}");
+    }
     assert_eq!(snap.counter("sweep.cells"), Some(stats.cells as u64));
     assert_eq!(
         snap.counter("sweep.completed"),

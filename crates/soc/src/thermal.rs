@@ -10,7 +10,12 @@
 //! and the baselines all react to *sensor readings of node temperatures*,
 //! not to intra-die gradients.
 
-use teem_linreg::{eigen::sym_eigen, solve::lu_solve, Matrix};
+use std::sync::OnceLock;
+use teem_linreg::{
+    eigen::sym_eigen,
+    solve::{lu_factor, Lu},
+    Matrix,
+};
 
 /// Index of a thermal node within a [`ThermalModel`].
 pub type NodeId = usize;
@@ -54,6 +59,7 @@ pub struct ThermalModel {
     ambient_c: f64,
     max_stable_dt: f64,
     plan: Option<CoolingPlan>, // lazy spectral cache for cool_to
+    steady: OnceLock<Lu>,      // lazy LU factors of G + G_amb for steady_state
 }
 
 /// Builder for [`ThermalModel`].
@@ -151,6 +157,7 @@ impl ThermalModelBuilder {
             ambient_c: self.ambient_c,
             max_stable_dt,
             plan: None,
+            steady: OnceLock::new(),
         }
     }
 }
@@ -268,7 +275,16 @@ impl ThermalModel {
     }
 
     /// Solves the steady-state temperatures for constant injected power:
-    /// `(G + G_amb) T = P + G_amb T_amb` — used for calibration and tests.
+    /// `(G + G_amb) T = P + G_amb T_amb`. Serves every warm start, the
+    /// gap fast-forward's re-linearisation and each iteration of the
+    /// offline design-point evaluation's leakage/temperature fixed point.
+    ///
+    /// The conductance matrix never changes after
+    /// [`ThermalModelBuilder::build`], so the first call LU-factorises
+    /// it once for the network, and a clone keeps any factors already
+    /// computed; every call then costs one `O(n²)` solve. Ambient only
+    /// enters the right-hand side, so [`ThermalModel::set_ambient_c`]
+    /// leaves the factors valid.
     ///
     /// # Panics
     ///
@@ -276,9 +292,21 @@ impl ThermalModel {
     /// to ambient).
     pub fn steady_state(&self, power_w: &[f64]) -> Vec<f64> {
         assert_eq!(power_w.len(), self.len());
+        let b: Vec<f64> = power_w
+            .iter()
+            .zip(&self.to_ambient)
+            .map(|(&p, &g_amb)| p + g_amb * self.ambient_c)
+            .collect();
+        self.steady
+            .get_or_init(|| self.factor_conductance())
+            .solve(&b)
+            .expect("dimensions match by construction")
+    }
+
+    /// LU factors of the steady-state system matrix `G + G_amb`.
+    fn factor_conductance(&self) -> Lu {
         let n = self.len();
         let mut a = Matrix::zeros(n, n);
-        let mut b = vec![0.0; n];
         for i in 0..n {
             let mut diag = self.to_ambient[i];
             for j in 0..n {
@@ -289,9 +317,8 @@ impl ThermalModel {
                 }
             }
             a[(i, i)] = diag;
-            b[i] = power_w[i] + self.to_ambient[i] * self.ambient_c;
         }
-        lu_solve(&a, &b).expect("thermal network must be connected to ambient")
+        lu_factor(&a).expect("thermal network must be connected to ambient")
     }
 
     /// Sets every node to its steady state for the given power — a "warm
