@@ -1,17 +1,16 @@
 //! Scenario-engine benchmarks: timeline construction, one full
 //! multi-app scenario execution under TEEM, a three-app co-run under
 //! the shared contention policy (the N-app power-superposition path),
-//! the parallel batch matrix, and a thresholds × ambients grid sweep
-//! over the builtin suite — the thousands-of-scenario parameter-grid
-//! shape the zero-allocation hot path exists for.
+//! a scenario × approach matrix collected through the sweep engine, and
+//! a thresholds × ambients grid sweep over the builtin suite — the
+//! thousands-of-scenario parameter-grid shape the zero-allocation hot
+//! path exists for.
 
 use std::hint::black_box;
 use teem_bench::microbench::Runner;
 use teem_core::offline::build_profile_store;
 use teem_core::runner::Approach;
-use teem_scenario::{
-    BatchRunner, ContentionPolicy, Scenario, ScenarioRunner, SweepEvent, SweepSpec,
-};
+use teem_scenario::{ContentionPolicy, Scenario, ScenarioRunner, SweepEvent, SweepSpec};
 use teem_soc::Board;
 use teem_telemetry::SweepAggregator;
 use teem_workload::App;
@@ -51,11 +50,9 @@ fn main() {
         Scenario::back_to_back("m1", &[App::Mvt, App::Syrk], 2.0, 0.9),
         Scenario::periodic("m2", App::Gesummv, 40.0, 2, 0.9),
     ];
+    let matrix = SweepSpec::over(scenarios).approaches(&Approach::all());
     r.bench_heavy("batch_matrix_2x4", 1, move || {
-        BatchRunner::new()
-            .run_matrix(black_box(&scenarios), &Approach::all())
-            .expect("runs")
-            .len()
+        black_box(&matrix).run_collect().expect("runs").len()
     });
 
     // The scenario-scale shape: a thresholds × ambients parameter grid

@@ -22,11 +22,17 @@
 //! Besides the console table, the run writes **`BENCH_sweep.json`** to
 //! the working directory: scalar and batched cells/s, their ratio, the
 //! thermal-step nanoseconds, the per-sample shared-cost attribution
-//! (scalar-unstaged vs batched-staged, from the `engine.sample_ns` /
-//! `engine.trace_ns` step-loop laps), the node-count scaling rows, and
+//! (scalar vs batched, from the `engine.sample_ns` / `engine.trace_ns`
+//! step-loop laps), the node-count scaling rows, and
 //! the lane-occupancy/utilization gauges from untimed instrumented
 //! runs — the artifact CI checks for shape and the README's
 //! performance table quotes.
+//!
+//! Staged sample recording is now the only path, so the scalar
+//! per-sample figure (`per_sample_ns_scalar`) measures the staged
+//! scalar path. The committed `BENCH_sweep.json` predates that: its
+//! scalar figure was taken on the per-channel append path the staging
+//! buffer replaced, which is what its `sample_cost_reduction` compares.
 
 use std::cell::Cell;
 use std::hint::black_box;
@@ -161,11 +167,10 @@ fn main() {
 
     // Lane occupancy and the per-sample shared-cost attribution, from
     // untimed instrumented runs — observability must not sit inside
-    // the timed figures. The staged figure comes from the batched
-    // default-staging grid (the fast path: one SoA sensor sweep plus a
-    // sample-major row per lane); the scalar figure re-runs the grid
-    // unbatched with staging off (the pre-optimisation layout: a board
-    // round-trip and nine scattered appends per sample).
+    // the timed figures. The staged figure comes from the batched grid
+    // (one SoA sensor sweep plus a sample-major row per lane); the
+    // scalar figure re-runs the grid unbatched (a board round-trip
+    // plus one sample-major row per sample).
     let count_samples = |ev: SweepEvent, samples: &Cell<u64>| {
         if let SweepEvent::CellDone { result, .. } = ev {
             let n = result.trace.channel("ambient").map_or(0, |c| c.len());
@@ -186,8 +191,6 @@ fn main() {
 
     let scalar_samples = Cell::new(0_u64);
     let (_, scalar_report) = grid
-        .clone()
-        .sample_staging(false)
         .run_instrumented(|ev| count_samples(ev, &scalar_samples))
         .expect("instrumented scalar sweep runs");
     let per_sample_scalar =

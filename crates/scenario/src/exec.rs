@@ -100,7 +100,6 @@ pub struct ScenarioRunner {
     local_profiles: ProfileStore,
     step_timing: bool,
     board: BoardSpec,
-    sample_staging: bool,
 }
 
 impl ScenarioRunner {
@@ -143,7 +142,6 @@ impl ScenarioRunner {
             local_profiles: ProfileStore::new(),
             step_timing: false,
             board: BoardSpec::OdroidXu4,
-            sample_staging: true,
         }
     }
 
@@ -159,17 +157,6 @@ impl ScenarioRunner {
     /// The board spec this runner builds cells on.
     pub fn board_spec(&self) -> BoardSpec {
         self.board
-    }
-
-    /// Enables (default) or disables the sample-major staging buffer
-    /// for per-sample trace recording. Staged and unstaged runs are
-    /// bit-identical (pinned by the golden-digest tests); the unstaged
-    /// path exists as the measured baseline for the staging win and is
-    /// never the right choice for production sweeps. Runner state, not
-    /// [`SimConfig`], so it can never perturb sweep fingerprints.
-    pub fn with_sample_staging(mut self, enabled: bool) -> Self {
-        self.sample_staging = enabled;
-        self
     }
 
     /// Enables wall-clock timing of the step loop's power-model and
@@ -416,7 +403,6 @@ impl ScenarioRunner {
             trace,
             ids,
             stage,
-            staging: self.sample_staging,
             busy_s: 0.0,
             overlap_s: 0.0,
             idle_s: 0.0,
@@ -851,20 +837,14 @@ impl ScenarioRunner {
     }
 }
 
-/// Pre-resolved [`ChannelId`]s for every scenario trace channel, in
-/// recording order — resolved once at [`ScenarioRunner::prepare_cell`]
-/// and recorded through thereafter, so no per-sample name lookup (and
-/// no allocating late-channel fallback) ever runs in the hot loop.
+/// Pre-resolved [`ChannelId`]s for the scenario trace channels recorded
+/// outside the sample stage — resolved once at
+/// [`ScenarioRunner::prepare_cell`] and recorded through thereafter, so
+/// no name lookup (and no allocating late-channel fallback) ever runs
+/// in the hot loop.
 pub(crate) struct TraceIds {
     temp_max: ChannelId,
-    temp_big: ChannelId,
-    temp_gpu: ChannelId,
     freq_big: ChannelId,
-    freq_little: ChannelId,
-    freq_gpu: ChannelId,
-    power_total: ChannelId,
-    ambient: ChannelId,
-    queue_depth: ChannelId,
     gap_fastforward: ChannelId,
 }
 
@@ -880,14 +860,7 @@ impl TraceIds {
         };
         TraceIds {
             temp_max: id("temp.max"),
-            temp_big: id("temp.big"),
-            temp_gpu: id("temp.gpu"),
             freq_big: id("freq.big"),
-            freq_little: id("freq.little"),
-            freq_gpu: id("freq.gpu"),
-            power_total: id("power.total"),
-            ambient: id("ambient"),
-            queue_depth: id("queue.depth"),
             gap_fastforward: id("gap.fastforward_s"),
         }
     }
@@ -948,9 +921,6 @@ pub(crate) struct CellSim {
     /// Sample-major staging buffer for the nine sampled channels; one
     /// contiguous row per sample, drained by [`CellSim::flush_samples`].
     pub(crate) stage: SampleStage,
-    /// `false` routes sampling through direct per-channel appends — the
-    /// measured baseline for the staging win (bit-identical output).
-    pub(crate) staging: bool,
     pub(crate) busy_s: f64,
     pub(crate) overlap_s: f64,
     pub(crate) idle_s: f64,
@@ -997,47 +967,27 @@ impl CellSim {
     /// per-job statistics and advances the sample grid — the back half
     /// of [`CellSim::phase_sample`], shared by the lockstep hot-sample
     /// path (which supplies lane-resident readings and skips the board
-    /// round-trip). Staged: one contiguous row push; unstaged: nine
-    /// per-channel appends through pre-resolved ids. The recorded
-    /// `(channel, t, v)` stream is identical either way.
+    /// round-trip). One contiguous row push into the sample-major
+    /// stage, flushed to the per-channel trace whenever it fills.
     pub(crate) fn record_sample(&mut self) {
-        let t = self.t;
         let depth = (self.queue.len() + self.active.len()) as f64;
         let obs_t0 = self.scratch.obs.clock();
-        if self.staging {
-            self.stage.push(
-                t,
-                &[
-                    self.readings.max_c(),
-                    self.readings.big_max_c(),
-                    self.readings.gpu_c,
-                    self.effective.big.0 as f64,
-                    self.effective.little.0 as f64,
-                    self.effective.gpu.0 as f64,
-                    self.last_total_w,
-                    self.board.thermal.ambient_c(),
-                    depth,
-                ],
-            );
-            if self.stage.is_full() {
-                self.trace.flush_stage(&mut self.stage);
-            }
-        } else {
-            let ids = &self.ids;
-            self.trace.record_id(ids.temp_max, t, self.readings.max_c());
-            self.trace
-                .record_id(ids.temp_big, t, self.readings.big_max_c());
-            self.trace.record_id(ids.temp_gpu, t, self.readings.gpu_c);
-            self.trace
-                .record_id(ids.freq_big, t, self.effective.big.0 as f64);
-            self.trace
-                .record_id(ids.freq_little, t, self.effective.little.0 as f64);
-            self.trace
-                .record_id(ids.freq_gpu, t, self.effective.gpu.0 as f64);
-            self.trace.record_id(ids.power_total, t, self.last_total_w);
-            self.trace
-                .record_id(ids.ambient, t, self.board.thermal.ambient_c());
-            self.trace.record_id(ids.queue_depth, t, depth);
+        self.stage.push(
+            self.t,
+            &[
+                self.readings.max_c(),
+                self.readings.big_max_c(),
+                self.readings.gpu_c,
+                self.effective.big.0 as f64,
+                self.effective.little.0 as f64,
+                self.effective.gpu.0 as f64,
+                self.last_total_w,
+                self.board.thermal.ambient_c(),
+                depth,
+            ],
+        );
+        if self.stage.is_full() {
+            self.trace.flush_stage(&mut self.stage);
         }
         self.scratch.obs.lap_trace(obs_t0);
         for j in self.active.iter_mut() {
@@ -1046,8 +996,8 @@ impl CellSim {
         self.next_sample += self.sample_period_s;
     }
 
-    /// Drains the staged sample rows into the trace (no-op when empty
-    /// or unstaged). Must run before any direct record into a sampled
+    /// Drains the staged sample rows into the trace (no-op when
+    /// empty). Must run before any direct record into a sampled
     /// channel — finish, and any other boundary that closes the trace.
     pub(crate) fn flush_samples(&mut self) {
         if !self.stage.is_empty() {

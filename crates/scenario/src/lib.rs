@@ -53,10 +53,10 @@
 //!   digest-identical whole, and [`run_campaign`] supervises the fleet
 //!   — killing stragglers and re-sharding their remaining cells onto
 //!   survivors (the `teem-coordinator` binary is its CLI face);
-//! * a [`BatchRunner`] — now a thin collect-and-reorder wrapper over
-//!   the sweep engine — fans a scenario × approach matrix out and
-//!   aggregates [`ScenarioSummary`](teem_telemetry::ScenarioSummary)s
-//!   into a comparison table in deterministic scenario-major order.
+//! * [`SweepSpec::run_collect`] buffers a small grid — say a scenario ×
+//!   approach matrix — back into deterministic cell-index order
+//!   (scenario-major), ready for
+//!   [`scenario_table`](teem_telemetry::scenario_table).
 //!
 //! Everything is deterministic: the same scenario under the same
 //! approach produces an identical trace, run to run and thread to
@@ -68,7 +68,7 @@
 //! compare TEEM against the stock ondemand stack:
 //!
 //! ```
-//! use teem_scenario::{BatchRunner, Scenario, ScenarioEvent};
+//! use teem_scenario::{Scenario, ScenarioEvent, SweepSpec};
 //! use teem_core::runner::Approach;
 //! use teem_workload::App;
 //!
@@ -77,8 +77,9 @@
 //!     .at(30.0, ScenarioEvent::AmbientChange { ambient_c: 31.0 })
 //!     .arrive(30.0, App::Gesummv, 0.9);
 //!
-//! let results = BatchRunner::new()
-//!     .run_matrix(&[scenario], &[Approach::Teem, Approach::Ondemand])
+//! let results = SweepSpec::over([scenario])
+//!     .approaches(&[Approach::Teem, Approach::Ondemand])
+//!     .run_collect()
 //!     .expect("profiling succeeds");
 //! assert_eq!(results.len(), 2);
 //! assert_eq!(results[0].summary.approach, "TEEM");
@@ -89,7 +90,6 @@
 #![warn(rust_2018_idioms)]
 
 mod arbiter;
-mod batch;
 mod csv;
 mod event;
 mod exec;
@@ -101,7 +101,6 @@ mod shard;
 mod sweep;
 
 pub use arbiter::{Admission, ContentionPolicy, MappingArbiter, ResourceClaim};
-pub use batch::BatchRunner;
 pub use csv::TraceParseError;
 pub use event::{AppRequest, ScenarioEvent, TimedEvent};
 pub use exec::{ScenarioResult, ScenarioRunner};

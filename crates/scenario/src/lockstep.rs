@@ -462,6 +462,11 @@ impl LockstepPool {
         }
     }
 
+    /// The lane count K.
+    pub(crate) fn lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
     /// `true` when at least one lane is free.
     pub(crate) fn has_free_lane(&self) -> bool {
         self.lanes.iter().any(Option::is_none)

@@ -65,6 +65,10 @@ pub struct WorkerObs {
     pub busy_ns: u64,
     /// Nanoseconds spent claiming/stealing/waiting for work.
     pub idle_ns: u64,
+    /// Nanoseconds spent blocked sending events into the pool's
+    /// bounded channel because the sink lagged (zero on a sequential
+    /// run, whose sink runs inline).
+    pub backpressure_ns: u64,
     /// Per-cell wall time, nanoseconds.
     pub cell_wall: LogHistogram,
     /// Scheduler counters (filled by `next_cell`).
@@ -106,6 +110,7 @@ impl WorkerObs {
             failed: 0,
             busy_ns: 0,
             idle_ns: 0,
+            backpressure_ns: 0,
             cell_wall: LogHistogram::new(),
             pool: PoolObs::default(),
             kernel: StepObs::default(),
@@ -125,11 +130,17 @@ impl WorkerObs {
         self.idle_ns = self.idle_ns.saturating_add(ns_since(t0));
     }
 
-    /// Banks time spent executing (warm-up, lockstep rounds, retirement
-    /// finishing) in batch mode, where per-cell wall clocks overlap and
-    /// cannot be summed into the busy total.
+    /// Banks time spent executing: one execution segment (a cell's
+    /// start, a lockstep round, a retiring cell's finish). Busy time is
+    /// banked per segment, not per cell, because pooled cells' wall
+    /// clocks overlap and cannot be summed.
     pub fn bank_busy(&mut self, t0: Instant) {
         self.busy_ns = self.busy_ns.saturating_add(ns_since(t0));
+    }
+
+    /// Banks time spent blocked on a full event channel.
+    pub fn bank_backpressure(&mut self, t0: Instant) {
+        self.backpressure_ns = self.backpressure_ns.saturating_add(ns_since(t0));
     }
 
     /// Records the lane occupancy of one pooled cell: the fraction
@@ -146,37 +157,11 @@ impl WorkerObs {
         self.lane_occupancy.record(permille);
     }
 
-    /// Records one executed cell: wall time into the histogram and the
-    /// busy total, the kernel accumulator folded in, and a complete
-    /// trace event on this worker's track.
-    pub fn observe_cell(
-        &mut self,
-        name: &str,
-        index: usize,
-        started: Instant,
-        outcome: &Result<ScenarioResult, String>,
-    ) {
-        self.busy_ns = self.busy_ns.saturating_add(ns_since(started));
-        self.record_cell(name, index, started, outcome);
-    }
-
-    /// Records one cell executed on the batched path. Identical to
-    /// [`WorkerObs::observe_cell`] except the cell's wall time does
-    /// *not* feed the busy total: pooled cells overlap in time, so busy
-    /// time is banked per execution segment via [`WorkerObs::bank_busy`]
-    /// instead (the wall histogram and trace still get the full
-    /// claim-to-finish span).
-    pub fn observe_batched_cell(
-        &mut self,
-        name: &str,
-        index: usize,
-        started: Instant,
-        outcome: &Result<ScenarioResult, String>,
-    ) {
-        self.record_cell(name, index, started, outcome);
-    }
-
-    fn record_cell(
+    /// Records one finished cell: its start-to-finish wall time into
+    /// the histogram, the kernel accumulator folded in, and a complete
+    /// trace event on this worker's track. Busy time is not touched
+    /// here; [`WorkerObs::bank_busy`] banks it per execution segment.
+    pub fn record_cell(
         &mut self,
         name: &str,
         index: usize,
@@ -269,6 +254,7 @@ impl SweepObsReport {
         let mut trace = TraceEventLog::new();
         let mut kernel = StepObs::default();
         let mut busy_ns = 0u64;
+        let mut backpressure_ns = 0u64;
         let mut lanes_entered = 0u64;
         let mut occupancy_sum = 0u64;
         let mut lane_steps = 0u64;
@@ -316,6 +302,7 @@ impl SweepObsReport {
             registry.merge_histogram("batch.lane_occupancy", &w.lane_occupancy);
             kernel.merge(&w.kernel);
             busy_ns = busy_ns.saturating_add(w.busy_ns);
+            backpressure_ns = backpressure_ns.saturating_add(w.backpressure_ns);
             lanes_entered += w.lanes_entered;
             occupancy_sum += w.occupancy_permille_sum;
             lane_steps += w.batch_lane_steps;
@@ -323,6 +310,7 @@ impl SweepObsReport {
 
             trace.thread_name(id as u32, &format!("sweep worker {id}"));
         }
+        registry.add_named("pool.backpressure_ns", backpressure_ns);
         registry.add_named("engine.steps", kernel.steps);
         registry.add_named("engine.batched_steps", kernel.batched_steps);
         registry.add_named("batch.lanes_entered", lanes_entered);
@@ -638,7 +626,7 @@ mod tests {
     fn worker_obs_folds_cells_into_histogram_and_trace() {
         let epoch = Instant::now();
         let mut w = WorkerObs::new(3, epoch);
-        w.observe_cell("cell-a", 7, Instant::now(), &Err("boom".to_string()));
+        w.record_cell("cell-a", 7, Instant::now(), &Err("boom".to_string()));
         assert_eq!(w.cells, 1);
         assert_eq!(w.failed, 1);
         assert_eq!(w.cell_wall.count(), 1);
@@ -650,10 +638,10 @@ mod tests {
     fn report_assembles_per_worker_sums_and_tracks() {
         let epoch = Instant::now();
         let mut a = WorkerObs::new(0, epoch);
-        a.observe_cell("c0", 0, Instant::now(), &Err("x".to_string()));
-        a.observe_cell("c1", 1, Instant::now(), &Err("x".to_string()));
+        a.record_cell("c0", 0, Instant::now(), &Err("x".to_string()));
+        a.record_cell("c1", 1, Instant::now(), &Err("x".to_string()));
         let mut b = WorkerObs::new(1, epoch);
-        b.observe_cell("c2", 2, Instant::now(), &Err("x".to_string()));
+        b.record_cell("c2", 2, Instant::now(), &Err("x".to_string()));
         let stats = SweepRunStats {
             cells: 3,
             completed: 0,

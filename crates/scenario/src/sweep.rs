@@ -25,9 +25,10 @@
 //! the cell, and the sweep **keeps draining** the remaining cells —
 //! one bad cell costs one cell, not the grid.
 //!
-//! [`BatchRunner`](crate::BatchRunner) is a thin collect-and-reorder
-//! wrapper over this engine, and keeps its deterministic scenario-major
-//! output (pinned bit-identical by the golden-digest tests).
+//! Sequential and pooled runs, batched or not, drive one worker loop;
+//! they differ only in where a worker claims its cells and where it
+//! sends their events. [`SweepSpec::run_collect`] buffers the stream
+//! back into deterministic cell-index order for small grids.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -158,11 +159,6 @@ impl ConfigPatch {
     pub fn onto_default(self) -> SimConfig {
         self.apply(ScenarioRunner::default_config())
     }
-
-    /// `true` when the patch overrides nothing.
-    pub fn is_noop(&self) -> bool {
-        *self == ConfigPatch::default()
-    }
 }
 
 /// One cell of the sweep grid: a scenario under one approach with one
@@ -275,9 +271,8 @@ impl SweepRunStats {
 /// thresholds/ambients/tunables/idle policy to "whatever the scenario
 /// and configuration already say"), so the smallest spec is exactly the
 /// old scenario × approach matrix — and with no extra axes the cell
-/// scenarios run *unrenamed and untouched*, which is how
-/// [`BatchRunner`](crate::BatchRunner) keeps its golden digests
-/// bit-identical on top of this engine.
+/// scenarios run *unrenamed and untouched*, which is how such a matrix
+/// keeps its golden digests bit-identical on this engine.
 ///
 /// # Streaming thousands of cells in O(workers) memory
 ///
@@ -322,12 +317,10 @@ pub struct SweepSpec {
     tunables: Option<Vec<TeemTunables>>,
     idle_policies: Option<Vec<IdlePolicy>>,
     boards: Option<Vec<BoardSpec>>,
-    base_config: Option<SimConfig>,
     patch: ConfigPatch,
     threads: usize,
     chunk: Option<usize>,
     batch: Option<usize>,
-    sample_staging: bool,
     skip: BTreeSet<usize>,
     shard: Option<crate::shard::ShardSpec>,
 }
@@ -345,14 +338,12 @@ impl SweepSpec {
             tunables: None,
             idle_policies: None,
             boards: None,
-            base_config: None,
             patch: ConfigPatch::default(),
             threads: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
             chunk: None,
             batch: None,
-            sample_staging: true,
             skip: BTreeSet::new(),
             shard: None,
         }
@@ -479,14 +470,6 @@ impl SweepSpec {
         self
     }
 
-    /// Replaces the base executor configuration wholesale (the patch,
-    /// if any, still applies on top). Prefer [`SweepSpec::patch_config`]
-    /// unless you really mean every field.
-    pub fn config(mut self, config: SimConfig) -> Self {
-        self.base_config = Some(config);
-        self
-    }
-
     /// Overrides configuration fields on top of
     /// [`ScenarioRunner::default_config`] — the footgun-free
     /// customisation path.
@@ -552,18 +535,6 @@ impl SweepSpec {
             "batch lane count {k} out of range (1..=64)"
         );
         self.batch = Some(k);
-        self
-    }
-
-    /// Routes every cell's sample recording through the staged
-    /// sample-major buffer (`true`, the default) or the per-channel
-    /// append baseline (`false`). Like [`SweepSpec::batch`] this is a
-    /// mechanism knob, not a physics knob: the recorded traces are
-    /// bit-identical either way (the staged-parity suite pins it), so
-    /// it is excluded from [`SweepSpec::fingerprint`]. The `false`
-    /// setting exists for A/B measurement of the staging win.
-    pub fn sample_staging(mut self, staged: bool) -> Self {
-        self.sample_staging = staged;
         self
     }
 
@@ -888,14 +859,11 @@ impl SweepSpec {
         }
     }
 
-    /// The configuration every cell starts from: the base (default:
-    /// [`ScenarioRunner::default_config`]) with the patch applied. A
+    /// The configuration every cell starts from:
+    /// [`ScenarioRunner::default_config`] with the patch applied. A
     /// cell's idle-policy axis value overrides this per cell.
     pub fn resolved_config(&self) -> SimConfig {
-        self.patch.apply(
-            self.base_config
-                .unwrap_or_else(ScenarioRunner::default_config),
-        )
+        self.patch.onto_default()
     }
 
     /// Runs the whole grid, handing every [`SweepEvent`] to `sink` on
@@ -983,74 +951,30 @@ impl SweepSpec {
 
         let mut completed = 0usize;
         let mut failed = 0usize;
+        let mut deliver = |event: SweepEvent| {
+            match &event {
+                SweepEvent::CellDone { .. } => completed += 1,
+                SweepEvent::CellFailed { .. } => failed += 1,
+                _ => {}
+            }
+            sink(event);
+        };
 
         if workers <= 1 {
-            // Sequential: cell-index order, same failure handling. The
-            // instrumented run collects into one pseudo-worker (track 0).
-            let mut wobs = obs.map(|o| WorkerObs::new(0, o.epoch));
-            if let Some(k) = self.batch {
-                // Batched sequential: K lockstep lanes on this thread,
-                // claims drained in cell-index order. This is the path
-                // the single-core throughput bench exercises.
-                let mut pos = 0usize;
-                let mut next = |_: &mut Option<WorkerObs>| {
-                    if pos < total {
-                        let i = to_index(pos);
-                        pos += 1;
-                        Some(i)
-                    } else {
-                        None
-                    }
-                };
-                let mut emit = |ev: SweepEvent| {
-                    match &ev {
-                        SweepEvent::CellDone { .. } => completed += 1,
-                        SweepEvent::CellFailed { .. } => failed += 1,
-                        _ => {}
-                    }
-                    sink(ev);
+            // Sequential: one worker on this thread, claiming in
+            // cell-index order and handing events straight to the sink.
+            let mut order = (0..total).map(&to_index);
+            self.worker_loop(
+                0,
+                obs,
+                &profiles,
+                config,
+                &mut |_| order.next(),
+                &mut |_, event| {
+                    deliver(event);
                     true
-                };
-                self.batched_worker_loop(k, &profiles, config, &mut wobs, &mut next, &mut emit);
-            } else {
-                for pos in 0..total {
-                    let index = to_index(pos);
-                    let cell = self.cell(index);
-                    sink(SweepEvent::CellStarted {
-                        index,
-                        name: cell.name.clone(),
-                        approach: cell.approach,
-                    });
-                    let busy_t0 = wobs.as_ref().map(|_| Instant::now());
-                    let outcome = self.run_cell(&cell, &profiles, config, wobs.is_some());
-                    if let (Some(w), Some(t0)) = (wobs.as_mut(), busy_t0) {
-                        w.observe_cell(&cell.name, index, t0, &outcome);
-                    }
-                    match outcome {
-                        Ok(result) => {
-                            completed += 1;
-                            sink(SweepEvent::CellDone {
-                                cell,
-                                result: Box::new(result),
-                            });
-                        }
-                        Err(message) => {
-                            failed += 1;
-                            sink(SweepEvent::CellFailed {
-                                index,
-                                name: cell.name,
-                                message,
-                            });
-                        }
-                    }
-                }
-            }
-            if let (Some(w), Some(o)) = (wobs, obs) {
-                o.collected
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(w);
-            }
+                },
+            );
         } else {
             // Work-stealing pool: a shared injector of chunks, one
             // claimed (start, end) range per worker, thieves take the
@@ -1094,107 +1018,48 @@ impl SweepSpec {
                     let profiles = &profiles;
                     let to_index = &to_index;
                     scope.spawn(move || {
-                        let mut wobs = obs.map(|o| WorkerObs::new(me, o.epoch));
-                        if let Some(k) = self.batch {
-                            // Batched worker: same claim/steal stream,
-                            // but cells feed this worker's K-lane
-                            // lockstep pool instead of running one at
-                            // a time.
-                            let mut next = |w: &mut Option<WorkerObs>| {
-                                let idle_t0 = w.as_ref().map(|_| Instant::now());
-                                let n = next_cell(
-                                    me,
-                                    injector,
-                                    claims,
-                                    claimed,
-                                    total,
-                                    w.as_mut().map(|x| &mut x.pool),
-                                );
-                                if let (Some(x), Some(t0)) = (w.as_mut(), idle_t0) {
-                                    x.bank_idle(t0);
-                                }
-                                n.map(to_index)
-                            };
-                            let mut emit = |ev: SweepEvent| tx.send(ev).is_ok();
-                            self.batched_worker_loop(
-                                k, profiles, config, &mut wobs, &mut next, &mut emit,
-                            );
-                            if let (Some(w), Some(o)) = (wobs, obs) {
-                                o.collected
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                    .push(w);
-                            }
-                            return;
-                        }
                         // The claim structure schedules work-list
                         // *positions*; `to_index` maps a position to
                         // its grid index (the identity unless cells
                         // are skipped for a resume).
-                        loop {
-                            let idle_t0 = wobs.as_ref().map(|_| Instant::now());
-                            let next = next_cell(
+                        let mut next = |w: &mut Option<WorkerObs>| {
+                            let idle_t0 = clock(w);
+                            let pos = next_cell(
                                 me,
                                 injector,
                                 claims,
                                 claimed,
                                 total,
-                                wobs.as_mut().map(|w| &mut w.pool),
+                                w.as_mut().map(|x| &mut x.pool),
                             );
-                            if let (Some(w), Some(t0)) = (wobs.as_mut(), idle_t0) {
-                                w.bank_idle(t0);
+                            if let (Some(x), Some(t0)) = (w.as_mut(), idle_t0) {
+                                x.bank_idle(t0);
                             }
-                            let Some(pos) = next else { break };
-                            let index = to_index(pos);
-                            let cell = self.cell(index);
-                            // A failed send means the receiver is gone —
-                            // the sink panicked mid-sweep. Stop claiming
-                            // cells instead of silently simulating the
-                            // rest of the grid into a closed channel.
-                            let started = tx.send(SweepEvent::CellStarted {
-                                index,
-                                name: cell.name.clone(),
-                                approach: cell.approach,
-                            });
-                            if started.is_err() {
-                                break;
+                            pos.map(to_index)
+                        };
+                        // A failed send means the receiver is gone (the
+                        // sink panicked mid-sweep); the loop then stops
+                        // claiming cells. Only a send that finds the
+                        // channel full reads the clock, so the
+                        // backpressure figure is time spent blocked.
+                        let mut emit = |w: &mut Option<WorkerObs>, event| match tx.try_send(event) {
+                            Ok(()) => true,
+                            Err(mpsc::TrySendError::Disconnected(_)) => false,
+                            Err(mpsc::TrySendError::Full(event)) => {
+                                let t0 = clock(w);
+                                let sent = tx.send(event).is_ok();
+                                if let (Some(x), Some(t0)) = (w.as_mut(), t0) {
+                                    x.bank_backpressure(t0);
+                                }
+                                sent
                             }
-                            let busy_t0 = wobs.as_ref().map(|_| Instant::now());
-                            let outcome = self.run_cell(&cell, profiles, config, wobs.is_some());
-                            if let (Some(w), Some(t0)) = (wobs.as_mut(), busy_t0) {
-                                w.observe_cell(&cell.name, index, t0, &outcome);
-                            }
-                            let event = match outcome {
-                                Ok(result) => SweepEvent::CellDone {
-                                    cell,
-                                    result: Box::new(result),
-                                },
-                                Err(message) => SweepEvent::CellFailed {
-                                    index,
-                                    name: cell.name,
-                                    message,
-                                },
-                            };
-                            if tx.send(event).is_err() {
-                                break;
-                            }
-                        }
-                        if let (Some(w), Some(o)) = (wobs, obs) {
-                            o.collected
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .push(w);
-                        }
+                        };
+                        self.worker_loop(me, obs, profiles, config, &mut next, &mut emit);
                     });
                 }
                 drop(tx); // the receiver loop ends when every worker has
                 for event in rx {
-                    match &event {
-                        SweepEvent::CellDone { .. } => completed += 1,
-                        SweepEvent::CellFailed { .. } => failed += 1,
-                        _ => {}
-                    }
-                    sink(event);
+                    deliver(event);
                 }
             });
         }
@@ -1248,16 +1113,20 @@ impl SweepSpec {
             .collect())
     }
 
-    /// Materialises the cell's scenario (name, threshold, ambient
-    /// overrides) and builds its configured runner — the shared front
-    /// half of both execution paths.
-    fn make_cell_runner(
+    /// Starts one cell: materialises its scenario (name, threshold,
+    /// ambient overrides), builds its configured runner, prepares it
+    /// and steps it on the scalar loop, panics caught. With `admit`
+    /// set the cell stops at the first lockstep-eligible step
+    /// boundary; otherwise, or if it never becomes eligible, it runs to
+    /// completion — exactly [`ScenarioRunner::run`]'s calls.
+    fn start_cell(
         &self,
         cell: &SweepCell,
         profiles: &Arc<ProfileStore>,
         config: SimConfig,
         instrument: bool,
-    ) -> (ScenarioRunner, Scenario) {
+        admit: bool,
+    ) -> CellStart {
         let mut scenario = self.scenarios[cell.scenario_index].clone();
         if cell.name != scenario.name() {
             scenario = scenario.with_name(cell.name.clone());
@@ -1272,116 +1141,85 @@ impl SweepSpec {
         if let Some(p) = cell.idle_policy {
             cfg.idle_policy = p;
         }
-        let runner = ScenarioRunner::with_shared_profiles(cell.approach, Arc::clone(profiles))
+        let mut runner = ScenarioRunner::with_shared_profiles(cell.approach, Arc::clone(profiles))
             .with_contention(cell.contention)
             .with_tunables(cell.tunables)
             .with_board(cell.board)
-            .with_sample_staging(self.sample_staging)
             .with_config(cfg)
             .with_step_timing(instrument);
-        (runner, scenario)
-    }
-
-    /// Executes one cell: materialise the scenario, build its runner,
-    /// run it with the panic caught on this worker.
-    fn run_cell(
-        &self,
-        cell: &SweepCell,
-        profiles: &Arc<ProfileStore>,
-        config: SimConfig,
-        instrument: bool,
-    ) -> Result<ScenarioResult, String> {
-        let (mut runner, scenario) = self.make_cell_runner(cell, profiles, config, instrument);
-        match std::panic::catch_unwind(AssertUnwindSafe(|| runner.run(&scenario))) {
-            Ok(Ok(result)) => Ok(result),
-            Ok(Err(e)) => Err(e.to_string()),
-            // `&*payload`, not `&payload`: coercing `&Box<dyn Any>`
-            // would downcast against the box itself and lose the text.
-            Err(payload) => Err(format!("panicked: {}", panic_message(&*payload))),
-        }
-    }
-
-    /// Starts one cell for the batched path: prepare it and step it on
-    /// the scalar loop until it becomes lockstep-eligible (panic
-    /// caught). A short cell may finish during warm-up; that is just a
-    /// scalar cell and comes back as its result.
-    fn start_cell_for_batch(
-        &self,
-        cell: &SweepCell,
-        profiles: &Arc<ProfileStore>,
-        config: SimConfig,
-        instrument: bool,
-    ) -> BatchStart {
-        let (mut runner, scenario) = self.make_cell_runner(cell, profiles, config, instrument);
-        let warmup = std::panic::catch_unwind(AssertUnwindSafe(
-            move || -> Result<BatchStart, teem_linreg::LinregError> {
-                let mut sim = runner.prepare_cell(&scenario)?;
-                loop {
-                    if crate::lockstep::eligible_for_lockstep(&sim) {
-                        return Ok(BatchStart::Eligible(Box::new((runner, sim))));
-                    }
-                    if !runner.step_cell(&mut sim)? {
-                        return Ok(BatchStart::Done(Box::new(runner.finish_cell(sim))));
-                    }
+        catch_cell(move || {
+            let mut sim = runner.prepare_cell(&scenario)?;
+            loop {
+                if admit && crate::lockstep::eligible_for_lockstep(&sim) {
+                    return Ok(CellStart::Eligible(Box::new((runner, sim))));
                 }
-            },
-        ));
-        match warmup {
-            Ok(Ok(start)) => start,
-            Ok(Err(e)) => BatchStart::Failed(e.to_string()),
-            Err(payload) => BatchStart::Failed(format!("panicked: {}", panic_message(&*payload))),
-        }
+                if !runner.step_cell(&mut sim)? {
+                    return Ok(CellStart::Done(Box::new(runner.finish_cell(sim))));
+                }
+            }
+        })
+        .unwrap_or_else(CellStart::Failed)
     }
 
-    /// The batched worker loop: claim cells through `next`, warm them
-    /// up to lockstep eligibility, run lockstep rounds over a K-lane
-    /// pool, finish retiring cells on the scalar path, and refill freed
-    /// lanes — shared verbatim by the sequential (`threads(1)`) and
-    /// pooled branches, which differ only in their `next`/`emit`
-    /// closures. `emit` returns `false` when the event consumer is gone
-    /// (pooled mode: the channel closed), which stops the loop.
-    fn batched_worker_loop(
+    /// The worker loop every sweep runs, sequential or pooled, batched
+    /// or not: claim cells through `next`, start each one, and hand its
+    /// events to `emit`, which returns `false` once the consumer is
+    /// gone and so stops the loop. The two call sites differ only in
+    /// those closures.
+    ///
+    /// Unbatched, each claimed cell runs to completion as it starts. In
+    /// batch mode ([`SweepSpec::batch`]) a started cell that reaches
+    /// lockstep eligibility is admitted into a K-lane pool instead;
+    /// lockstep rounds then run while any lane is occupied, retiring
+    /// cells finish on the scalar path, and freed lanes refill from the
+    /// claim stream.
+    fn worker_loop(
         &self,
-        k: usize,
+        worker: usize,
+        obs: Option<&RunObs>,
         profiles: &Arc<ProfileStore>,
         config: SimConfig,
-        wobs: &mut Option<WorkerObs>,
         next: &mut dyn FnMut(&mut Option<WorkerObs>) -> Option<usize>,
-        emit: &mut dyn FnMut(SweepEvent) -> bool,
+        emit: &mut dyn FnMut(&mut Option<WorkerObs>, SweepEvent) -> bool,
     ) {
-        let reference = Board::odroid_xu4_ideal();
-        let mut pool = LockstepPool::new(k, &reference.thermal, wobs.is_some());
-        // Claim-order bookkeeping for cells resident in the pool,
-        // keyed by cell index (≤ K entries; linear scans are fine).
-        let mut in_flight: Vec<(usize, SweepCell, Option<Instant>)> = Vec::new();
+        let mut wobs = obs.map(|o| WorkerObs::new(worker, o.epoch));
+        let instrument = wobs.is_some();
+        let mut lockstep = self
+            .batch
+            .map(|k| LockstepPool::new(k, &Board::odroid_xu4_ideal().thermal, instrument));
+        // Cells resident in the pool with their start instants, keyed
+        // by cell index (≤ K entries; linear scans are fine).
+        let mut in_flight: Vec<(SweepCell, Option<Instant>)> = Vec::new();
         let mut retired = Vec::new();
         let mut dry = false; // `next` ran out of cells
         let mut dead = false; // `emit` reported a gone consumer
 
-        'outer: loop {
-            // Fill free lanes from the claim stream.
-            while !dry && !dead && pool.has_free_lane() {
-                let Some(index) = next(wobs) else {
+        loop {
+            // Claim and start cells while a lane is free (always,
+            // unbatched: every cell finishes as it starts).
+            while !dry && !dead && lockstep.as_ref().is_none_or(LockstepPool::has_free_lane) {
+                let Some(index) = next(&mut wobs) else {
                     dry = true;
                     break;
                 };
                 let cell = self.cell(index);
-                if !emit(SweepEvent::CellStarted {
+                let announce = SweepEvent::CellStarted {
                     index,
                     name: cell.name.clone(),
                     approach: cell.approach,
-                }) {
+                };
+                if !emit(&mut wobs, announce) {
                     dead = true;
                     break;
                 }
-                let started = wobs.as_ref().map(|_| Instant::now());
-                let start = self.start_cell_for_batch(&cell, profiles, config, wobs.is_some());
-                if let (Some(w), Some(t0)) = (wobs.as_mut(), started) {
-                    w.bank_busy(t0);
-                }
-                match start {
-                    BatchStart::Eligible(boxed) => {
+                let started = clock(&wobs);
+                let start =
+                    self.start_cell(&cell, profiles, config, instrument, lockstep.is_some());
+                bank_busy(&mut wobs, started);
+                let outcome = match start {
+                    CellStart::Eligible(boxed) => {
                         let (runner, sim) = *boxed;
+                        let pool = lockstep.as_mut().expect("only a lockstep worker admits");
                         // Board-axis boundary: same-board cells are
                         // contiguous in the grid, so when the pool has
                         // drained and the next cell's topology differs,
@@ -1389,112 +1227,61 @@ impl SweepSpec {
                         // (folding the old pool's counters first)
                         // instead of degrading its cells to scalar.
                         if pool.is_empty() && !pool.matches_topology(&sim.board.thermal) {
-                            fold_pool_obs(wobs, &pool);
-                            pool = LockstepPool::new(k, &sim.board.thermal, wobs.is_some());
+                            fold_pool_obs(&mut wobs, pool);
+                            *pool = LockstepPool::new(pool.lanes(), &sim.board.thermal, instrument);
                         }
                         match pool.admit(runner, sim, index) {
-                            Ok(()) => in_flight.push((index, cell, started)),
+                            Ok(()) => {
+                                in_flight.push((cell, started));
+                                continue;
+                            }
+                            // Topology or dt mismatch with the pool:
+                            // degrade this cell to scalar.
                             Err((runner, sim, _)) => {
-                                // Topology or dt mismatch with the pool:
-                                // degrade this cell to scalar.
-                                let busy_t0 = wobs.as_ref().map(|_| Instant::now());
+                                let busy_t0 = clock(&wobs);
                                 let outcome = finish_scalar(runner, sim);
-                                if let Some(w) = wobs.as_mut() {
-                                    if let Some(t0) = busy_t0 {
-                                        w.bank_busy(t0);
-                                    }
-                                    w.observe_batched_cell(
-                                        &cell.name,
-                                        index,
-                                        started.unwrap_or_else(Instant::now),
-                                        &outcome,
-                                    );
-                                }
-                                if !emit_outcome(emit, cell, outcome) {
-                                    dead = true;
-                                }
+                                bank_busy(&mut wobs, busy_t0);
+                                outcome
                             }
                         }
                     }
-                    BatchStart::Done(result) => {
-                        let outcome = Ok(*result);
-                        if let Some(w) = wobs.as_mut() {
-                            w.observe_batched_cell(
-                                &cell.name,
-                                index,
-                                started.unwrap_or_else(Instant::now),
-                                &outcome,
-                            );
-                        }
-                        if !emit_outcome(emit, cell, outcome) {
-                            dead = true;
-                        }
-                    }
-                    BatchStart::Failed(message) => {
-                        let outcome = Err(message);
-                        if let Some(w) = wobs.as_mut() {
-                            w.observe_batched_cell(
-                                &cell.name,
-                                index,
-                                started.unwrap_or_else(Instant::now),
-                                &outcome,
-                            );
-                        }
-                        if !emit_outcome(emit, cell, outcome) {
-                            dead = true;
-                        }
-                    }
-                }
+                    CellStart::Done(result) => Ok(*result),
+                    CellStart::Failed(message) => Err(message),
+                };
+                dead |= !report_cell(&mut wobs, emit, cell, started, outcome);
             }
-            if pool.is_empty() && (dry || dead) {
-                break 'outer;
-            }
-            if dead {
-                // Consumer gone with cells still in flight: drop them,
-                // like the scalar loop drops an unsendable result.
-                break 'outer;
-            }
-            if pool.is_empty() {
-                continue 'outer;
-            }
+            // Nothing resident (or the consumer is gone, dropping the
+            // cells still in flight): the worker is done.
+            let pool = match lockstep.as_mut() {
+                Some(pool) if !dead && !pool.is_empty() => pool,
+                _ => break,
+            };
 
             // One lockstep round, panic-isolated: a panicking manager
             // or model must cost its own cells a scalar re-run, not the
             // grid. Lanes retired before the panic left the pool at
             // valid phase boundaries and finish normally.
-            let busy_t0 = wobs.as_ref().map(|_| Instant::now());
+            let busy_t0 = clock(&wobs);
             let round =
                 std::panic::catch_unwind(AssertUnwindSafe(|| pool.step_round(&mut retired)));
-            if let (Some(w), Some(t0)) = (wobs.as_mut(), busy_t0) {
-                w.bank_busy(t0);
-            }
+            bank_busy(&mut wobs, busy_t0);
             if round.is_err() {
                 // Mid-round state is not a valid scalar boundary; the
-                // stuck cells re-run from scratch on the scalar path
-                // (a deterministic panic reproduces there and fails the
-                // cell with its payload; CellStarted was already sent).
+                // stuck cells re-run from scratch through the start
+                // path with lane admission off (a deterministic panic
+                // reproduces there and fails the cell with its payload;
+                // CellStarted was already sent).
                 for token in pool.evict_all() {
-                    let pos = in_flight
-                        .iter()
-                        .position(|(t, _, _)| *t == token)
-                        .expect("evicted lane was in flight");
-                    let (index, cell, started) = in_flight.remove(pos);
-                    let busy_t0 = wobs.as_ref().map(|_| Instant::now());
-                    let outcome = self.run_cell(&cell, profiles, config, wobs.is_some());
-                    if let Some(w) = wobs.as_mut() {
-                        if let Some(t0) = busy_t0 {
-                            w.bank_busy(t0);
-                        }
-                        w.observe_batched_cell(
-                            &cell.name,
-                            index,
-                            started.unwrap_or_else(Instant::now),
-                            &outcome,
-                        );
-                    }
-                    if !emit_outcome(emit, cell, outcome) {
-                        dead = true;
-                    }
+                    let (cell, started) = take_in_flight(&mut in_flight, token);
+                    let busy_t0 = clock(&wobs);
+                    let outcome = match self.start_cell(&cell, profiles, config, instrument, false)
+                    {
+                        CellStart::Done(result) => Ok(*result),
+                        CellStart::Failed(message) => Err(message),
+                        CellStart::Eligible(_) => unreachable!("lane admission is off"),
+                    };
+                    bank_busy(&mut wobs, busy_t0);
+                    dead |= !report_cell(&mut wobs, emit, cell, started, outcome);
                 }
             }
 
@@ -1502,37 +1289,29 @@ impl SweepSpec {
             // completed in-pool terminates on its first step_cell call,
             // so completion and divergence share this code.
             for r in retired.drain(..) {
-                let pos = in_flight
-                    .iter()
-                    .position(|(t, _, _)| *t == r.token)
-                    .expect("retired lane was in flight");
-                let (index, cell, started) = in_flight.remove(pos);
-                let steps_at_entry = r.steps_at_entry;
-                let busy_t0 = wobs.as_ref().map(|_| Instant::now());
+                let (cell, started) = take_in_flight(&mut in_flight, r.token);
+                let busy_t0 = clock(&wobs);
                 let outcome = finish_scalar(r.runner, r.sim);
-                if let Some(w) = wobs.as_mut() {
-                    if let Some(t0) = busy_t0 {
-                        w.bank_busy(t0);
-                    }
-                    if let Ok(result) = &outcome {
-                        let in_pool = result.kernel.steps.saturating_sub(steps_at_entry);
-                        w.record_lane_occupancy(result.kernel.batched_steps, in_pool);
-                    }
-                    w.observe_batched_cell(
-                        &cell.name,
-                        index,
-                        started.unwrap_or_else(Instant::now),
-                        &outcome,
-                    );
+                bank_busy(&mut wobs, busy_t0);
+                if let (Some(w), Ok(result)) = (wobs.as_mut(), &outcome) {
+                    let in_pool = result.kernel.steps.saturating_sub(r.steps_at_entry);
+                    w.record_lane_occupancy(result.kernel.batched_steps, in_pool);
                 }
-                if !emit_outcome(emit, cell, outcome) {
-                    dead = true;
-                }
+                dead |= !report_cell(&mut wobs, emit, cell, started, outcome);
             }
         }
 
-        // Fold the pool's counters into the worker's collector.
-        fold_pool_obs(wobs, &pool);
+        // Fold the pool's counters into the worker's collector and hand
+        // the collector to the run.
+        if let Some(pool) = &lockstep {
+            fold_pool_obs(&mut wobs, pool);
+        }
+        if let (Some(w), Some(o)) = (wobs, obs) {
+            o.collected
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push(w);
+        }
     }
 }
 
@@ -1569,14 +1348,29 @@ fn fold_pool_obs(wobs: &mut Option<WorkerObs>, pool: &LockstepPool) {
     }
 }
 
-/// How a cell came out of its batched warm-up.
-enum BatchStart {
+/// How a started cell came out of [`SweepSpec::start_cell`].
+enum CellStart {
     /// Lockstep-eligible: the suspended simulation, ready to admit.
     Eligible(Box<(ScenarioRunner, crate::exec::CellSim)>),
-    /// Finished during warm-up (a short or never-eligible cell).
+    /// Ran to completion (unbatched, or a short or never-eligible
+    /// cell).
     Done(Box<ScenarioResult>),
-    /// Failed or panicked during warm-up.
+    /// Failed or panicked.
     Failed(String),
+}
+
+/// Runs one cell's execution segment with panics caught, turning an
+/// in-cell error or a panic payload into the cell's failure message.
+fn catch_cell<T>(
+    segment: impl FnOnce() -> Result<T, teem_linreg::LinregError>,
+) -> Result<T, String> {
+    match std::panic::catch_unwind(AssertUnwindSafe(segment)) {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(e)) => Err(e.to_string()),
+        // `&*payload`, not `&payload`: coercing `&Box<dyn Any>`
+        // would downcast against the box itself and lose the text.
+        Err(payload) => Err(format!("panicked: {}", panic_message(&*payload))),
+    }
 }
 
 /// Drives a suspended cell to completion on the scalar path, panics
@@ -1587,38 +1381,63 @@ fn finish_scalar(
     mut runner: ScenarioRunner,
     mut sim: crate::exec::CellSim,
 ) -> Result<ScenarioResult, String> {
-    let run = move || -> Result<ScenarioResult, teem_linreg::LinregError> {
-        loop {
-            if !runner.step_cell(&mut sim)? {
-                return Ok(runner.finish_cell(sim));
-            }
-        }
-    };
-    match std::panic::catch_unwind(AssertUnwindSafe(run)) {
-        Ok(Ok(result)) => Ok(result),
-        Ok(Err(e)) => Err(e.to_string()),
-        Err(payload) => Err(format!("panicked: {}", panic_message(&*payload))),
+    catch_cell(move || {
+        while runner.step_cell(&mut sim)? {}
+        Ok(runner.finish_cell(sim))
+    })
+}
+
+/// Reads the clock only when the worker is instrumented: an
+/// uninstrumented run never reads it.
+fn clock(wobs: &Option<WorkerObs>) -> Option<Instant> {
+    wobs.as_ref().map(|_| Instant::now())
+}
+
+/// Banks the execution segment that began at `t0` as busy time.
+fn bank_busy(wobs: &mut Option<WorkerObs>, t0: Option<Instant>) {
+    if let (Some(w), Some(t0)) = (wobs.as_mut(), t0) {
+        w.bank_busy(t0);
     }
 }
 
-/// Sends a finished cell's outcome as the right event; `false` when the
-/// consumer is gone.
-fn emit_outcome(
-    emit: &mut dyn FnMut(SweepEvent) -> bool,
+/// Removes the pool-resident cell admitted under `token` (its index)
+/// from the in-flight list.
+fn take_in_flight(
+    in_flight: &mut Vec<(SweepCell, Option<Instant>)>,
+    token: usize,
+) -> (SweepCell, Option<Instant>) {
+    let pos = in_flight
+        .iter()
+        .position(|(cell, _)| cell.index == token)
+        .expect("lane was in flight");
+    in_flight.remove(pos)
+}
+
+/// Records a finished cell on the worker's collector (wall time from
+/// `started`, its start) and sends its outcome as the right event;
+/// `false` when the consumer is gone.
+fn report_cell(
+    wobs: &mut Option<WorkerObs>,
+    emit: &mut dyn FnMut(&mut Option<WorkerObs>, SweepEvent) -> bool,
     cell: SweepCell,
+    started: Option<Instant>,
     outcome: Result<ScenarioResult, String>,
 ) -> bool {
-    match outcome {
-        Ok(result) => emit(SweepEvent::CellDone {
+    if let (Some(w), Some(t0)) = (wobs.as_mut(), started) {
+        w.record_cell(&cell.name, cell.index, t0, &outcome);
+    }
+    let event = match outcome {
+        Ok(result) => SweepEvent::CellDone {
             cell,
             result: Box::new(result),
-        }),
-        Err(message) => emit(SweepEvent::CellFailed {
+        },
+        Err(message) => SweepEvent::CellFailed {
             index: cell.index,
             name: cell.name,
             message,
-        }),
-    }
+        },
+    };
+    emit(wobs, event)
 }
 
 /// Claims the next cell for worker `me`: own range first, then a fresh
@@ -1990,7 +1809,6 @@ mod tests {
             cfg.timeout_s, 10_000.0,
             "patch must not lose the scenario-scale timeout"
         );
-        assert!(ConfigPatch::default().is_noop());
     }
 
     #[test]

@@ -135,17 +135,6 @@ fn streaming_sweep_reproduces_pre_refactor_matrix_digests() {
          pre-refactor matrix (got {:#018x})",
         results[3].trace.digest()
     );
-    // And the wrapper agrees with the engine cell for cell.
-    let matrix = teem_scenario::BatchRunner::new()
-        .run_matrix(
-            &[builtin("back-to-back"), builtin("ambient-staircase")],
-            &[Approach::Teem, Approach::Ondemand],
-        )
-        .expect("matrix runs");
-    for (cell, wrapped) in results.iter().zip(matrix.iter()) {
-        assert_eq!(cell.trace.digest(), wrapped.trace.digest());
-        assert_eq!(cell.summary, wrapped.summary);
-    }
 }
 
 /// The observability contract: running the same grid through

@@ -422,6 +422,33 @@ fn corrupt_mid_file_line_is_a_line_numbered_hard_error() {
     }
 }
 
+/// A hostile mid-file line nested 100 000 objects deep is the same
+/// line-numbered error as any other corruption — never a stack
+/// overflow that aborts the load (and with it a campaign merge).
+#[test]
+fn deeply_nested_mid_file_line_is_a_line_numbered_error() {
+    let tmp = TempJournal::new("deep");
+    let spec = small_spec().threads(1);
+    let mut journal = SweepJournal::create(tmp.path(), &spec).expect("create");
+    spec.run_streaming(|ev| journal.observe(&ev).expect("write"))
+        .expect("runs");
+    drop(journal);
+
+    let content = std::fs::read_to_string(tmp.path()).expect("read");
+    let mut lines: Vec<String> = content.lines().map(str::to_string).collect();
+    assert!(lines.len() >= 4);
+    lines[2] = format!("{}1{}", "{\"a\":".repeat(100_000), "}".repeat(100_000));
+    std::fs::write(tmp.path(), format!("{}\n", lines.join("\n"))).expect("write");
+
+    match LoadedJournal::load(tmp.path()) {
+        Err(JournalError::Corrupt { line, message }) => {
+            assert_eq!(line, 3, "names the hostile line");
+            assert!(message.contains("nested deeper"), "{message}");
+        }
+        other => panic!("expected Corrupt at line 3, got {other:?}"),
+    }
+}
+
 /// A duplicate done index means two writers raced or someone appended
 /// without resuming — a hard error, because "load succeeded" is the
 /// proof behind no-re-execution.

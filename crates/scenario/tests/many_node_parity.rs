@@ -154,15 +154,6 @@ fn boards_axis_is_campaign_identity() {
         n48.fingerprint(),
         "the node count is physics; it must change the fingerprint"
     );
-    // The staging knob is mechanism, not physics: same identity.
-    assert_eq!(
-        n32.fingerprint(),
-        SweepSpec::over(scenarios())
-            .boards(&[BoardSpec::ManyNode { nodes: 32 }])
-            .sample_staging(false)
-            .fingerprint(),
-        "sample staging must not perturb the fingerprint"
-    );
 }
 
 proptest! {

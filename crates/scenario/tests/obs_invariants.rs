@@ -11,9 +11,11 @@
 //! * journal I/O counters fold into the same snapshot and match the
 //!   journal's own record count;
 //! * the [`ProgressReporter`] sink's final line reports the finished
-//!   campaign.
+//!   campaign;
+//! * a sink slower than the pool shows up as `pool.backpressure_ns`,
+//!   and a sequential run reports none.
 
-use teem_scenario::{ConfigPatch, ProgressReporter, Scenario, SweepJournal, SweepSpec};
+use teem_scenario::{ConfigPatch, ProgressReporter, Scenario, SweepEvent, SweepJournal, SweepSpec};
 use teem_soc::TimeAdvance;
 use teem_telemetry::TraceEventLog;
 use teem_workload::App;
@@ -193,6 +195,51 @@ fn sequential_instrumented_sweep_has_one_track() {
     let v = TraceEventLog::validate(&report.trace.to_json()).expect("valid");
     assert_eq!(v.tracks.len(), 1);
     assert_eq!(v.complete_events, 2);
+}
+
+/// A sink slower than the pool fills the bounded event channel (two
+/// slots per worker), so pool workers block in `send` and
+/// `pool.backpressure_ns` must record it. A sequential run has no
+/// channel — its sink runs inline — and reports 0.
+#[test]
+fn slow_sink_shows_up_as_pool_backpressure() {
+    let spec = SweepSpec::over([
+        Scenario::new("bp-a").arrive(0.0, App::Mvt, 0.9),
+        Scenario::new("bp-b").arrive(0.0, App::Gesummv, 0.9),
+    ])
+    .thresholds_c(&[80.0, 82.0, 84.0, 86.0, 88.0, 90.0])
+    .patch_config(ConfigPatch {
+        timeout_s: Some(0.2),
+        ..ConfigPatch::default()
+    });
+    assert!(spec.cells() > 2 * 2, "the grid must outgrow the channel");
+    let slow_sink = |ev: SweepEvent| {
+        if let SweepEvent::CellDone { .. } = ev {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+    };
+
+    let (stats, report) = spec
+        .clone()
+        .threads(2)
+        .run_instrumented(slow_sink)
+        .expect("pooled sweep runs");
+    assert_eq!(stats.completed, spec.cells());
+    let blocked = report
+        .snapshot()
+        .counter("pool.backpressure_ns")
+        .expect("backpressure counter registered");
+    assert!(blocked > 0, "workers never blocked on the slow sink");
+
+    let (_, report) = spec
+        .threads(1)
+        .run_instrumented(slow_sink)
+        .expect("sequential sweep runs");
+    assert_eq!(
+        report.snapshot().counter("pool.backpressure_ns"),
+        Some(0),
+        "a sequential sink runs inline: nothing to block on"
+    );
 }
 
 /// The acceptance grid again, through the batched lockstep path: a

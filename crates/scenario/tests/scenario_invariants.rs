@@ -10,7 +10,7 @@
 //!    ambient staircase and the bursty queue pressure.
 
 use teem_core::runner::Approach;
-use teem_scenario::{BatchRunner, Scenario, ScenarioRunner};
+use teem_scenario::{Scenario, ScenarioRunner, SweepSpec};
 
 #[test]
 fn same_scenario_same_trace() {
@@ -260,12 +260,9 @@ fn batch_matrix_covers_suite_deterministically() {
         Scenario::periodic("per-small", teem_workload::App::Syrk, 50.0, 2, 0.85),
     ];
     let approaches = [Approach::Teem, Approach::Rmp];
-    let first = BatchRunner::new()
-        .run_matrix(&scenarios, &approaches)
-        .expect("profiles fit");
-    let second = BatchRunner::new()
-        .run_matrix(&scenarios, &approaches)
-        .expect("profiles fit");
+    let spec = SweepSpec::over(scenarios).approaches(&approaches);
+    let first = spec.run_collect().expect("profiles fit");
+    let second = spec.run_collect().expect("profiles fit");
     assert_eq!(first.len(), 4);
     for (a, b) in first.iter().zip(second.iter()) {
         assert_eq!(a.summary, b.summary);

@@ -3,7 +3,7 @@
 //! The engine's contract has three parts, each pinned here:
 //!
 //! 1. **Streaming ≡ blocking.** The streamed `CellDone` events are a
-//!    permutation of the blocking `run_matrix` results — same cells,
+//!    permutation of the blocking `run_collect` results — same cells,
 //!    same physics, any completion order (property test over worker /
 //!    chunk schedules).
 //! 2. **Aggregation is order-blind.** A [`SweepAggregator`] fed the
@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use teem_core::runner::Approach;
-use teem_scenario::{BatchRunner, ConfigPatch, Scenario, SweepEvent, SweepSpec};
+use teem_scenario::{ConfigPatch, Scenario, SweepEvent, SweepSpec};
 use teem_telemetry::{ScenarioSummary, SweepAggregator};
 use teem_workload::App;
 
@@ -42,10 +42,11 @@ fn short_cells() -> ConfigPatch {
 fn reference_matrix() -> &'static Vec<(String, String, u64)> {
     static REF: OnceLock<Vec<(String, String, u64)>> = OnceLock::new();
     REF.get_or_init(|| {
-        BatchRunner::new()
-            .with_threads(1)
-            .with_config_patch(short_cells())
-            .run_matrix(&small_scenarios(), &[Approach::Teem, Approach::Ondemand])
+        SweepSpec::over(small_scenarios())
+            .approaches(&[Approach::Teem, Approach::Ondemand])
+            .patch_config(short_cells())
+            .threads(1)
+            .run_collect()
             .expect("reference matrix runs")
             .into_iter()
             .map(|r| {
@@ -133,12 +134,10 @@ proptest! {
 fn reference_summaries() -> &'static Vec<ScenarioSummary> {
     static REF: OnceLock<Vec<ScenarioSummary>> = OnceLock::new();
     REF.get_or_init(|| {
-        BatchRunner::new()
-            .with_config_patch(short_cells())
-            .run_matrix(
-                &small_scenarios(),
-                &[Approach::Teem, Approach::Ondemand, Approach::Eemp],
-            )
+        SweepSpec::over(small_scenarios())
+            .approaches(&[Approach::Teem, Approach::Ondemand, Approach::Eemp])
+            .patch_config(short_cells())
+            .run_collect()
             .expect("runs")
             .into_iter()
             .map(|r| r.summary)

@@ -12,9 +12,16 @@
 //! [`MetricsSnapshot`](crate::obs::MetricsSnapshot) serialisation need.
 //! Arrays are still a parse error: nothing in the workspace writes a
 //! JSON array *inside* a line, so accepting them would only widen the
-//! corrupt-input surface.
+//! corrupt-input surface. Nesting is bounded by [`MAX_DEPTH`], so a
+//! corrupt line is an error, never a stack overflow.
 
 use std::fmt::Write as _;
+
+/// The deepest object nesting [`parse_object`] accepts (the outermost
+/// object is level 1). Every file the workspace writes nests at most
+/// three levels; the bound keeps a corrupt or hostile line from
+/// recursing the parser off the stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// Writes `s` as a JSON string literal (quotes included).
 pub fn write_string(out: &mut String, s: &str) {
@@ -88,7 +95,8 @@ impl Value {
 
 /// Parses one JSON object into (key, value) pairs in document order.
 /// Duplicate keys (at any nesting level) are a parse error, as are
-/// arrays and trailing characters after the closing brace.
+/// arrays, objects nested deeper than [`MAX_DEPTH`], and trailing
+/// characters after the closing brace.
 ///
 /// # Errors
 ///
@@ -97,6 +105,7 @@ pub fn parse_object(text: &str) -> Result<Vec<(String, Value)>, String> {
     let mut p = Parser {
         chars: text.chars().collect(),
         i: 0,
+        depth: 0,
     };
     p.skip_ws();
     let fields = p.object()?;
@@ -113,6 +122,8 @@ pub fn parse_object(text: &str) -> Result<Vec<(String, Value)>, String> {
 struct Parser {
     chars: Vec<char>,
     i: usize,
+    /// Objects currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -156,6 +167,13 @@ impl Parser {
 
     fn object(&mut self) -> Result<Vec<(String, Value)>, String> {
         self.expect('{')?;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(format!(
+                "objects nested deeper than {MAX_DEPTH} levels at offset {}",
+                self.i
+            ));
+        }
         let mut fields: Vec<(String, Value)> = Vec::new();
         self.skip_ws();
         if !self.eat('}') {
@@ -178,6 +196,7 @@ impl Parser {
                 break;
             }
         }
+        self.depth -= 1;
         Ok(fields)
     }
 
@@ -288,6 +307,30 @@ mod tests {
     #[test]
     fn duplicate_keys_rejected_inside_nested_objects_too() {
         assert!(parse_object("{\"a\":{\"x\":1,\"x\":2}}").is_err());
+    }
+
+    /// `depth` nested `{"a":` objects closed around a number.
+    fn nested(depth: usize) -> String {
+        format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let deepest = parse_object(&nested(MAX_DEPTH)).expect("the limit itself parses");
+        assert_eq!(deepest.len(), 1);
+        let err = parse_object(&nested(MAX_DEPTH + 1)).expect_err("one past the limit");
+        assert!(err.contains("nested deeper"), "{err}");
+        // Deep enough to overflow a recursive parser's stack.
+        let err = parse_object(&nested(100_000)).expect_err("hostile depth");
+        assert!(err.contains("nested deeper"), "{err}");
+        // Sibling objects do not accumulate depth.
+        let wide = format!(
+            "{{{}\"z\":1}}",
+            (0..200)
+                .map(|i| format!("\"k{i}\":{{\"x\":1}},"))
+                .collect::<String>()
+        );
+        assert_eq!(parse_object(&wide).expect("wide parses").len(), 201);
     }
 
     #[test]

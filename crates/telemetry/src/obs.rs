@@ -1299,6 +1299,15 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_an_error_not_a_crash() {
+        // A corrupt sidecar must fail the merge with an error, not
+        // overflow the parser's stack and abort the coordinator.
+        let deep = format!("{}1{}", "{\"a\":".repeat(100_000), "}".repeat(100_000));
+        let err = MetricsSnapshot::from_json(&deep).expect_err("hostile depth");
+        assert!(err.contains("nested deeper"), "{err}");
+    }
+
+    #[test]
     fn progress_line_carries_counts_failures_and_pareto() {
         let mut p = ProgressModel::new(10, 4).with_min_interval(Duration::ZERO);
         for _ in 0..3 {

@@ -15,6 +15,7 @@
 
 use teem::core::runner::Approach;
 use teem::prelude::*;
+use teem::telemetry::scenario_table;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A synthetic rush hour (simultaneous arrivals force the scheduling
@@ -36,10 +37,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut per_policy: Vec<(ContentionPolicy, Vec<ScenarioResult>)> = Vec::new();
     for policy in policies {
         println!("=== contention policy: {} ===", policy.name());
-        let (results, table) = BatchRunner::new()
-            .with_contention(policy)
-            .comparison_table(&scenarios, &approaches)?;
-        println!("{table}");
+        let results = SweepSpec::over(scenarios.clone())
+            .approaches(&approaches)
+            .contentions(&[policy])
+            .run_collect()?;
+        let summaries: Vec<ScenarioSummary> = results.iter().map(|r| r.summary.clone()).collect();
+        println!("{}", scenario_table(&summaries));
         per_policy.push((policy, results));
     }
 

@@ -1,7 +1,7 @@
 //! The scenario showdown: every built-in multi-app scenario (back-to-back
 //! sequence, periodic arrivals, bursty queueing, ambient staircase,
-//! mixed deadlines) executed under all four management approaches via
-//! the parallel batch runner, aggregated into one comparison table.
+//! mixed deadlines) executed under all four management approaches as one
+//! parallel sweep, aggregated into one comparison table.
 //!
 //! This is the Fig. 5 comparison lifted from single runs to whole
 //! timelines: TEEM must stay trip-free in every scenario while the
@@ -13,6 +13,7 @@
 
 use teem::core::runner::Approach;
 use teem::prelude::*;
+use teem::telemetry::scenario_table;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scenarios = Scenario::builtin_suite();
@@ -24,8 +25,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::thread::available_parallelism().map_or(1, usize::from),
     );
 
-    let (results, table) = BatchRunner::new().comparison_table(&scenarios, &approaches)?;
-    println!("{table}");
+    let results = SweepSpec::over(scenarios)
+        .approaches(&approaches)
+        .run_collect()?;
+    let summaries: Vec<ScenarioSummary> = results.iter().map(|r| r.summary.clone()).collect();
+    println!("{}", scenario_table(&summaries));
 
     // Per-scenario headline: TEEM versus the ondemand baseline.
     for chunk in results.chunks(approaches.len()) {

@@ -13,7 +13,7 @@
 //! | [`dse`] | Design-space enumeration (eq. 1/2), the 10 368-point sample, design-point evaluation |
 //! | [`linreg`] | OLS with R-style inference — the paper's R workflow (Tables I/II) |
 //! | [`core`] | TEEM itself: offline model fitting, online governor, EEMP/RMP baselines |
-//! | [`scenario`] | Event-driven multi-app workload scenarios and the parallel batch runner |
+//! | [`scenario`] | Event-driven multi-app workload scenarios and the streaming sweep engine |
 //! | [`telemetry`] | Traces, thermal statistics, run/scenario summaries, terminal plots |
 //!
 //! This facade re-exports the full public API and provides a [`prelude`].
@@ -58,9 +58,9 @@ pub mod prelude {
     };
     pub use teem_governors::{Conservative, Ondemand, Performance, Powersave, Userspace};
     pub use teem_scenario::{
-        AppRequest, BatchRunner, ConfigPatch, ContentionPolicy, LoadedJournal, MappingArbiter,
-        ProgressReporter, Scenario, ScenarioEvent, ScenarioResult, ScenarioRunner, SweepEvent,
-        SweepJournal, SweepObsReport, SweepSpec,
+        AppRequest, ConfigPatch, ContentionPolicy, LoadedJournal, MappingArbiter, ProgressReporter,
+        Scenario, ScenarioEvent, ScenarioResult, ScenarioRunner, SweepEvent, SweepJournal,
+        SweepObsReport, SweepSpec,
     };
     pub use teem_soc::{
         node_powers_into, Board, ClusterFreqs, CpuMapping, IdlePolicy, MHz, Manager, RunResult,
