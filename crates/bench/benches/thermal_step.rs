@@ -7,7 +7,7 @@ use std::hint::black_box;
 use teem_bench::microbench::Runner;
 use teem_soc::{
     idle_node_powers_into, node_powers_for, node_powers_into, Board, ClusterFreqs, CpuMapping, MHz,
-    StepScratch,
+    NodePowerModel, StepScratch,
 };
 use teem_workload::App;
 
@@ -30,8 +30,9 @@ fn main() {
         board.thermal.steady_state(black_box(&powers))
     });
 
-    // The power model alone: allocating wrapper vs in-place — the
-    // delta the zero-allocation refactor buys per step.
+    // The power model alone: allocating wrapper vs in-place (both
+    // re-derive the operating point per call) vs the frozen model the
+    // step loops keep between control decisions.
     let freqs = ClusterFreqs {
         big: MHz(1600),
         little: MHz(1400),
@@ -64,10 +65,15 @@ fn main() {
             &mut scratch.power,
         )
     });
+    let frozen = NodePowerModel::single_app(&board, mapping, freqs, true, true, activity);
+    r.bench("node_power_model_eval_into", || {
+        frozen.eval_into(black_box(&temps), &mut scratch.power)
+    });
 
-    // The full physics step kernel as the engines run it every dt:
-    // busy power from live temperatures, then one Euler step. The it/s
-    // column is simulation steps per second.
+    // The full physics step kernel with the operating point re-derived
+    // every dt (the engines' cost at a control decision): busy power
+    // from live temperatures, then one Euler step. The it/s column is
+    // simulation steps per second.
     let mut sim_board = Board::odroid_xu4_ideal();
     let mut scratch = StepScratch::for_board(&sim_board);
     r.bench("physics_step_kernel_busy", || {

@@ -21,12 +21,13 @@
 //!   threshold and management approach can change mid-scenario.
 //!
 //! Physics is shared with the single-run engine through
-//! [`teem_soc::co_run_node_powers_into`] /
-//! [`teem_soc::read_sensors_for`]; with a single active app the co-run
-//! power model delegates to the single-app one, so a serial-policy
-//! scenario step is bit-identical to the equivalent single-run step — a
-//! property pinned by the golden-digest tests — and the step loop reuses
-//! one [`teem_soc::StepScratch`] (plus pre-sized share/claim buffers) so
+//! [`teem_soc::NodePowerModel`] / [`teem_soc::read_sensors_for`]; with a
+//! single active app the co-run power model is the single-app one, so a
+//! serial-policy scenario step is bit-identical to the equivalent
+//! single-run step — a property pinned by the golden-digest tests. The
+//! step loop keeps its power model and each job's progress increments
+//! frozen between changes of their inputs, and reuses one
+//! [`teem_soc::StepScratch`] (plus pre-sized share/claim buffers), so
 //! the steady-state path allocates nothing.
 //!
 //! The loop body is factored as [`CellSim`] state plus
@@ -48,10 +49,10 @@ use teem_core::{AppProfile, ProfileStore, TeemTunables, UserRequirement};
 use teem_soc::perf::{cpu_rate, gpu_rate};
 use teem_soc::sensors::BIG_CORE_OFFSETS_C;
 use teem_soc::{
-    clamp_freqs, co_run_dynamic_weights, co_run_node_powers_into, collapsed_node_powers_into,
-    fast_forward_gap, idle_node_powers, idle_node_powers_into, node_powers_for, read_sensors_for,
-    Board, BoardSpec, ClusterFreqs, CoRunShare, CpuMapping, GapAdvance, GapPower, SensorBank,
-    SensorReadings, SimConfig, SocControl, SocView, StepObs, StepScratch, ThermalZone, TimeAdvance,
+    clamp_freqs, co_run_dynamic_weights, fast_forward_gap, idle_node_powers, node_powers_for,
+    read_sensors_for, Board, BoardSpec, ClusterFreqs, CoRunShare, CpuMapping, GapAdvance, GapPower,
+    NodePowerModel, SensorBank, SensorReadings, SimConfig, SocControl, SocView, StepObs,
+    StepScratch, ThermalZone, TimeAdvance,
 };
 use teem_telemetry::{
     ChannelId, LogHistogram, RunSummary, SampleStage, ScenarioAppRun, ScenarioSummary, Trace,
@@ -369,6 +370,8 @@ impl ScenarioRunner {
         let trace = Trace::with_channels(ALL_SCENARIO_TRACE_CHANNELS);
         let ids = TraceIds::resolve(&trace);
         let stage = SampleStage::for_channels(&trace, SCENARIO_TRACE_CHANNELS);
+        // The empty board's model: valid for its key until an input moves.
+        let power = NodePowerModel::idle(&board, effective);
 
         Ok(CellSim {
             scenario_name: scenario.name().to_string(),
@@ -396,6 +399,9 @@ impl ScenarioRunner {
             gap_hist: LogHistogram::new(),
             gap_energy_scratch,
             scratch,
+            power,
+            power_key: (false, effective),
+            power_shares: Vec::with_capacity(capacity),
             shares: Vec::with_capacity(capacity),
             claims: Vec::with_capacity(capacity),
             weights: Vec::with_capacity(capacity),
@@ -682,14 +688,12 @@ impl ScenarioRunner {
                 j.chars.mem_sensitivity,
                 total_pressure - j.chars.mem_sensitivity,
             );
+            let (inc_cpu, inc_gpu) = j.increments(sim.effective, s, gpu_sharers, sim.dt);
             if !j.cpu_done() && !j.mapping.is_empty() {
-                j.cpu_done_items +=
-                    cpu_rate(&j.chars, j.mapping, sim.effective.big, sim.effective.little) * sim.dt
-                        / s;
+                j.cpu_done_items += inc_cpu;
             }
             if !j.gpu_done() {
-                j.gpu_done_items +=
-                    gpu_rate(&j.chars, sim.effective.gpu) * sim.dt / (s * gpu_sharers);
+                j.gpu_done_items += inc_gpu;
             }
             if co_running {
                 j.co_run_s += sim.dt;
@@ -708,33 +712,14 @@ impl ScenarioRunner {
             gpu_busy: !j.gpu_done(),
             activity: j.chars.activity,
         }));
-        if sim.shares.is_empty()
+        // Idle long enough: the clusters power-collapse.
+        let collapsed = sim.shares.is_empty()
             && sim
                 .idle_timeout_s
-                .is_some_and(|timeout| sim.t - sim.idle_gap_start >= timeout)
-        {
-            // Idle long enough: the clusters power-collapse.
-            collapsed_node_powers_into(
-                &sim.board,
-                sim.board.thermal.temps(),
-                &mut sim.scratch.power,
-            );
-        } else if sim.shares.is_empty() {
-            idle_node_powers_into(
-                &sim.board,
-                sim.effective,
-                sim.board.thermal.temps(),
-                &mut sim.scratch.power,
-            );
-        } else {
-            co_run_node_powers_into(
-                &sim.board,
-                &sim.shares,
-                sim.effective,
-                sim.board.thermal.temps(),
-                &mut sim.scratch.power,
-            );
-        }
+                .is_some_and(|timeout| sim.t - sim.idle_gap_start >= timeout);
+        sim.refresh_power(collapsed);
+        sim.power
+            .eval_into(sim.board.thermal.temps(), &mut sim.scratch.power);
         sim.scratch.obs.lap_power(obs_t0);
         let total: f64 = sim.scratch.power.iter().sum();
         sim.energy_j += total * sim.dt;
@@ -748,8 +733,8 @@ impl ScenarioRunner {
             // weight — the draw it causes — rather than an equal split
             // that would overcharge a stalled memory-bound app for its
             // compute-heavy co-runner. Shared overheads (leakage,
-            // uncore, board) follow the weights proportionally.
-            co_run_dynamic_weights(&sim.board, &sim.shares, sim.effective, &mut sim.weights);
+            // uncore, board) follow the weights proportionally. The
+            // weights were derived with this step's power model.
             let wsum: f64 = sim.weights.iter().sum();
             if wsum > 0.0 {
                 let step_j = total * sim.dt;
@@ -910,8 +895,15 @@ pub(crate) struct CellSim {
     pub(crate) gap_hist: LogHistogram,
     pub(crate) gap_energy_scratch: Vec<f64>,
     pub(crate) scratch: StepScratch,
+    /// The step loop's power model, valid while `power_key` (collapse
+    /// regime, effective frequencies) and `power_shares` match the
+    /// step's inputs; see [`CellSim::refresh_power`].
+    pub(crate) power: NodePowerModel,
+    pub(crate) power_key: (bool, ClusterFreqs),
+    pub(crate) power_shares: Vec<CoRunShare>,
     pub(crate) shares: Vec<CoRunShare>,
     pub(crate) claims: Vec<ResourceClaim>,
+    /// Co-run energy attribution weights, derived with `power`.
     pub(crate) weights: Vec<f64>,
     pub(crate) cluster_cores: CpuMapping,
     pub(crate) trace: Trace,
@@ -935,6 +927,29 @@ pub(crate) struct CellSim {
 }
 
 impl CellSim {
+    /// Brings the power model up to date with this step's inputs: the
+    /// collapse regime, the effective frequencies and `shares`. Between
+    /// control decisions none of them moves, so the model — and, with
+    /// two or more apps co-running, the dynamic-power attribution
+    /// weights derived from the same inputs — is rebuilt only when one
+    /// does, and the step pays only the leakage exponentials.
+    fn refresh_power(&mut self, collapsed: bool) {
+        let key = (collapsed, self.effective);
+        if key == self.power_key && self.shares == self.power_shares {
+            return;
+        }
+        self.power = if collapsed {
+            NodePowerModel::collapsed(&self.board)
+        } else {
+            NodePowerModel::co_run(&self.board, &self.shares, self.effective)
+        };
+        if self.shares.len() >= 2 {
+            co_run_dynamic_weights(&self.board, &self.shares, self.effective, &mut self.weights);
+        }
+        self.power_key = key;
+        self.power_shares.clone_from(&self.shares);
+    }
+
     /// The sensing phase: reads the sensor bank, then records the row
     /// and advances the sample grid through [`CellSim::record_sample`].
     pub(crate) fn phase_sample(&mut self) {
@@ -1257,6 +1272,12 @@ pub(crate) struct ActiveJob {
     pub(crate) next_control: f64,
     pub(crate) temp: Welford,
     pub(crate) freq: Welford,
+    /// The inputs `inc` was derived at: effective frequencies and the
+    /// bits of the slowdown, GPU sharer count and `dt`.
+    inc_key: Option<(ClusterFreqs, u64, u64, u64)>,
+    /// Per-step progress increments `(cpu, gpu)`; see
+    /// [`ActiveJob::increments`].
+    inc: (f64, f64),
 }
 
 impl ActiveJob {
@@ -1292,6 +1313,8 @@ impl ActiveJob {
             next_control: t,
             temp: Welford::new(),
             freq: Welford::new(),
+            inc_key: None,
+            inc: (0.0, 0.0),
         };
         // Seed the per-run statistics with the launch instant so even a
         // sub-sample-period run reports sane temperatures.
@@ -1310,6 +1333,30 @@ impl ActiveJob {
 
     pub(crate) fn done(&self) -> bool {
         self.cpu_done() && self.gpu_done()
+    }
+
+    /// This job's per-step progress increments at `effective` under
+    /// bandwidth slowdown `s`, with `gpu_sharers` apps time-sharing the
+    /// GPU: `cpu_rate · dt / s` and `gpu_rate · dt / (s · sharers)`, the
+    /// progress phase's exact expressions, re-derived only when an input
+    /// changes. The scalar loop and the lockstep pool both read them
+    /// here.
+    pub(crate) fn increments(
+        &mut self,
+        effective: ClusterFreqs,
+        s: f64,
+        gpu_sharers: f64,
+        dt: f64,
+    ) -> (f64, f64) {
+        let key = (effective, s.to_bits(), gpu_sharers.to_bits(), dt.to_bits());
+        if self.inc_key != Some(key) {
+            self.inc = (
+                cpu_rate(&self.chars, self.mapping, effective.big, effective.little) * dt / s,
+                gpu_rate(&self.chars, effective.gpu) * dt / (s * gpu_sharers),
+            );
+            self.inc_key = Some(key);
+        }
+        self.inc
     }
 
     fn observe(&mut self, readings: &SensorReadings, freqs: ClusterFreqs) {

@@ -4,9 +4,10 @@
 //! A sweep grid multiplies a handful of scenarios by knob axes, so at
 //! any instant a worker holds many cells running the *same physics* at
 //! different operating points. The scalar loop steps them one at a
-//! time, re-deriving per-step constants (power coefficients, progress
-//! rates, frequency arbitration) every 10 ms tick even though they only
-//! change at control decisions. This module exploits both redundancies:
+//! time, running every phase (sensing, control, frequency arbitration,
+//! progress, power) through the full simulation state every 10 ms tick
+//! even though a solo cell's inputs only change at control decisions.
+//! This module exploits both redundancies:
 //!
 //! * **SoA thermal lockstep** — each admitted cell owns one lane of a
 //!   [`ThermalBatch`]; one [`batched_thermal_step`] integrates all K RC
@@ -14,8 +15,9 @@
 //! * **Frozen operating points** — between control ticks a solo cell's
 //!   effective frequencies, power coefficients and progress rates are
 //!   provably constant, so the fast path caches them
-//!   ([`NodePowerModel`], per-step progress increments) and re-derives
-//!   only at a control tick or a busy-flag flip.
+//!   ([`NodePowerModel`], per-step progress increments), skips the
+//!   phases that cannot change them, and re-derives only at a control
+//!   tick or a busy-flag flip.
 //!
 //! # Exactness, not approximation
 //!
@@ -30,9 +32,10 @@
 //! 2. The phases the fast path *does* run go through the same
 //!    [`CellSim`] methods as the scalar loop (`phase_sample`,
 //!    `phase_control`, `phase_actuate`, `phase_completions`), and the
-//!    cached power/progress values are built from the identical
-//!    expressions the scalar loop evaluates (pinned bitwise by the
-//!    `teem-soc` batch tests).
+//!    cached power/progress values come from the same derivations the
+//!    scalar loop uses: [`NodePowerModel::single_app`] (its SoA
+//!    transposition pinned bitwise by the `teem-soc` batch tests) and
+//!    the job's own progress-increment memo.
 //! 3. **Divergence is a handoff, not a special case.** The moment a
 //!    lane leaves the fast regime — a sensor sample at or above the
 //!    zone's trip point, or the executor timeout — its thermal state is
@@ -40,7 +43,6 @@
 //!    [`ScenarioRunner::step_cell`] loop at a phase boundary the scalar
 //!    loop itself would have reached. Sibling lanes are untouched.
 
-use teem_soc::perf::{cpu_rate, gpu_rate};
 use teem_soc::{
     batched_thermal_step, big_core_hotspot_powers, read_lanes_with_hotspots, BatchPowerModel,
     BatchScratch, ClusterFreqs, CpuMapping, HotspotSplit, NodePowerModel, SensorBank, SensorSweep,
@@ -76,11 +78,9 @@ pub(crate) fn eligible_for_lockstep(sim: &CellSim) -> bool {
 /// are fixed for the solo app's whole residency.
 struct LaneCache {
     model: NodePowerModel,
-    /// `cpu_rate(..) * dt / s` at the cached operating point — the
-    /// exact expression the scalar progress phase evaluates per step.
+    /// The solo job's per-step CPU and GPU progress increments at the
+    /// cached operating point ([`solo_increments`]).
     inc_cpu: f64,
-    /// `gpu_rate(..) * dt / (s * gpu_sharers)` likewise (`gpu_sharers`
-    /// is always 1.0 for a solo app).
     inc_gpu: f64,
     /// The effective frequencies the caches were derived at.
     effective: ClusterFreqs,
@@ -266,8 +266,25 @@ impl HotPlanes {
     }
 }
 
+/// The solo job's per-step progress increments, read through the scalar
+/// progress phase's own memo
+/// ([`ActiveJob::increments`](crate::exec::ActiveJob::increments)) with
+/// the scalar loop's inputs for a lone app: the total pressure is the
+/// app's own sensitivity, and one GPU sharer.
+fn solo_increments(sim: &mut CellSim) -> (f64, f64) {
+    let (effective, dt) = (sim.effective, sim.dt);
+    let j = &mut sim.active[0];
+    let total_pressure = j.chars.mem_sensitivity;
+    let s = bandwidth_slowdown(
+        j.chars.mem_sensitivity,
+        total_pressure - j.chars.mem_sensitivity,
+    );
+    j.increments(effective, s, 1.0, dt)
+}
+
 impl LaneCache {
-    fn for_sim(sim: &CellSim) -> Self {
+    fn for_sim(sim: &mut CellSim) -> Self {
+        let (inc_cpu, inc_gpu) = solo_increments(sim);
         let j = &sim.active[0];
         let mut cache = LaneCache {
             model: NodePowerModel::single_app(
@@ -278,8 +295,8 @@ impl LaneCache {
                 !j.gpu_done(),
                 j.chars.activity,
             ),
-            inc_cpu: 0.0,
-            inc_gpu: 0.0,
+            inc_cpu,
+            inc_gpu,
             effective: sim.effective,
             cpu_busy: !j.cpu_done(),
             gpu_busy: !j.gpu_done(),
@@ -287,26 +304,8 @@ impl LaneCache {
             sample_activity: j.chars.activity,
             hotspot: HotspotSplit::default(),
         };
-        cache.refresh_rates(sim);
         cache.refresh_hotspot(sim);
         cache
-    }
-
-    /// Re-derives the per-step progress increments — the exact
-    /// expressions of the scalar progress phase with the singleton
-    /// specialisation (`total_pressure` is the app's own sensitivity,
-    /// one GPU sharer).
-    fn refresh_rates(&mut self, sim: &CellSim) {
-        let j = &sim.active[0];
-        let total_pressure = j.chars.mem_sensitivity;
-        let s = bandwidth_slowdown(
-            j.chars.mem_sensitivity,
-            total_pressure - j.chars.mem_sensitivity,
-        );
-        let gpu_sharers = 1.0_f64;
-        self.inc_cpu =
-            cpu_rate(&j.chars, j.mapping, sim.effective.big, sim.effective.little) * sim.dt / s;
-        self.inc_gpu = gpu_rate(&j.chars, sim.effective.gpu) * sim.dt / (s * gpu_sharers);
     }
 
     fn rebuild_model(&mut self, sim: &CellSim) {
@@ -337,9 +336,9 @@ impl LaneCache {
 
     /// Refreshes everything derived from the effective frequencies
     /// after an actuation changed them.
-    fn refresh_operating_point(&mut self, sim: &CellSim) {
+    fn refresh_operating_point(&mut self, sim: &mut CellSim) {
         self.effective = sim.effective;
-        self.refresh_rates(sim);
+        (self.inc_cpu, self.inc_gpu) = solo_increments(sim);
         self.rebuild_model(sim);
     }
 }
@@ -495,7 +494,7 @@ impl LockstepPool {
     pub(crate) fn admit(
         &mut self,
         runner: ScenarioRunner,
-        sim: CellSim,
+        mut sim: CellSim,
         token: usize,
     ) -> Result<(), (ScenarioRunner, CellSim, usize)> {
         let dt_ok = self.dt.is_none_or(|dt| dt.to_bits() == sim.dt.to_bits());
@@ -508,7 +507,7 @@ impl LockstepPool {
         }
         self.dt = Some(sim.dt);
         self.batch.load_lane(slot, &sim.board.thermal);
-        let cache = LaneCache::for_sim(&sim);
+        let cache = LaneCache::for_sim(&mut sim);
         self.power.set_lane(slot, &cache.model);
         self.hot.reload(slot, &sim, &cache);
         self.hot.cpu_busy[slot] = cache.cpu_busy;
@@ -991,7 +990,7 @@ fn pre_thermal_step(
     }
 
     // Progress: the scalar phase specialised to one app, with the
-    // mirrored per-step increments (bit-identical expressions).
+    // job's memoised per-step increments mirrored into the hot planes.
     if progress_at(p, slot) {
         apply_flip(p, lane, power, slot, subs);
     }

@@ -11,14 +11,26 @@
 //!    buffering or sensor-noise consumption changes the digest;
 //! 2. an **A/B determinism check** between the in-place power-model
 //!    entry points and the (test-only) allocating wrappers.
+//!
+//! A second set pins, by value, the paths the frozen power model
+//! rewrote that the builtin-suite digests do not reach: the
+//! `TimeoutCollapse` idle regime under both clocks, co-running apps
+//! under the `Shared` and `ClusterExclusive` policies (including an app
+//! whose CPU share finishes before its GPU share), a many-node board,
+//! and `Simulation::run` through `evaluate::simulate` and `runner::run`.
+//! They were recorded from the engine that re-derived the power
+//! operating point every step.
 
-use teem_core::runner::Approach;
-use teem_scenario::{ContentionPolicy, Scenario, ScenarioRunner};
+use teem_core::offline::profile_app;
+use teem_core::runner::{fig5_mapping, fig5_requirement, run as run_approach, Approach};
+use teem_dse::{evaluate, DesignPoint};
+use teem_scenario::{ConfigPatch, ContentionPolicy, Scenario, ScenarioResult, ScenarioRunner};
 use teem_soc::{
-    idle_node_powers, idle_node_powers_into, node_powers_for, node_powers_into, Board,
-    ClusterFreqs, CpuMapping, MHz,
+    idle_node_powers, idle_node_powers_into, node_powers_for, node_powers_into, Board, BoardSpec,
+    ClusterFreqs, CpuMapping, IdlePolicy, MHz, TimeAdvance,
 };
-use teem_workload::App;
+use teem_telemetry::{Fnv, RunSummary};
+use teem_workload::{App, Partition};
 
 /// Digest of the `back-to-back` builtin scenario under TEEM. The trace
 /// bits were verified unchanged against the seed (pre-refactor,
@@ -226,4 +238,209 @@ fn in_place_power_model_matches_allocating_path() {
         idle_node_powers_into(&board, freqs, &temps, &mut out);
         assert_eq!(alloc_idle, out, "idle freqs={freqs:?}");
     }
+}
+
+/// FNV-1a over a scenario result's bits: the trace digest plus every
+/// summary and per-app figure (per-app energy carries the co-run
+/// attribution weights, contention delay the progress increments).
+fn scenario_digest(r: &ScenarioResult) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(r.trace.digest());
+    let s = &r.summary;
+    for v in [
+        s.makespan_s,
+        s.busy_s,
+        s.overlap_s,
+        s.idle_s,
+        s.energy_j,
+        s.idle_energy_j,
+        s.peak_temp_c,
+        s.avg_temp_c,
+        s.temp_variance,
+    ] {
+        h.f64(v);
+    }
+    h.u64(u64::from(s.zone_trips));
+    for a in &s.apps {
+        hash_run_summary(&mut h, &a.summary);
+        for v in [
+            a.arrived_s,
+            a.started_s,
+            a.completed_s,
+            a.treq_s,
+            a.co_run_s,
+            a.contention_delay_s,
+        ] {
+            h.f64(v);
+        }
+    }
+    h.finish()
+}
+
+fn hash_run_summary(h: &mut Fnv, s: &RunSummary) {
+    h.str(&s.app);
+    h.str(&s.approach);
+    for v in [
+        s.execution_time_s,
+        s.energy_j,
+        s.avg_temp_c,
+        s.peak_temp_c,
+        s.temp_variance,
+        s.avg_big_freq_mhz,
+    ] {
+        h.f64(v);
+    }
+}
+
+fn check(label: &str, got: u64, want: u64) {
+    assert_eq!(got, want, "{label} changed bits (got {got:#018x})");
+}
+
+/// Two GESUMMV runs (about 47 s each) 60 s apart under a 500 ms
+/// collapse timeout: the fixed-dt loop steps the race-to-idle floor,
+/// then the collapsed board; the event-driven loop fast-forwards both
+/// spans in closed form.
+fn collapse_scenario() -> Scenario {
+    Scenario::new("collapse")
+        .arrive(0.0, App::Gesummv, 0.9)
+        .arrive(60.0, App::Gesummv, 0.9)
+}
+
+fn collapse_runner(advance: TimeAdvance) -> ScenarioRunner {
+    ScenarioRunner::new(Approach::Teem).with_config(
+        ConfigPatch {
+            idle_policy: Some(IdlePolicy::TimeoutCollapse { timeout_ms: 500 }),
+            time_advance: Some(advance),
+            ..ConfigPatch::default()
+        }
+        .onto_default(),
+    )
+}
+
+const GOLDEN_COLLAPSE_FIXED_DT: u64 = 0x8973_772d_7cb2_b0b3;
+const GOLDEN_COLLAPSE_EVENT_DRIVEN: u64 = 0xe79f_6c89_c6a8_55ec;
+
+#[test]
+fn timeout_collapse_timelines_are_pinned() {
+    for (advance, want) in [
+        (TimeAdvance::FixedDt, GOLDEN_COLLAPSE_FIXED_DT),
+        (TimeAdvance::EventDriven, GOLDEN_COLLAPSE_EVENT_DRIVEN),
+    ] {
+        let r = collapse_runner(advance)
+            .run(&collapse_scenario())
+            .expect("runs");
+        assert!(!r.timed_out);
+        assert_eq!(r.summary.apps_completed(), 2);
+        assert!(r.summary.idle_s > 1.0, "no idle gap to collapse in");
+        check(&format!("collapse/{advance:?}"), scenario_digest(&r), want);
+    }
+}
+
+/// Two simultaneous arrivals plus a straggler, so every co-running
+/// policy overlaps at least two apps.
+fn rush() -> Scenario {
+    Scenario::new("rush")
+        .arrive(0.0, App::Mvt, 0.9)
+        .arrive(0.0, App::Syrk, 0.9)
+        .arrive(5.0, App::Gesummv, 0.9)
+}
+
+const GOLDEN_RUSH_SHARED: u64 = 0x5325_3574_5e4e_f024;
+const GOLDEN_RUSH_CLUSTER_EXCLUSIVE: u64 = 0x54d3_3732_8c94_634d;
+
+#[test]
+fn co_running_timelines_are_pinned() {
+    for (policy, want) in [
+        (ContentionPolicy::shared(), GOLDEN_RUSH_SHARED),
+        (
+            ContentionPolicy::ClusterExclusive,
+            GOLDEN_RUSH_CLUSTER_EXCLUSIVE,
+        ),
+    ] {
+        let r = ScenarioRunner::new(Approach::Teem)
+            .with_contention(policy)
+            .run(&rush())
+            .expect("runs");
+        assert!(!r.timed_out);
+        assert_eq!(r.summary.apps_completed(), 3);
+        assert!(r.summary.overlap_s > 0.0, "{} never co-ran", policy.name());
+        check(
+            &format!("rush/{}", policy.name()),
+            scenario_digest(&r),
+            want,
+        );
+    }
+}
+
+const GOLDEN_MANY_NODE_16: u64 = 0x81e6_8e7f_d229_c882;
+
+#[test]
+fn many_node_cell_is_pinned() {
+    let sc = Scenario::new("m-pair")
+        .arrive(0.0, App::Mvt, 0.9)
+        .arrive(0.0, App::Gesummv, 0.9);
+    let r = ScenarioRunner::new(Approach::Teem)
+        .with_board(BoardSpec::ManyNode { nodes: 16 })
+        .with_contention(ContentionPolicy::shared())
+        .run(&sc)
+        .expect("runs");
+    assert!(!r.timed_out);
+    check("many-node/n16", scenario_digest(&r), GOLDEN_MANY_NODE_16);
+}
+
+const GOLDEN_SIMULATION_RUN: u64 = 0x6b24_8071_166e_4e88;
+
+/// `Simulation::run`, the single-run engine: design points through
+/// `evaluate::simulate` (CPU+GPU, GPU-only, CPU-only) and the Fig. 5
+/// approaches through `runner::run`, every result's bits folded into
+/// one FNV digest.
+#[test]
+fn simulation_run_results_are_pinned() {
+    let mut h = Fnv::new();
+    let dp = |little, big, (b, l, g), partition| DesignPoint {
+        mapping: CpuMapping::new(little, big),
+        freqs: ClusterFreqs {
+            big: MHz(b),
+            little: MHz(l),
+            gpu: MHz(g),
+        },
+        partition,
+    };
+    for (app, point) in [
+        (App::Mvt, dp(2, 3, (2000, 1400, 600), Partition::even())),
+        (
+            App::Gesummv,
+            dp(0, 0, (1400, 1000, 420), Partition::all_gpu()),
+        ),
+        (App::Syrk, dp(4, 4, (1800, 1400, 177), Partition::all_cpu())),
+    ] {
+        let e = evaluate::simulate(app, &point);
+        for v in [e.et_s, e.avg_temp_c, e.peak_temp_c, e.energy_j] {
+            h.f64(v);
+        }
+    }
+    let board = Board::odroid_xu4_ideal();
+    for app in [App::Mvt, App::Covariance] {
+        let profile = profile_app(&board, app).expect("profiles fit");
+        let req = fig5_requirement(app, &profile);
+        for approach in Approach::fig5() {
+            let r = run_approach(
+                app,
+                approach,
+                &req,
+                Some(&profile),
+                Some(fig5_mapping()),
+                None,
+            );
+            hash_run_summary(&mut h, &r.summary);
+            h.u64(r.trace.digest());
+            h.u64(u64::from(r.zone_trips));
+            h.u64(u64::from(r.timed_out));
+            let (b, l, g, bo) = r.energy_breakdown_j;
+            for v in [b, l, g, bo] {
+                h.f64(v);
+            }
+        }
+    }
+    check("simulation-run", h.finish(), GOLDEN_SIMULATION_RUN);
 }

@@ -19,16 +19,11 @@
 //! the parity proptests — which is what lets the sweep executor hand a
 //! diverging lane back to the scalar path mid-run without a seam.
 //!
-//! [`NodePowerModel`] is the power-side companion: the per-node power
-//! evaluation of [`node_powers_into`](crate::node_powers_into) split
-//! into coefficients that are constant between governor decisions
-//! ([`NodePowerCoeffs`]) and the per-step temperature-dependent leakage
-//! exponential, again with scalar-identical operation order.
+//! [`BatchPowerModel`] is the power-side companion: every resident
+//! lane's [`NodePowerModel`] transposed into node-major planes, again
+//! with scalar-identical operation order.
 
-use crate::board::Board;
-use crate::engine::ClusterFreqs;
-use crate::perf::CpuMapping;
-use crate::power::PowerParams;
+use crate::power::{DomainPower, NodePowerModel};
 use crate::simd::{F64xN, LANES};
 use crate::thermal::ThermalModel;
 
@@ -265,184 +260,6 @@ impl BatchScratch {
     }
 }
 
-/// The frequency/mapping-dependent part of one node's power draw, cached
-/// between governor decisions so the per-step work reduces to the
-/// temperature-dependent leakage exponential.
-///
-/// `eval` reproduces [`PowerParams::total_w`] bit-exactly: the dynamic
-/// and uncore terms and the leakage prefactor `leak_scale · V²` only
-/// change when frequency, mapping or busy-flags change, so they are
-/// frozen here with the same left-associated operation order the scalar
-/// model uses.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct NodePowerCoeffs {
-    dyn_w: f64,      // full dynamic term (0 for collapsed/constant nodes)
-    leak_vv: f64,    // leak_scale_w * volts * volts
-    gate: f64,       // leakage gating fraction
-    alpha: f64,      // leakage temperature coefficient, 1/°C
-    ref_c: f64,      // leakage reference temperature, °C
-    uncore_w: f64,   // uncore overhead (0 when collapsed)
-    collapsed: bool, // active == 0: residual leakage only
-}
-
-impl NodePowerCoeffs {
-    /// Coefficients for one power domain, mirroring
-    /// [`PowerParams::total_w`] with the given operating point.
-    pub fn for_domain(
-        p: &PowerParams,
-        volts: f64,
-        freq_hz: f64,
-        active: u32,
-        utilization: f64,
-        activity: f64,
-    ) -> Self {
-        let collapsed = active == 0;
-        NodePowerCoeffs {
-            dyn_w: if collapsed {
-                0.0
-            } else {
-                p.dynamic_w(volts, freq_hz, active, utilization, activity)
-            },
-            leak_vv: p.leak_scale_w * volts * volts,
-            gate: 0.25 + 0.75 * f64::from(active) / f64::from(p.cores),
-            alpha: p.leak_alpha,
-            ref_c: p.leak_ref_c,
-            uncore_w: if collapsed { 0.0 } else { p.uncore_w },
-            collapsed,
-        }
-    }
-
-    /// A temperature-independent constant draw (the board-overhead node).
-    pub fn constant(watts: f64) -> Self {
-        NodePowerCoeffs {
-            dyn_w: watts,
-            ..NodePowerCoeffs::default()
-        }
-    }
-
-    /// The node's power at `temp_c`, watts — bit-identical to
-    /// [`PowerParams::total_w`] at the frozen operating point.
-    #[inline]
-    pub fn eval(&self, temp_c: f64) -> f64 {
-        let leak = self.leak_vv * (self.alpha * (temp_c - self.ref_c)).exp() * self.gate;
-        if self.collapsed {
-            leak
-        } else {
-            self.dyn_w + leak + self.uncore_w
-        }
-    }
-}
-
-/// The whole board's node power model at a frozen operating point: one
-/// [`NodePowerCoeffs`] per thermal node, evaluated per step against a
-/// lane's temperatures. The single-app constructor mirrors
-/// [`node_powers_into`](crate::node_powers_into) branch for branch, so
-/// per-step evaluation is bit-identical to the scalar path — the
-/// property the batched-vs-scalar sweep parity tests pin.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodePowerModel {
-    coeffs: Vec<NodePowerCoeffs>,
-}
-
-impl NodePowerModel {
-    /// The power model for one application mapped on `mapping` at
-    /// `freqs` — the frozen-coefficient twin of
-    /// [`node_powers_into`](crate::node_powers_into) with the same
-    /// utilisation rules (`cpu_busy`/`gpu_busy` floors, the always-on
-    /// LITTLE core, every GPU shader while its share runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `board.gpu_shaders` exceeds the GPU power domain's
-    /// cores, as the scalar model does.
-    pub fn single_app(
-        board: &Board,
-        mapping: CpuMapping,
-        freqs: ClusterFreqs,
-        cpu_busy: bool,
-        gpu_busy: bool,
-        activity: f64,
-    ) -> Self {
-        let mut coeffs = vec![NodePowerCoeffs::default(); board.thermal.len()];
-
-        let big_active = mapping.big;
-        let big_util = if cpu_busy && big_active > 0 {
-            1.0
-        } else {
-            0.03
-        };
-        coeffs[board.nodes.big] = NodePowerCoeffs::for_domain(
-            &board.big_power,
-            board.big_opps.volts_at(freqs.big),
-            freqs.big.as_hz(),
-            big_active,
-            big_util,
-            activity,
-        );
-
-        let little_active = mapping.little.max(1);
-        let little_util = if cpu_busy && mapping.little > 0 {
-            1.0
-        } else {
-            0.08
-        };
-        coeffs[board.nodes.little] = NodePowerCoeffs::for_domain(
-            &board.little_power,
-            board.little_opps.volts_at(freqs.little),
-            freqs.little.as_hz(),
-            little_active,
-            little_util,
-            activity,
-        );
-
-        assert!(
-            board.gpu_shaders <= board.gpu_power.cores,
-            "board.gpu_shaders ({}) exceeds the GPU power domain's cores ({})",
-            board.gpu_shaders,
-            board.gpu_power.cores
-        );
-        let gpu_util = if gpu_busy { 1.0 } else { 0.02 };
-        coeffs[board.nodes.gpu] = NodePowerCoeffs::for_domain(
-            &board.gpu_power,
-            board.gpu_opps.volts_at(freqs.gpu),
-            freqs.gpu.as_hz(),
-            board.gpu_shaders,
-            gpu_util,
-            activity,
-        );
-
-        coeffs[board.nodes.board] = NodePowerCoeffs::constant(board.board_base_w);
-        NodePowerModel { coeffs }
-    }
-
-    /// Evaluates every node's power at `lane`'s current temperatures,
-    /// writing the node-major SoA power vector slots for that lane and
-    /// returning the total draw (summed in node-index order, matching
-    /// the scalar engine's `power.iter().sum()`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coefficient count differs from `batch.nodes()`,
-    /// `lane` is out of range, or `power_w` is not batch-sized.
-    pub fn eval_into_lane(&self, batch: &ThermalBatch, lane: usize, power_w: &mut [f64]) -> f64 {
-        assert_eq!(self.coeffs.len(), batch.nodes(), "node count mismatch");
-        assert_eq!(
-            power_w.len(),
-            batch.nodes() * batch.stride(),
-            "SoA power vector length mismatch"
-        );
-        assert!(lane < batch.lanes(), "lane {lane} out of range");
-        let kp = batch.stride();
-        let mut total = 0.0;
-        for (i, c) in self.coeffs.iter().enumerate() {
-            let w = c.eval(batch.temps[i * kp + lane]);
-            power_w[i * kp + lane] = w;
-            total += w;
-        }
-        total
-    }
-}
-
 /// Every resident lane's [`NodePowerModel`] transposed into node-major
 /// coefficient planes, so the per-step power evaluation runs as one
 /// vectorized sweep over the batch instead of K strided scalar passes.
@@ -456,20 +273,22 @@ impl NodePowerModel {
 /// # Exactness
 ///
 /// Per lane and node, [`BatchPowerModel::eval_into`] performs exactly
-/// the operation sequence of [`NodePowerCoeffs::eval`], and per lane
-/// accumulates node powers in index order exactly like
-/// [`NodePowerModel::eval_into_lane`] — so both the SoA power vector
-/// and the per-lane totals are bit-identical (pinned by the tests
-/// below). Two structural simplifications are bit-safe by
+/// the operation sequence of [`NodePowerModel::eval_into`] — the node's
+/// `(dyn + leak) + uncore`, where IEEE addition commutes with the scalar
+/// `(leak + dyn) + uncore` — and per lane accumulates node powers in
+/// index order exactly like the engines' `power.iter().sum()`, so both
+/// the SoA power vector and the per-lane totals are bit-identical
+/// (pinned by the tests below). A co-run model, whose shared domains
+/// carry more than two terms, has no SoA form; the lockstep pool only
+/// admits solo cells. Two structural simplifications are bit-safe by
 /// construction:
 ///
-/// * the `collapsed` branch is dropped: collapsed coefficients have
-///   `dyn_w == 0.0` and `uncore_w == 0.0`, and `0.0 + leak + 0.0`
-///   reproduces `leak`'s bits exactly (leakage is never negative);
+/// * a collapsed domain has `dyn_w == 0.0` and `uncore_w == 0.0`, and
+///   `0.0 + leak + 0.0` reproduces `leak`'s bits exactly (leakage is
+///   never negative);
 /// * rows where **no** lane has a leakage prefactor (the constant
-///   board node, and any row of cleared lanes) skip the exponential:
-///   the scalar path's `0.0 · e^x · gate` is `+0.0` for every finite
-///   `e^x`, which is what the skip writes.
+///   board node, passive nodes, and any row of cleared lanes) skip the
+///   exponential and read the folded constant instead.
 ///
 /// Cleared (and SIMD-padding) lanes hold all-zero coefficients with a
 /// benign `α = 1, T_ref = −1` so a leaky row's exponential argument
@@ -520,21 +339,36 @@ impl BatchPowerModel {
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range or `model` has the wrong node
-    /// count.
+    /// Panics if `lane` is out of range, `model` has the wrong node
+    /// count, or `model` is a co-run model (see the type docs).
     pub fn set_lane(&mut self, lane: usize, model: &NodePowerModel) {
         assert!(lane < self.k, "lane {lane} out of range");
-        assert_eq!(model.coeffs.len(), self.n, "node count mismatch");
-        for (i, c) in model.coeffs.iter().enumerate() {
-            let idx = i * self.kp + lane;
-            self.dyn_w[idx] = c.dyn_w;
-            self.leak_vv[idx] = c.leak_vv;
-            self.gate[idx] = c.gate;
-            self.uncore_w[idx] = c.uncore_w;
-            self.const_w[idx] = c.dyn_w + 0.0 + c.uncore_w;
-            self.alpha[idx] = c.alpha;
-            self.ref_c[idx] = c.ref_c;
+        assert_eq!(model.len, self.n, "node count mismatch");
+        assert!(
+            model.tail.is_empty(),
+            "a co-run power model has no single-app SoA form"
+        );
+        self.reset_column(lane);
+        for (&node, d) in model.nodes.iter().zip(&model.domains) {
+            let DomainPower {
+                leak_vv,
+                gate,
+                alpha,
+                ref_c,
+                terms: [dyn_w, uncore_w],
+            } = *d;
+            let idx = node * self.kp + lane;
+            self.dyn_w[idx] = dyn_w;
+            self.leak_vv[idx] = leak_vv;
+            self.gate[idx] = gate;
+            self.uncore_w[idx] = uncore_w;
+            self.const_w[idx] = dyn_w + 0.0 + uncore_w;
+            self.alpha[idx] = alpha;
+            self.ref_c[idx] = ref_c;
         }
+        let idx = model.board_node * self.kp + lane;
+        self.dyn_w[idx] = model.board_w;
+        self.const_w[idx] = model.board_w + 0.0 + 0.0;
         self.recompute_leaky();
     }
 
@@ -546,6 +380,11 @@ impl BatchPowerModel {
     /// Panics if `lane` is out of range.
     pub fn clear_lane(&mut self, lane: usize) {
         assert!(lane < self.k, "lane {lane} out of range");
+        self.reset_column(lane);
+        self.recompute_leaky();
+    }
+
+    fn reset_column(&mut self, lane: usize) {
         for i in 0..self.n {
             let idx = i * self.kp + lane;
             self.dyn_w[idx] = 0.0;
@@ -556,7 +395,6 @@ impl BatchPowerModel {
             self.alpha[idx] = 1.0;
             self.ref_c[idx] = -1.0;
         }
-        self.recompute_leaky();
     }
 
     fn recompute_leaky(&mut self) {
@@ -570,7 +408,7 @@ impl BatchPowerModel {
     /// in one node-major sweep: fills the SoA `power_w` vector and
     /// writes each lane's total draw (summed in node-index order) into
     /// `totals`. Bit-identical per lane to
-    /// [`NodePowerModel::eval_into_lane`]; see the type docs.
+    /// [`NodePowerModel::eval_into`]; see the type docs.
     ///
     /// # Panics
     ///
@@ -657,34 +495,15 @@ impl BatchPowerModel {
     }
 }
 
-/// Evaluates one frozen power model per lane and fills the batch's SoA
-/// power vector — the K-wide counterpart of calling
-/// [`node_powers_into`](crate::node_powers_into) K times. Returns
-/// nothing; use [`NodePowerModel::eval_into_lane`] when the per-lane
-/// total is needed (the sweep lockstep path does, for energy
-/// accounting).
-///
-/// # Panics
-///
-/// Panics if `models.len() != batch.lanes()` or on any per-lane
-/// mismatch, as [`NodePowerModel::eval_into_lane`].
-pub fn batched_node_powers_into(
-    models: &[NodePowerModel],
-    batch: &ThermalBatch,
-    scratch: &mut BatchScratch,
-) {
-    assert_eq!(models.len(), batch.lanes(), "one model per lane");
-    for (lane, m) in models.iter().enumerate() {
-        m.eval_into_lane(batch, lane, &mut scratch.power);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::board::Board;
+    use crate::engine::ClusterFreqs;
+    use crate::perf::CpuMapping;
     use crate::sensors::SensorBank;
     use crate::thermal::ThermalModelBuilder;
-    use crate::{node_powers_for, MHz};
+    use crate::MHz;
 
     fn toy(ambient: f64, hot: f64) -> ThermalModel {
         let mut b = ThermalModelBuilder::new(ambient);
@@ -776,18 +595,27 @@ mod tests {
     fn soa_power_model_matches_per_lane_eval_bitwise() {
         // 6 lanes (kp = 8: two padding lanes) with distinct operating
         // points and temperatures; the vectorized node-major sweep must
-        // reproduce every lane's strided scalar evaluation bit for bit,
-        // including totals and the all-zero cleared/padding columns.
+        // reproduce every lane's scalar `NodePowerModel::eval_into` bit
+        // for bit, including totals and the all-zero cleared/padding
+        // columns. Lane 5 sits exactly at the leakage reference
+        // temperature, where the exponential's argument is zero.
         let board = Board::odroid_xu4_with(25.0, SensorBank::tmu_like(7));
         let k = 6;
         let mut batch = ThermalBatch::like(&board.thermal, k);
         let mut twin = board.thermal.clone();
         let mut models = Vec::new();
+        let mut lane_temps = Vec::new();
         for lane in 0..k {
             for node in 0..board.thermal.len() {
-                twin.set_temp(node, 30.0 + 9.5 * lane as f64 + 3.25 * node as f64);
+                let t = if lane == 5 {
+                    board.big_power.leak_ref_c
+                } else {
+                    30.0 + 9.5 * lane as f64 + 3.25 * node as f64
+                };
+                twin.set_temp(node, t);
             }
             batch.load_lane(lane, &twin);
+            lane_temps.push(twin.temps().to_vec());
             let freqs = ClusterFreqs {
                 big: MHz(600 + 200 * lane as u32),
                 little: MHz(1400),
@@ -798,14 +626,18 @@ mod tests {
             } else {
                 CpuMapping::new(4, 0)
             };
-            models.push(NodePowerModel::single_app(
-                &board,
-                mapping,
-                freqs,
-                lane % 2 == 0,
-                lane % 3 != 1,
-                0.6 + 0.05 * lane as f64,
-            ));
+            models.push(match lane {
+                4 => NodePowerModel::collapsed(&board),
+                5 => NodePowerModel::idle(&board, freqs),
+                _ => NodePowerModel::single_app(
+                    &board,
+                    mapping,
+                    freqs,
+                    lane % 2 == 0,
+                    lane % 3 != 1,
+                    0.6 + 0.05 * lane as f64,
+                ),
+            });
         }
         let mut soa = BatchPowerModel::for_batch(&batch);
         for (lane, m) in models.iter().enumerate() {
@@ -814,13 +646,18 @@ mod tests {
         let mut got = BatchScratch::for_batch(&batch);
         let mut totals = vec![0.0; batch.stride()];
         soa.eval_into(&batch, &mut got.power, &mut totals);
-        let mut want = BatchScratch::for_batch(&batch);
-        for (lane, m) in models.iter().enumerate() {
-            let total = m.eval_into_lane(&batch, lane, &mut want.power);
+        let mut want = vec![0.0; board.thermal.len()];
+        let check = |got: &BatchScratch, totals: &[f64], want: &mut [f64], lane: usize| {
+            models[lane].eval_into(&lane_temps[lane], want);
+            let total: f64 = want.iter().sum();
             assert_eq!(totals[lane].to_bits(), total.to_bits(), "total lane {lane}");
-        }
-        for (idx, (&g, &w)) in got.power.iter().zip(&want.power).enumerate() {
-            assert_eq!(g.to_bits(), w.to_bits(), "power slot {idx}");
+            for (node, &w) in want.iter().enumerate() {
+                let g = got.power[node * batch.stride() + lane];
+                assert_eq!(g.to_bits(), w.to_bits(), "lane {lane} node {node}");
+            }
+        };
+        for lane in 0..k {
+            check(&got, &totals, &mut want, lane);
         }
         for (lane, &t) in totals.iter().enumerate().skip(k) {
             assert_eq!(t, 0.0, "padding lane {lane} draws power");
@@ -830,12 +667,8 @@ mod tests {
         soa.clear_lane(2);
         soa.eval_into(&batch, &mut got.power, &mut totals);
         assert_eq!(totals[2], 0.0);
-        for (lane, m) in models.iter().enumerate() {
-            if lane == 2 {
-                continue;
-            }
-            let total = m.eval_into_lane(&batch, lane, &mut want.power);
-            assert_eq!(totals[lane].to_bits(), total.to_bits(), "post-clear {lane}");
+        for lane in (0..k).filter(|&lane| lane != 2) {
+            check(&got, &totals, &mut want, lane);
         }
         for node in 0..batch.nodes() {
             assert_eq!(got.power[node * batch.stride() + 2], 0.0, "node {node}");
@@ -843,42 +676,17 @@ mod tests {
     }
 
     #[test]
-    fn frozen_power_model_matches_node_powers_into() {
-        let board = Board::odroid_xu4_with(25.0, SensorBank::tmu_like(42));
-        let freqs = ClusterFreqs {
-            big: MHz(1800),
-            little: MHz(1400),
-            gpu: MHz(543),
+    #[should_panic(expected = "co-run power model")]
+    fn co_run_model_has_no_soa_form() {
+        let board = Board::odroid_xu4_ideal();
+        let share = crate::CoRunShare {
+            mapping: CpuMapping::new(1, 1),
+            cpu_busy: true,
+            gpu_busy: true,
+            activity: 0.8,
         };
-        let temps = [81.5, 60.25, 72.125, 45.0];
-        let mut batch = ThermalBatch::like(&board.thermal, 1);
-        // Load the reference temperatures into lane 0 via a scalar twin.
-        let mut twin = board.thermal.clone();
-        for (node, &t) in temps.iter().enumerate() {
-            twin.set_temp(node, t);
-        }
-        batch.load_lane(0, &twin);
-        let mut scratch = BatchScratch::for_batch(&batch);
-        for mapping in [CpuMapping::new(0, 0), CpuMapping::new(2, 3)] {
-            for &(cpu_busy, gpu_busy) in
-                &[(true, true), (true, false), (false, true), (false, false)]
-            {
-                let reference =
-                    node_powers_for(&board, mapping, freqs, cpu_busy, gpu_busy, 0.85, &temps);
-                let model =
-                    NodePowerModel::single_app(&board, mapping, freqs, cpu_busy, gpu_busy, 0.85);
-                let total = model.eval_into_lane(&batch, 0, &mut scratch.power);
-                for (node, &want) in reference.iter().enumerate() {
-                    let got = scratch.power[node * batch.stride()];
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "node {node} busy=({cpu_busy},{gpu_busy}) mapping {mapping:?}"
-                    );
-                }
-                let want_total: f64 = reference.iter().sum();
-                assert_eq!(total.to_bits(), want_total.to_bits(), "total draw");
-            }
-        }
+        let model = NodePowerModel::co_run(&board, &[share, share], ClusterFreqs::max_of(&board));
+        let batch = ThermalBatch::like(&board.thermal, 1);
+        BatchPowerModel::for_batch(&batch).set_lane(0, &model);
     }
 }

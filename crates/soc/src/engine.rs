@@ -5,6 +5,7 @@
 use crate::board::Board;
 use crate::freq::MHz;
 use crate::perf::{cpu_rate, gpu_rate, CpuMapping};
+use crate::power::NodePowerModel;
 use crate::sensors::SensorReadings;
 use crate::thermal_zone::ThermalZone;
 use teem_telemetry::stats::SeriesStats;
@@ -307,16 +308,15 @@ impl Simulation {
         // thermally-managed ceiling — whatever ran before was itself kept
         // below the trip, so no silicon starts beyond ~80 °C.
         scratch.temps.fill(70.0);
-        node_powers_into(
+        NodePowerModel::single_app(
             &self.board,
             self.spec.mapping,
             effective,
             cpu_items > 0.0,
             gpu_items > 0.0,
             chars.activity,
-            &scratch.temps,
-            &mut scratch.power,
-        );
+        )
+        .eval_into(&scratch.temps, &mut scratch.power);
         let frac = self.config.warm_start_fraction;
         for p in &mut scratch.power {
             *p *= frac;
@@ -343,6 +343,10 @@ impl Simulation {
         let mut energy_breakdown = (0.0, 0.0, 0.0, 0.0);
         let mut timed_out = false;
         let mut last_total_w = 0.0_f64;
+        // The operating point frozen between control decisions: the
+        // power model and the per-step progress increments, rebuilt only
+        // when the effective frequencies or a busy flag change.
+        let mut op: Option<FrozenOp> = None;
 
         loop {
             let cpu_done = cpu_done_items >= cpu_items;
@@ -423,27 +427,38 @@ impl Simulation {
                 zone_was_tripped = zone.is_tripped();
             }
 
+            let key = (effective, cpu_done, gpu_done);
+            let frozen = match &mut op {
+                Some(f) if f.key == key => f,
+                slot => slot.insert(FrozenOp {
+                    key,
+                    model: NodePowerModel::single_app(
+                        &self.board,
+                        self.spec.mapping,
+                        effective,
+                        !cpu_done,
+                        !gpu_done,
+                        chars.activity,
+                    ),
+                    cpu_inc: cpu_rate(&chars, self.spec.mapping, effective.big, effective.little)
+                        * dt,
+                    gpu_inc: gpu_rate(&chars, effective.gpu) * dt,
+                }),
+            };
+
             // --- Workload progress ---
             if !cpu_done && !self.spec.mapping.is_empty() {
-                cpu_done_items +=
-                    cpu_rate(&chars, self.spec.mapping, effective.big, effective.little) * dt;
+                cpu_done_items += frozen.cpu_inc;
             }
             if !gpu_done {
-                gpu_done_items += gpu_rate(&chars, effective.gpu) * dt;
+                gpu_done_items += frozen.gpu_inc;
             }
 
             // --- Power & thermal (in place: temps borrowed, power into
             //     the reusable scratch, no per-step allocation) ---
-            node_powers_into(
-                &self.board,
-                self.spec.mapping,
-                effective,
-                !cpu_done,
-                !gpu_done,
-                chars.activity,
-                self.board.thermal.temps(),
-                &mut scratch.power,
-            );
+            frozen
+                .model
+                .eval_into(self.board.thermal.temps(), &mut scratch.power);
             let p = &scratch.power;
             energy_breakdown.0 += p[self.board.nodes.big] * dt;
             energy_breakdown.1 += p[self.board.nodes.little] * dt;
@@ -519,10 +534,21 @@ const TRACE_CHANNELS: &[&str] = &[
     "power.total",
 ];
 
+/// [`Simulation::run`]'s operating point between control decisions:
+/// the power model and the per-step progress increments (the exact
+/// `rate · dt` expressions), valid while `key` — the effective
+/// frequencies and the two done flags — holds.
+struct FrozenOp {
+    key: (ClusterFreqs, bool, bool),
+    model: NodePowerModel,
+    cpu_inc: f64,
+    gpu_inc: f64,
+}
+
 /// Reusable per-step physics buffers: the node power vector the engines
-/// rebuild every integration step, plus a general node-temperature
-/// buffer for warm-start style evaluations at an assumed uniform
-/// temperature.
+/// fill every integration step from their frozen [`NodePowerModel`],
+/// plus a general node-temperature buffer for warm-start style
+/// evaluations at an assumed uniform temperature.
 ///
 /// Both [`Simulation`] and the scenario executor drive their step loops
 /// through one `StepScratch`, so the steady-state simulation path
@@ -696,11 +722,12 @@ impl StepObs {
 /// device; `activity` is the workload's switching-activity factor
 /// ([`KernelCharacteristics::activity`](teem_workload::KernelCharacteristics)).
 ///
-/// This is the single power model shared by [`Simulation`] and the
-/// scenario engine, so multi-app scenario physics stays bit-identical to
-/// single-run physics. The engines call it with a [`StepScratch`] buffer
-/// every step; [`node_powers_for`] is the allocating convenience wrapper
-/// for one-off evaluations and A/B tests.
+/// A one-off evaluation of [`NodePowerModel::single_app`], the single
+/// power derivation shared by [`Simulation`] and the scenario engine.
+/// Step loops keep the model itself and rebuild it only when the
+/// operating point changes, so between control decisions a step pays
+/// only the leakage exponentials; [`node_powers_for`] is the allocating
+/// convenience wrapper.
 ///
 /// # Panics
 ///
@@ -717,67 +744,8 @@ pub fn node_powers_into(
     temps: &[f64],
     out: &mut [f64],
 ) {
-    assert_eq!(
-        temps.len(),
-        board.thermal.len(),
-        "temperature vector length"
-    );
-    assert_eq!(out.len(), board.thermal.len(), "power vector length");
-    out.fill(0.0);
-
-    // Big cluster: active cores per the mapping; idle once done.
-    let big_active = mapping.big;
-    let big_util = if cpu_busy && big_active > 0 {
-        1.0
-    } else {
-        0.03
-    };
-    out[board.nodes.big] = board.big_power.total_w(
-        board.big_opps.volts_at(freqs.big),
-        freqs.big.as_hz(),
-        big_active,
-        big_util,
-        activity,
-        temps[board.nodes.big],
-    );
-
-    // LITTLE cluster: the OS keeps one core online even when the app
-    // uses none.
-    let little_active = mapping.little.max(1);
-    let little_util = if cpu_busy && mapping.little > 0 {
-        1.0
-    } else {
-        0.08
-    };
-    out[board.nodes.little] = board.little_power.total_w(
-        board.little_opps.volts_at(freqs.little),
-        freqs.little.as_hz(),
-        little_active,
-        little_util,
-        activity,
-        temps[board.nodes.little],
-    );
-
-    // GPU: every shader the board has while its share runs, near-idle
-    // after. The shader count is a board spec and must fit inside the
-    // GPU power domain, or leakage gating would silently exceed 1.
-    assert!(
-        board.gpu_shaders <= board.gpu_power.cores,
-        "board.gpu_shaders ({}) exceeds the GPU power domain's cores ({})",
-        board.gpu_shaders,
-        board.gpu_power.cores
-    );
-    let gpu_util = if gpu_busy { 1.0 } else { 0.02 };
-    out[board.nodes.gpu] = board.gpu_power.total_w(
-        board.gpu_opps.volts_at(freqs.gpu),
-        freqs.gpu.as_hz(),
-        board.gpu_shaders,
-        gpu_util,
-        activity,
-        temps[board.nodes.gpu],
-    );
-
-    out[board.nodes.board] = board.board_base_w;
+    NodePowerModel::single_app(board, mapping, freqs, cpu_busy, gpu_busy, activity)
+        .eval_into(temps, out);
 }
 
 /// Allocating wrapper around [`node_powers_into`] for one-off
@@ -805,23 +773,15 @@ pub fn node_powers_for(
 
 /// Writes the node power vector for an idle board (no application
 /// mapped, every device at its near-idle utilisation floor) into `out`
-/// — what a scenario's between-arrivals gaps dissipate.
+/// — what a scenario's between-arrivals gaps dissipate. A one-off
+/// evaluation of [`NodePowerModel::idle`].
 ///
 /// # Panics
 ///
 /// Panics if `temps.len()` or `out.len()` differ from
 /// `board.thermal.len()`.
 pub fn idle_node_powers_into(board: &Board, freqs: ClusterFreqs, temps: &[f64], out: &mut [f64]) {
-    node_powers_into(
-        board,
-        CpuMapping::new(0, 0),
-        freqs,
-        false,
-        false,
-        1.0,
-        temps,
-        out,
-    );
+    NodePowerModel::idle(board, freqs).eval_into(temps, out);
 }
 
 /// Allocating wrapper around [`idle_node_powers_into`] for one-off
@@ -853,20 +813,13 @@ pub struct CoRunShare {
 
 /// Writes the node power vector for `board` running N concurrent
 /// applications into `out` — the co-running generalisation of
-/// [`node_powers_into`], and like it allocation-free (the scenario
-/// executor calls it every step with a reusable [`StepScratch`]).
-///
-/// Superposition per domain: each app contributes the dynamic power of
-/// its own granted cores at its own utilisation and activity, while
-/// leakage and uncore overhead — properties of the domain, not of an
-/// app — are charged once for the union of active cores. The GPU is a
-/// single time-shared device: its shaders draw busy power while *any*
-/// app's GPU share runs (activity averaged over the sharers).
+/// [`node_powers_into`], a one-off evaluation of
+/// [`NodePowerModel::co_run`] (see there for the superposition rules).
 ///
 /// With zero shares this is [`idle_node_powers_into`]; with exactly one
-/// it delegates to [`node_powers_into`] unchanged, which keeps
-/// single-app scenario physics bit-identical to the single-run engine —
-/// the property the golden-digest tests pin.
+/// it is [`node_powers_into`] unchanged, which keeps single-app
+/// scenario physics bit-identical to the single-run engine — the
+/// property the golden-digest tests pin.
 ///
 /// # Panics
 ///
@@ -880,123 +833,7 @@ pub fn co_run_node_powers_into(
     temps: &[f64],
     out: &mut [f64],
 ) {
-    match shares {
-        [] => return idle_node_powers_into(board, freqs, temps, out),
-        [s] => {
-            return node_powers_into(
-                board, s.mapping, freqs, s.cpu_busy, s.gpu_busy, s.activity, temps, out,
-            )
-        }
-        _ => {}
-    }
-    assert_eq!(
-        temps.len(),
-        board.thermal.len(),
-        "temperature vector length"
-    );
-    assert_eq!(out.len(), board.thermal.len(), "power vector length");
-    out.fill(0.0);
-
-    // Big cluster: per-app dynamic power on each app's granted cores,
-    // leakage + uncore once for the union.
-    let total_big: u32 = shares.iter().map(|s| s.mapping.big).sum();
-    debug_assert!(total_big <= board.big_power.cores, "big cluster oversold");
-    let big_volts = board.big_opps.volts_at(freqs.big);
-    let big_hz = freqs.big.as_hz();
-    out[board.nodes.big] = if total_big == 0 {
-        board
-            .big_power
-            .total_w(big_volts, big_hz, 0, 0.03, 1.0, temps[board.nodes.big])
-    } else {
-        let mut w = board
-            .big_power
-            .leakage_w(big_volts, temps[board.nodes.big], total_big)
-            + board.big_power.uncore_power_w(total_big);
-        for s in shares {
-            let util = if s.cpu_busy && s.mapping.big > 0 {
-                1.0
-            } else {
-                0.03
-            };
-            w += board
-                .big_power
-                .dynamic_w(big_volts, big_hz, s.mapping.big, util, s.activity);
-        }
-        w
-    };
-
-    // LITTLE cluster: same superposition; the OS keeps one core online
-    // even when no app maps any.
-    let total_little: u32 = shares.iter().map(|s| s.mapping.little).sum();
-    debug_assert!(
-        total_little <= board.little_power.cores,
-        "LITTLE cluster oversold"
-    );
-    let little_volts = board.little_opps.volts_at(freqs.little);
-    let little_hz = freqs.little.as_hz();
-    out[board.nodes.little] = if total_little == 0 {
-        board.little_power.total_w(
-            little_volts,
-            little_hz,
-            1,
-            0.08,
-            1.0,
-            temps[board.nodes.little],
-        )
-    } else {
-        let mut w =
-            board
-                .little_power
-                .leakage_w(little_volts, temps[board.nodes.little], total_little)
-                + board.little_power.uncore_power_w(total_little);
-        for s in shares {
-            let util = if s.cpu_busy && s.mapping.little > 0 {
-                1.0
-            } else {
-                0.08
-            };
-            w += board.little_power.dynamic_w(
-                little_volts,
-                little_hz,
-                s.mapping.little,
-                util,
-                s.activity,
-            );
-        }
-        w
-    };
-
-    // GPU: one time-shared device — busy while any app's GPU share runs,
-    // at the sharers' mean activity.
-    assert!(
-        board.gpu_shaders <= board.gpu_power.cores,
-        "board.gpu_shaders ({}) exceeds the GPU power domain's cores ({})",
-        board.gpu_shaders,
-        board.gpu_power.cores
-    );
-    let gpu_users = shares.iter().filter(|s| s.gpu_busy).count();
-    let (gpu_util, gpu_activity) = if gpu_users > 0 {
-        let mean = shares
-            .iter()
-            .filter(|s| s.gpu_busy)
-            .map(|s| s.activity)
-            .sum::<f64>()
-            / gpu_users as f64;
-        (1.0, mean)
-    } else {
-        let mean = shares.iter().map(|s| s.activity).sum::<f64>() / shares.len() as f64;
-        (0.02, mean)
-    };
-    out[board.nodes.gpu] = board.gpu_power.total_w(
-        board.gpu_opps.volts_at(freqs.gpu),
-        freqs.gpu.as_hz(),
-        board.gpu_shaders,
-        gpu_util,
-        gpu_activity,
-        temps[board.nodes.gpu],
-    );
-
-    out[board.nodes.board] = board.board_base_w;
+    NodePowerModel::co_run(board, shares, freqs).eval_into(temps, out);
 }
 
 /// Writes each co-running share's attributable *dynamic* power draw,
@@ -1062,35 +899,15 @@ pub fn co_run_dynamic_weights(
 /// every cluster gated (no dynamic or uncore power, leakage at the
 /// fully-gated floor at the minimum-OPP voltage), only the board-level
 /// overhead still drawn. What [`IdlePolicy::TimeoutCollapse`] dissipates
-/// once its timeout fires.
+/// once its timeout fires; a one-off evaluation of
+/// [`NodePowerModel::collapsed`].
 ///
 /// # Panics
 ///
 /// Panics if `temps.len()` or `out.len()` differ from
 /// `board.thermal.len()`.
 pub fn collapsed_node_powers_into(board: &Board, temps: &[f64], out: &mut [f64]) {
-    assert_eq!(
-        temps.len(),
-        board.thermal.len(),
-        "temperature vector length"
-    );
-    assert_eq!(out.len(), board.thermal.len(), "power vector length");
-    out.fill(0.0);
-    let f = ClusterFreqs::min_of(board);
-    out[board.nodes.big] =
-        board
-            .big_power
-            .leakage_w(board.big_opps.volts_at(f.big), temps[board.nodes.big], 0);
-    out[board.nodes.little] = board.little_power.leakage_w(
-        board.little_opps.volts_at(f.little),
-        temps[board.nodes.little],
-        0,
-    );
-    out[board.nodes.gpu] =
-        board
-            .gpu_power
-            .leakage_w(board.gpu_opps.volts_at(f.gpu), temps[board.nodes.gpu], 0);
-    out[board.nodes.board] = board.board_base_w;
+    NodePowerModel::collapsed(board).eval_into(temps, out);
 }
 
 /// Allocating wrapper around [`collapsed_node_powers_into`] for one-off
@@ -1181,6 +998,12 @@ pub fn fast_forward_gap(
         board.thermal.set_ambient_c(ambient_c);
         return adv;
     }
+    // The gap's operating point is fixed for the whole call; only the
+    // leakage follows the segment-start temperatures.
+    let model = match power {
+        GapPower::Idle(freqs) => NodePowerModel::idle(board, freqs),
+        GapPower::Collapsed => NodePowerModel::collapsed(board),
+    };
     let lambda_max = board.thermal.fastest_cooling_rate();
     let mut remaining = span_s;
     // Relative epsilon, as ThermalModel::step: float residue from
@@ -1188,15 +1011,7 @@ pub fn fast_forward_gap(
     let eps = span_s * 1e-9;
     while remaining > eps {
         // Freeze the power vector at the segment-start temperatures.
-        scratch.temps.copy_from_slice(board.thermal.temps());
-        match power {
-            GapPower::Idle(freqs) => {
-                idle_node_powers_into(board, freqs, &scratch.temps, &mut scratch.power);
-            }
-            GapPower::Collapsed => {
-                collapsed_node_powers_into(board, &scratch.temps, &mut scratch.power);
-            }
-        }
+        model.eval_into(board.thermal.temps(), &mut scratch.power);
         // Distance to the steady state this frozen power decays toward.
         let seg = if lambda_max > 0.0 {
             let ss = board.thermal.steady_state(&scratch.power);

@@ -353,7 +353,7 @@ pub fn exp_exact(x: f64) -> f64 {
 #[inline(always)]
 pub fn exp_exact_block<const N: usize>(x: [f64; N]) -> [f64; N] {
     if !x.iter().all(|&v| main_path_ok(v)) {
-        return x.map(exp_exact);
+        return exp_exact_each(x);
     }
     let mut kd = [0.0f64; N];
     let mut ki = [0u64; N];
@@ -386,6 +386,15 @@ pub fn exp_exact_block<const N: usize>(x: [f64; N]) -> [f64; N] {
         out[i] = scale[i].mul_add(tmp, scale[i]);
     }
     out
+}
+
+/// The block fallback: every lane through [`exp_exact`]. Kept out of
+/// line and cold so inlining it never costs the vector path registers,
+/// whichever caller the block is inlined into.
+#[cold]
+#[inline(never)]
+fn exp_exact_each<const N: usize>(x: [f64; N]) -> [f64; N] {
+    x.map(exp_exact)
 }
 
 /// Four [`exp_exact`]s in lockstep — [`exp_exact_block`] at the SIMD

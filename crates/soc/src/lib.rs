@@ -67,10 +67,7 @@ pub mod simd;
 pub mod thermal;
 mod thermal_zone;
 
-pub use batch::{
-    batched_node_powers_into, BatchPowerModel, BatchScratch, NodePowerCoeffs, NodePowerModel,
-    ThermalBatch,
-};
+pub use batch::{BatchPowerModel, BatchScratch, ThermalBatch};
 pub use board::{Board, BoardSpec, ThermalNodes};
 pub use engine::{
     batched_thermal_step, big_core_hotspot_powers, clamp_freqs, co_run_dynamic_weights,
@@ -83,7 +80,7 @@ pub use engine::{
 pub use fastexp::{exp_exact, exp_exact4, exp_exact_block};
 pub use freq::{MHz, Opp, OppTable};
 pub use perf::CpuMapping;
-pub use power::{PowerBreakdown, PowerParams};
+pub use power::{NodePowerModel, PowerBreakdown, PowerParams};
 pub use sensors::{read_lanes_with_hotspots, SensorBank, SensorReadings, SensorSweep};
 pub use simd::{F64xN, LANES};
 pub use thermal::{ThermalModel, ThermalModelBuilder};
