@@ -33,7 +33,7 @@ fn main() {
 
     // Co-running: three simultaneous arrivals under the shared policy —
     // keeps the N-app aggregation path (per-domain power superposition
-    // in co_run_node_powers_into, bandwidth-slowdown progress, frequency
+    // in NodePowerModel::co_run, bandwidth-slowdown progress, frequency
     // arbitration) perf-exercised alongside the serial path above.
     let co = Scenario::new("bench-corun")
         .arrive(0.0, App::Mvt, 0.9)

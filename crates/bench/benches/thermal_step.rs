@@ -5,10 +5,7 @@
 
 use std::hint::black_box;
 use teem_bench::microbench::Runner;
-use teem_soc::{
-    idle_node_powers_into, node_powers_for, node_powers_into, Board, ClusterFreqs, CpuMapping, MHz,
-    NodePowerModel, StepScratch,
-};
+use teem_soc::{Board, ClusterFreqs, CpuMapping, MHz, NodePowerModel, StepScratch};
 use teem_workload::App;
 
 fn main() {
@@ -30,9 +27,9 @@ fn main() {
         board.thermal.steady_state(black_box(&powers))
     });
 
-    // The power model alone: allocating wrapper vs in-place (both
-    // re-derive the operating point per call) vs the frozen model the
-    // step loops keep between control decisions.
+    // The power model alone: derived from the operating point and
+    // evaluated per call vs the frozen model the step loops keep between
+    // control decisions.
     let freqs = ClusterFreqs {
         big: MHz(1600),
         little: MHz(1400),
@@ -41,29 +38,10 @@ fn main() {
     let mapping = CpuMapping::new(2, 3);
     let activity = App::Covariance.characteristics().activity;
     let temps = vec![83.0, 61.0, 74.0, 46.0];
-    r.bench("node_powers_alloc", || {
-        node_powers_for(
-            black_box(&board),
-            mapping,
-            freqs,
-            true,
-            true,
-            activity,
-            black_box(&temps),
-        )
-    });
     let mut scratch = StepScratch::for_board(&board);
-    r.bench("node_powers_into", || {
-        node_powers_into(
-            black_box(&board),
-            mapping,
-            freqs,
-            true,
-            true,
-            activity,
-            black_box(&temps),
-            &mut scratch.power,
-        )
+    r.bench("node_power_model_build_eval", || {
+        NodePowerModel::single_app(black_box(&board), mapping, freqs, true, true, activity)
+            .eval_into(black_box(&temps), &mut scratch.power)
     });
     let frozen = NodePowerModel::single_app(&board, mapping, freqs, true, true, activity);
     r.bench("node_power_model_eval_into", || {
@@ -77,16 +55,8 @@ fn main() {
     let mut sim_board = Board::odroid_xu4_ideal();
     let mut scratch = StepScratch::for_board(&sim_board);
     r.bench("physics_step_kernel_busy", || {
-        node_powers_into(
-            &sim_board,
-            mapping,
-            freqs,
-            true,
-            true,
-            activity,
-            sim_board.thermal.temps(),
-            &mut scratch.power,
-        );
+        NodePowerModel::single_app(&sim_board, mapping, freqs, true, true, activity)
+            .eval_into(sim_board.thermal.temps(), &mut scratch.power);
         sim_board.thermal.step(black_box(0.01), &scratch.power)
     });
 
@@ -94,12 +64,8 @@ fn main() {
     let idle_freqs = ClusterFreqs::min_of(&idle_board);
     let mut scratch = StepScratch::for_board(&idle_board);
     r.bench("physics_step_kernel_idle", || {
-        idle_node_powers_into(
-            &idle_board,
-            idle_freqs,
-            idle_board.thermal.temps(),
-            &mut scratch.power,
-        );
+        NodePowerModel::idle(&idle_board, idle_freqs)
+            .eval_into(idle_board.thermal.temps(), &mut scratch.power);
         idle_board.thermal.step(black_box(0.01), &scratch.power)
     });
 

@@ -17,7 +17,7 @@
 use crate::design_point::{DesignPoint, DesignPointEval};
 use teem_governors::Userspace;
 use teem_soc::sensors::{BIG_CORE_OFFSETS_C, CORE_HOTSPOT_C_PER_W};
-use teem_soc::{perf, Board, RunSpec, Simulation};
+use teem_soc::{perf, Board, HotspotSplit, NodePowerModel, RunSpec, Simulation};
 use teem_workload::{App, KernelCharacteristics};
 
 /// Hottest big-core sensor offset (core-6 in board numbering).
@@ -26,29 +26,6 @@ fn max_big_offset() -> f64 {
         .iter()
         .copied()
         .fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Per-core power of an active big core at this operating point (dynamic
-/// share plus its slice of the cluster leakage) — the hotspot driver the
-/// per-core TMU sensors see.
-fn big_core_power(
-    board: &Board,
-    chars: &KernelCharacteristics,
-    dp: &DesignPoint,
-    cpu_busy: bool,
-    big_node_c: f64,
-) -> f64 {
-    let active = dp.mapping.big;
-    if active == 0 {
-        return 0.0;
-    }
-    let volts = board.big_opps.volts_at(dp.freqs.big);
-    let util = if cpu_busy { 1.0 } else { 0.03 };
-    let dyn_core = board
-        .big_power
-        .dynamic_w(volts, dp.freqs.big.as_hz(), 1, util, chars.activity);
-    let leak_core = board.big_power.leakage_w(volts, big_node_c, active) / f64::from(active);
-    dyn_core + leak_core
 }
 
 /// Analytic evaluation of a design point: eq. (3) timing + steady-state
@@ -92,10 +69,13 @@ pub fn predict(board: &Board, chars: &KernelCharacteristics, dp: &DesignPoint) -
     };
 
     let energy = sum(&pa) * overlap + sum(&pb) * tail;
-    let hot = |temps: &Vec<f64>, cpu_busy: bool| -> f64 {
+    // The hottest sensor: the big node plus one active core's hotspot
+    // and the hottest core's layout offset, or the GPU.
+    let hot = |temps: &[f64], cpu_busy: bool| -> f64 {
         let node = temps[board.nodes.big];
-        let hotspot = CORE_HOTSPOT_C_PER_W * big_core_power(board, chars, dp, cpu_busy, node);
-        (node + hotspot + max_big_offset()).max(temps[board.nodes.gpu])
+        let core_w =
+            HotspotSplit::fold(board, dp.mapping, dp.freqs, cpu_busy, chars.activity).eval(node)[0];
+        (node + CORE_HOTSPOT_C_PER_W * core_w + max_big_offset()).max(temps[board.nodes.gpu])
     };
     let (hot_a, hot_b) = (hot(&ta, true), hot(&tb, cpu_busy_tail));
     let avg_temp = if et > 0.0 {
@@ -120,7 +100,8 @@ pub const RUNAWAY_CAP_C: f64 = 125.0;
 
 /// Power vector and steady-state temperatures for one phase, solved as a
 /// damped leakage/temperature fixed point (leakage depends on
-/// temperature, temperature on power).
+/// temperature, temperature on power). The phase's operating point is
+/// fixed, so one power model serves every iteration.
 fn phase(
     board: &Board,
     chars: &KernelCharacteristics,
@@ -129,10 +110,18 @@ fn phase(
     gpu_busy: bool,
 ) -> (Vec<f64>, Vec<f64>) {
     let ambient = board.thermal.ambient_c();
+    let model = NodePowerModel::single_app(
+        board,
+        dp.mapping,
+        dp.freqs,
+        cpu_busy,
+        gpu_busy,
+        chars.activity,
+    );
     let mut temps = vec![70.0; board.thermal.len()];
     let mut powers = vec![0.0; board.thermal.len()];
     for _ in 0..40 {
-        powers = node_powers(board, chars, dp, cpu_busy, gpu_busy, &temps);
+        model.eval_into(&temps, &mut powers);
         let next = board.thermal.steady_state(&powers);
         let mut delta = 0.0_f64;
         for (t, n) in temps.iter_mut().zip(next.iter()) {
@@ -147,48 +136,6 @@ fn phase(
         }
     }
     (powers, temps)
-}
-
-fn node_powers(
-    board: &Board,
-    chars: &KernelCharacteristics,
-    dp: &DesignPoint,
-    cpu_busy: bool,
-    gpu_busy: bool,
-    temps: &[f64],
-) -> Vec<f64> {
-    let mut p = vec![0.0; board.thermal.len()];
-    let m = dp.mapping;
-    let big_util = if cpu_busy && m.big > 0 { 1.0 } else { 0.03 };
-    p[board.nodes.big] = board.big_power.total_w(
-        board.big_opps.volts_at(dp.freqs.big),
-        dp.freqs.big.as_hz(),
-        m.big,
-        big_util,
-        chars.activity,
-        temps[board.nodes.big],
-    );
-    let little_active = m.little.max(1);
-    let little_util = if cpu_busy && m.little > 0 { 1.0 } else { 0.08 };
-    p[board.nodes.little] = board.little_power.total_w(
-        board.little_opps.volts_at(dp.freqs.little),
-        dp.freqs.little.as_hz(),
-        little_active,
-        little_util,
-        chars.activity,
-        temps[board.nodes.little],
-    );
-    let gpu_util = if gpu_busy { 1.0 } else { 0.02 };
-    p[board.nodes.gpu] = board.gpu_power.total_w(
-        board.gpu_opps.volts_at(dp.freqs.gpu),
-        dp.freqs.gpu.as_hz(),
-        6,
-        gpu_util,
-        chars.activity,
-        temps[board.nodes.gpu],
-    );
-    p[board.nodes.board] = board.board_base_w;
-    p
 }
 
 fn sum(v: &[f64]) -> f64 {

@@ -49,10 +49,9 @@ use teem_core::{AppProfile, ProfileStore, TeemTunables, UserRequirement};
 use teem_soc::perf::{cpu_rate, gpu_rate};
 use teem_soc::sensors::BIG_CORE_OFFSETS_C;
 use teem_soc::{
-    clamp_freqs, co_run_dynamic_weights, fast_forward_gap, idle_node_powers, node_powers_for,
-    read_sensors_for, Board, BoardSpec, ClusterFreqs, CoRunShare, CpuMapping, GapAdvance, GapPower,
-    NodePowerModel, SensorBank, SensorReadings, SimConfig, SocControl, SocView, StepObs,
-    StepScratch, ThermalZone, TimeAdvance,
+    clamp_freqs, co_run_dynamic_weights, fast_forward_gap, read_sensors_for, Board, BoardSpec,
+    ClusterFreqs, CoRunShare, CpuMapping, GapAdvance, GapPower, NodePowerModel, SensorBank,
+    SensorReadings, SimConfig, SocControl, SocView, StepObs, StepScratch, ThermalZone, TimeAdvance,
 };
 use teem_telemetry::{
     ChannelId, LogHistogram, RunSummary, SampleStage, ScenarioAppRun, ScenarioSummary, Trace,
@@ -211,16 +210,15 @@ impl ScenarioRunner {
     }
 
     /// Pre-heats the board toward the first arrival's busy steady state
-    /// (engine protocol: scaled by `warm_start_fraction`, capped at the
-    /// thermally-managed 80 °C ceiling). A scenario with no arrivals
-    /// warm-starts at the idle equilibrium.
+    /// by [`teem_soc::warm_start`]'s protocol, scaled by
+    /// `warm_start_fraction`. A scenario with no arrivals warm-starts at
+    /// the idle equilibrium.
     fn warm_start(
         &mut self,
         board: &mut Board,
         scenario: &Scenario,
         idle_freqs: ClusterFreqs,
     ) -> Result<(), teem_linreg::LinregError> {
-        let temps70 = vec![70.0; board.thermal.len()];
         // Replay threshold/approach changes that precede the first
         // arrival, so the pre-heat plan matches the plan the arrival
         // event itself will derive.
@@ -242,7 +240,7 @@ impl ScenarioRunner {
                 ScenarioEvent::AmbientChange { .. } => {}
             }
         }
-        let powers = match first {
+        let (load, fraction) = match first {
             Some(req) => {
                 let profile = self.profile_for(req.app)?;
                 let treq_s = req.treq_factor * profile.et_gpu_s;
@@ -259,34 +257,19 @@ impl ScenarioRunner {
                     None,
                     &self.tunables,
                 );
-                let chars = req.app.characteristics();
-                let initial = clamp_freqs(board, plan.initial);
-                let cpu_share = plan.partition.cpu_fraction() > 0.0;
-                let frac = self.config.warm_start_fraction;
-                node_powers_for(
+                let load = NodePowerModel::single_app(
                     board,
                     plan.mapping,
-                    initial,
-                    cpu_share,
+                    clamp_freqs(board, plan.initial),
+                    plan.partition.cpu_fraction() > 0.0,
                     true,
-                    chars.activity,
-                    &temps70,
-                )
-                .into_iter()
-                .map(|p| p * frac)
-                .collect::<Vec<f64>>()
+                    req.app.characteristics().activity,
+                );
+                (load, self.config.warm_start_fraction)
             }
-            None => idle_node_powers(board, idle_freqs, &temps70),
+            None => (NodePowerModel::idle(board, idle_freqs), 1.0),
         };
-        board.thermal.warm_start(&powers);
-        const WARM_START_CEILING_C: f64 = 80.0;
-        for i in 0..board.thermal.len() {
-            let t = board.thermal.temp(i);
-            board.thermal.set_temp(
-                i,
-                t.min(WARM_START_CEILING_C).max(board.thermal.ambient_c()),
-            );
-        }
+        teem_soc::warm_start(board, &load, fraction);
         Ok(())
     }
 

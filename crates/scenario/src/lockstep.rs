@@ -10,7 +10,7 @@
 //! This module exploits both redundancies:
 //!
 //! * **SoA thermal lockstep** — each admitted cell owns one lane of a
-//!   [`ThermalBatch`]; one [`batched_thermal_step`] integrates all K RC
+//!   [`ThermalBatch`]; one [`ThermalBatch::step`] integrates all K RC
 //!   networks through the autovectorized `F64xN` kernel.
 //! * **Frozen operating points** — between control ticks a solo cell's
 //!   effective frequencies, power coefficients and progress rates are
@@ -29,13 +29,18 @@
 //!    and below trip. In that regime every scalar phase the fast path
 //!    skips (event dispatch, launches, gap fast-forward, per-step zone
 //!    polling below trip) is a no-op by its own guard.
-//! 2. The phases the fast path *does* run go through the same
-//!    [`CellSim`] methods as the scalar loop (`phase_sample`,
-//!    `phase_control`, `phase_actuate`, `phase_completions`), and the
-//!    cached power/progress values come from the same derivations the
-//!    scalar loop uses: [`NodePowerModel::single_app`] (its SoA
-//!    transposition pinned bitwise by the `teem-soc` batch tests) and
-//!    the job's own progress-increment memo.
+//! 2. The phases the fast path *does* run follow the scalar step's order
+//!    (timeout, sample and trip check, control and actuation, progress)
+//!    through the same [`CellSim`] methods as the scalar loop
+//!    (`record_sample`, `phase_control`, `phase_actuate`,
+//!    `phase_completions`), and the cached power, hotspot and progress
+//!    values come from the same derivations the scalar loop uses:
+//!    [`NodePowerModel::single_app`] (its SoA transposition pinned
+//!    bitwise by the `teem-soc` batch tests), [`HotspotSplit`] and the
+//!    job's own progress-increment memo. A due sample reads the lane's
+//!    own sensor bank with
+//!    [`SensorBank::read_with_hotspots`](teem_soc::SensorBank::read_with_hotspots),
+//!    at the lane's SoA temperatures.
 //! 3. **Divergence is a handoff, not a special case.** The moment a
 //!    lane leaves the fast regime — a sensor sample at or above the
 //!    zone's trip point, or the executor timeout — its thermal state is
@@ -44,9 +49,8 @@
 //!    loop itself would have reached. Sibling lanes are untouched.
 
 use teem_soc::{
-    batched_thermal_step, big_core_hotspot_powers, read_lanes_with_hotspots, BatchPowerModel,
-    BatchScratch, ClusterFreqs, CpuMapping, HotspotSplit, NodePowerModel, SensorBank, SensorSweep,
-    StepObs, ThermalBatch, ThermalModel,
+    BatchPowerModel, BatchScratch, ClusterFreqs, CpuMapping, HotspotSplit, NodePowerModel, StepObs,
+    ThermalBatch, ThermalModel,
 };
 use teem_workload::bandwidth_slowdown;
 
@@ -95,11 +99,9 @@ struct LaneCache {
     /// The scalar sensing phase's activity fold specialised to one app:
     /// `max(f64::MIN, activity)` is `activity` bit-for-bit.
     sample_activity: f64,
-    /// [`big_core_hotspot_powers`] with everything but the node
-    /// temperature pre-folded — rebuilt alongside the power model, so a
-    /// due sample costs one `exp` instead of a voltage lookup plus the
-    /// full dynamic/leakage chain. Bit-identical by the
-    /// [`HotspotSplit`] contract.
+    /// The sensing phase's hotspot split at the cached operating point
+    /// and CPU busy flag — refolded alongside the power model, so a due
+    /// sample costs one `exp`.
     hotspot: HotspotSplit,
 }
 
@@ -398,19 +400,13 @@ pub(crate) struct LockstepPool {
     /// and consumed by the derived sub-step accounting at flush.
     subs_per_round: u64,
     lanes: Vec<Option<PoolLane>>,
-    /// Reused staging for the round's batched sensor sweep: every lane
-    /// with a due sample queues its raw inputs here and all banks are
-    /// read in one channel-major pass.
-    sweep: SensorSweep,
-    /// Slots queued into `sweep` this round, ascending; row `i` of the
-    /// sweep belongs to `swept[i]`.
-    swept: Vec<usize>,
     /// The integration step every resident lane shares (lockstep needs
     /// one `dt`); pinned by the first admission.
     dt: Option<f64>,
-    /// Pool-level step observability: the batched power/thermal
-    /// wall-time split (the per-cell kernels keep their own step and
-    /// sub-step counts). Zero unless constructed instrumented.
+    /// Pool-level step observability: the batched power/thermal and
+    /// the lanes' sensor-read wall-time split (the per-cell kernels keep
+    /// their own step and sub-step counts). Zero unless constructed
+    /// instrumented.
     pub(crate) obs: StepObs,
     /// Lockstep rounds executed (each is one batched thermal step).
     pub(crate) rounds: u64,
@@ -451,8 +447,6 @@ impl LockstepPool {
             hot: HotPlanes::new(k),
             subs_per_round: 0,
             lanes: (0..k).map(|_| None).collect(),
-            sweep: SensorSweep::default(),
-            swept: Vec::with_capacity(k),
             dt: None,
             obs,
             rounds: 0,
@@ -548,9 +542,11 @@ impl LockstepPool {
         tokens
     }
 
-    /// Clears one retiring lane's slot: syncs the batch lane's thermal
-    /// state back to the cell's own board and zeroes its power column.
-    fn store_out(&mut self, slot: usize, lane: &mut PoolLane) {
+    /// Retires slot `slot`'s lane onto `retired`: syncs the batch lane's
+    /// thermal state back to the cell's own board, zeroes its power
+    /// column and frees the slot.
+    fn retire(&mut self, slot: usize, retired: &mut Vec<RetiredLane>) {
+        let mut lane = self.lanes[slot].take().expect("lane occupied");
         self.batch.store_lane(slot, &mut lane.sim.board.thermal);
         self.power.clear_lane(slot);
         self.hot.clear(slot);
@@ -561,6 +557,12 @@ impl LockstepPool {
         if self.is_empty() {
             self.dt = None;
         }
+        retired.push(RetiredLane {
+            runner: lane.runner,
+            sim: lane.sim,
+            token: lane.token,
+            steps_at_entry: lane.steps_at_entry,
+        });
     }
 
     /// Executes one lockstep round: every live lane advances exactly
@@ -571,8 +573,6 @@ impl LockstepPool {
     /// the caller to refill.
     pub(crate) fn step_round(&mut self, retired: &mut Vec<RetiredLane>) {
         let k = self.lanes.len();
-        self.swept.clear();
-        self.sweep.clear();
 
         // --- Pre-pass vector scan: one branch-free sweep over the hot
         //     planes computes this round's event mask, runs the scalar
@@ -645,167 +645,23 @@ impl LockstepPool {
         }
 
         // --- Event lanes (a due sample, a due control tick, a timeout,
-        //     or a deferred actuation): the rare per-lane slow paths,
-        //     visited in ascending slot order (`swept` relies on it). ---
+        //     or a deferred actuation): the rare per-lane slow path, one
+        //     lane at a time. ---
         while need_mask != 0 {
             let slot = need_mask.trailing_zeros() as usize;
             need_mask &= need_mask - 1;
-            // A due sample on a non-timed-out lane stays hot: the raw
-            // inputs — lane temperatures straight from the SoA batch
-            // (the bits `store_lane` would have copied) and the scalar
-            // sensing phase's hotspot powers — are queued for one
-            // batched sensor sweep; the rest of the step runs in the
-            // post-sweep pass. This also covers the common coincident
-            // sample+control tick, so the board round-trip is elided on
-            // every sampling step, not just sample-only ones.
-            if self.hot.t[slot] < self.hot.timeout_s[slot]
-                && self.hot.t[slot] + 1e-12 >= self.hot.next_sample[slot]
-            {
-                let lane = self.lanes[slot].as_ref().expect("live lane occupied");
-                let nodes = lane.sim.board.nodes;
-                let big_c = self.batch.lane_temp(nodes.big, slot);
-                let gpu_c = self.batch.lane_temp(nodes.gpu, slot);
-                // Mirrors the scalar `any(|j| !j.cpu_done())`.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                let cpu_busy = !(self.hot.cpu_done[slot] >= self.hot.cpu_items[slot]);
-                // The folded split is rebuilt at every operating-point
-                // or busy-flag change, so between flips it holds the
-                // event-time inputs; the guard covers the half-step
-                // where progress flipped `cpu_busy` after this round's
-                // sample queued but `apply_flip` has not refolded yet.
-                debug_assert!(lane.sim.effective == lane.cache.effective);
-                let core_power = if cpu_busy == lane.cache.cpu_busy {
-                    lane.cache.hotspot.eval(big_c)
-                } else {
-                    big_core_hotspot_powers(
-                        &lane.sim.board,
-                        big_c,
-                        lane.cache.sample_mapping,
-                        lane.sim.effective,
-                        cpu_busy,
-                        lane.cache.sample_activity,
-                    )
-                };
-                self.sweep.push_lane(big_c, core_power, gpu_c);
-                self.swept.push(slot);
-                continue;
-            }
             let lane = self.lanes[slot].as_mut().expect("live lane occupied");
-            let exit = pre_thermal_step(
+            let exit = event_step(
                 &mut self.hot,
                 lane,
                 &mut self.power,
+                &self.batch,
+                &mut self.obs,
                 slot,
                 self.subs_per_round,
             );
-            if exit == PreExit::Handoff {
-                let mut lane = self.lanes[slot].take().expect("lane occupied");
-                self.store_out(slot, &mut lane);
-                retired.push(RetiredLane {
-                    runner: lane.runner,
-                    sim: lane.sim,
-                    token: lane.token,
-                    steps_at_entry: lane.steps_at_entry,
-                });
-            }
-        }
-
-        // --- Batched sensor sweep: every due sample's bank read in one
-        //     channel-major pass. Each lane owns its bank, so its noise
-        //     stream advances in the exact scattered-read draw order —
-        //     bit-identical readings per lane. ---
-        if !self.swept.is_empty() {
-            // Pool bookkeeping (collecting each swept lane's bank
-            // borrow) stays outside the sampling bracket: the lap
-            // attributes the sensor reads themselves. `swept` is built
-            // in slot order, so peeling sorted disjoint `&mut`s off the
-            // lane array visits O(swept) lanes, not all K.
-            let mut banks: Vec<&mut SensorBank> = Vec::with_capacity(self.swept.len());
-            let mut rest: &mut [Option<PoolLane>] = &mut self.lanes;
-            let mut base = 0;
-            for &slot in &self.swept {
-                let (lane, tail) = rest[slot - base..]
-                    .split_first_mut()
-                    .expect("swept slot in range");
-                banks.push(
-                    &mut lane
-                        .as_mut()
-                        .expect("swept lane occupied")
-                        .sim
-                        .board
-                        .sensors,
-                );
-                rest = tail;
-                base = slot + 1;
-            }
-            let obs_t0 = self.obs.clock();
-            read_lanes_with_hotspots(&mut banks, &mut self.sweep);
-            self.obs.lap_sample(obs_t0);
-        }
-
-        // --- Post-sweep tail for sampled lanes, in the scalar step's
-        //     order: record the row, trip check, control/actuate when
-        //     they can matter, progress. Only a trip or a control tick
-        //     touches the full simulation state. ---
-        for row in 0..self.swept.len() {
-            let slot = self.swept[row];
-            let subs = self.subs_per_round;
-            let lane = self.lanes[slot].as_mut().expect("swept lane occupied");
-            let sim = &mut lane.sim;
-            // The sensing phase's observable effects on the hot clock:
-            // store the reading, record the row, advance the sample
-            // grid (mirrored back so the event mask keeps tracking it).
-            sim.t = self.hot.t[slot];
-            sim.last_total_w = self.hot.last_total_w[slot];
-            sim.readings = self.sweep.readings[row];
-            sim.record_sample();
-            self.hot.next_sample[slot] = sim.next_sample;
-            // At or above trip: hand off before the control phase —
-            // the scalar loop resumes with control, then trips in
-            // actuation, exactly as it would have.
-            if sim.readings.max_c() >= sim.zone.trip_c {
-                self.hot.flush(slot, sim, subs);
-                let mut lane = self.lanes[slot].take().expect("lane occupied");
-                self.store_out(slot, &mut lane);
-                retired.push(RetiredLane {
-                    runner: lane.runner,
-                    sim: lane.sim,
-                    token: lane.token,
-                    steps_at_entry: lane.steps_at_entry,
-                });
-                continue;
-            }
-            // Control and actuation, only when they can change anything
-            // (same predicate as the sim path).
-            let due = self.hot.t[slot] + 1e-12 >= self.hot.next_control[slot];
-            if due || self.hot.flags_dirty[slot] {
-                self.hot.flush(slot, sim, subs);
-                let obs_t0 = sim.scratch.obs.clock();
-                sim.phase_control();
-                sim.phase_actuate();
-                sim.scratch.obs.lap_control(obs_t0);
-                if sim.effective != lane.cache.effective {
-                    lane.cache.refresh_operating_point(sim);
-                    self.power.set_lane(slot, &lane.cache.model);
-                    self.hot.inc_cpu[slot] = lane.cache.inc_cpu;
-                    self.hot.inc_gpu[slot] = lane.cache.inc_gpu;
-                }
-                // Control/actuate mutate only `next_control` and (via
-                // the refresh above) the `effective`-derived rates:
-                // every other mirrored field was just flushed and left
-                // untouched, so the full reload round-trip is elided.
-                self.hot.next_control[slot] = sim.active[0].next_control;
-                self.hot.flags_dirty[slot] = false;
-            }
-            if progress_at(&mut self.hot, slot) {
-                let lane = self.lanes[slot].as_mut().expect("swept lane occupied");
-                apply_flip(
-                    &mut self.hot,
-                    lane,
-                    &mut self.power,
-                    slot,
-                    self.subs_per_round,
-                );
+            if exit == LaneExit::Handoff {
+                self.retire(slot, retired);
             }
         }
 
@@ -829,7 +685,7 @@ impl LockstepPool {
         //     so it is identical across lanes and to the scalar loop. ---
         let dt = self.dt.expect("dt pinned while lanes are resident");
         let obs_t0 = self.obs.clock();
-        let substeps = batched_thermal_step(&mut self.batch, dt, &self.scratch);
+        let substeps = self.batch.step(dt, &self.scratch.power);
         self.obs.lap_thermal(obs_t0);
 
         // The sub-step count is a pure function of the pinned `dt` (and
@@ -870,16 +726,10 @@ impl LockstepPool {
             if self.hot.cpu_done[slot] >= self.hot.cpu_items[slot]
                 && self.hot.gpu_done[slot] >= self.hot.gpu_items[slot]
             {
-                let mut lane = self.lanes[slot].take().expect("lane occupied");
-                self.hot.flush(slot, &mut lane.sim, self.subs_per_round);
-                lane.sim.phase_completions();
-                self.store_out(slot, &mut lane);
-                retired.push(RetiredLane {
-                    runner: lane.runner,
-                    sim: lane.sim,
-                    token: lane.token,
-                    steps_at_entry: lane.steps_at_entry,
-                });
+                let sim = &mut self.lanes[slot].as_mut().expect("lane occupied").sim;
+                self.hot.flush(slot, sim, self.subs_per_round);
+                sim.phase_completions();
+                self.retire(slot, retired);
             }
         }
 
@@ -889,9 +739,14 @@ impl LockstepPool {
     }
 }
 
+/// How an event lane leaves [`event_step`].
 #[derive(PartialEq, Eq)]
-enum PreExit {
+enum LaneExit {
+    /// Still in the fast regime: the lane joins the round's power and
+    /// thermal sweeps.
     Continue,
+    /// Timed out or at the trip point: the cell goes back to the scalar
+    /// loop.
     Handoff,
 }
 
@@ -942,25 +797,65 @@ fn apply_flip(
     p.flags_dirty[slot] = true;
 }
 
-/// One lane's pre-thermal slice of the engine step for the non-sample
-/// cases: the scalar loop's timeout check, control and actuation (when
-/// they can matter), and progress — through the shared [`CellSim`]
-/// phase methods (bracketed by hot-mirror flush/reload) or the mirrored
-/// exact expressions. Due samples never reach this function: they are
-/// gathered into the round's batched sensor sweep by `step_round` and
-/// finished in its post-sweep pass.
-fn pre_thermal_step(
+/// One event lane's engine step up to the power phase, in the scalar
+/// step's order: the timeout check, the sensor sample and its trip
+/// check, control and actuation (when they can matter), and progress —
+/// through the shared [`CellSim`] phase methods (bracketed by hot-mirror
+/// flushes) or the mirrored exact expressions. A [`LaneExit::Handoff`]
+/// leaves the lane at a boundary the scalar loop resumes exactly.
+// The `!(a >= b)` form mirrors the scalar loop's `!j.cpu_done()`.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn event_step(
     p: &mut HotPlanes,
     lane: &mut PoolLane,
     power: &mut BatchPowerModel,
+    batch: &ThermalBatch,
+    obs: &mut StepObs,
     slot: usize,
     subs: u64,
-) -> PreExit {
+) -> LaneExit {
     // Timeout first, as the scalar loop checks it (before sampling).
     // The scalar step_cell will re-detect it and terminate the cell.
     if p.t[slot] >= p.timeout_s[slot] {
         p.flush(slot, &mut lane.sim, subs);
-        return PreExit::Handoff;
+        return LaneExit::Handoff;
+    }
+
+    // Sensing: the lane's own bank, read at its SoA temperatures (the
+    // bits `store_lane` would copy back to the board) with the cached
+    // hotspot split — folded at the lane's current operating point and
+    // busy flags, which every refresh and flip keeps current. Then the
+    // sensing phase's observable effects: store the reading, record the
+    // row, advance the sample grid (mirrored back so the event mask
+    // keeps tracking it).
+    if p.t[slot] + 1e-12 >= p.next_sample[slot] {
+        let sim = &mut lane.sim;
+        debug_assert!(sim.effective == lane.cache.effective);
+        debug_assert_eq!(
+            !(p.cpu_done[slot] >= p.cpu_items[slot]),
+            lane.cache.cpu_busy
+        );
+        let nodes = sim.board.nodes;
+        let big_c = batch.lane_temp(nodes.big, slot);
+        let gpu_c = batch.lane_temp(nodes.gpu, slot);
+        let core_power = lane.cache.hotspot.eval(big_c);
+        let obs_t0 = obs.clock();
+        sim.readings = sim
+            .board
+            .sensors
+            .read_with_hotspots(big_c, &core_power, gpu_c);
+        obs.lap_sample(obs_t0);
+        sim.t = p.t[slot];
+        sim.last_total_w = p.last_total_w[slot];
+        sim.record_sample();
+        p.next_sample[slot] = sim.next_sample;
+        // At or above trip: hand off before the control phase — the
+        // scalar loop resumes with control, then trips in actuation,
+        // exactly as it would have.
+        if sim.readings.max_c() >= sim.zone.trip_c {
+            p.flush(slot, sim, subs);
+            return LaneExit::Handoff;
+        }
     }
 
     // Control and actuation, only when they can change anything: a due
@@ -982,9 +877,9 @@ fn pre_thermal_step(
             p.inc_cpu[slot] = lane.cache.inc_cpu;
             p.inc_gpu[slot] = lane.cache.inc_gpu;
         }
-        // Same slim reload as the post-sweep control block: control and
-        // actuation touch only `next_control` and the rates mirrored
-        // above.
+        // Control and actuation touch only `next_control` and the rates
+        // mirrored above: every other mirrored field was just flushed
+        // and left untouched, so the full reload round-trip is elided.
         p.next_control[slot] = sim.active[0].next_control;
         p.flags_dirty[slot] = false;
     }
@@ -994,7 +889,7 @@ fn pre_thermal_step(
     if progress_at(p, slot) {
         apply_flip(p, lane, power, slot, subs);
     }
-    PreExit::Continue
+    LaneExit::Continue
 }
 
 /// Runs one cell entirely through the pool: scalar warm-up until

@@ -3,14 +3,10 @@
 //! The hot-path refactor (flattened thermal network, in-place power
 //! model, reusable step scratch) is required to be a pure
 //! mechanical-sympathy change: every trace it produces must be
-//! bit-identical to the allocating implementation it replaced. These
-//! tests pin that property two ways:
-//!
-//! 1. a **golden digest** of a builtin-suite scenario trace, recorded
-//!    from the pre-refactor engine — any change to operation order,
-//!    buffering or sensor-noise consumption changes the digest;
-//! 2. an **A/B determinism check** between the in-place power-model
-//!    entry points and the (test-only) allocating wrappers.
+//! bit-identical to the allocating implementation it replaced. A
+//! **golden digest** of builtin-suite scenario traces, recorded from the
+//! pre-refactor engine, pins that property — any change to operation
+//! order, buffering or sensor-noise consumption changes the digest.
 //!
 //! A second set pins, by value, the paths the frozen power model
 //! rewrote that the builtin-suite digests do not reach: the
@@ -25,10 +21,7 @@ use teem_core::offline::profile_app;
 use teem_core::runner::{fig5_mapping, fig5_requirement, run as run_approach, Approach};
 use teem_dse::{evaluate, DesignPoint};
 use teem_scenario::{ConfigPatch, ContentionPolicy, Scenario, ScenarioResult, ScenarioRunner};
-use teem_soc::{
-    idle_node_powers, idle_node_powers_into, node_powers_for, node_powers_into, Board, BoardSpec,
-    ClusterFreqs, CpuMapping, IdlePolicy, MHz, TimeAdvance,
-};
+use teem_soc::{Board, BoardSpec, ClusterFreqs, CpuMapping, IdlePolicy, MHz, TimeAdvance};
 use teem_telemetry::{Fnv, RunSummary};
 use teem_workload::{App, Partition};
 
@@ -192,52 +185,6 @@ fn digest_is_reproducible_within_a_build() {
         runner.run(&builtin("back-to-back")).expect("runs")
     };
     assert_eq!(run().trace.digest(), run().trace.digest());
-}
-
-/// The allocating wrappers and the in-place entry points must agree to
-/// the bit on every node, for busy and idle boards alike, across the
-/// frequency range.
-#[test]
-fn in_place_power_model_matches_allocating_path() {
-    let board = Board::odroid_xu4_ideal();
-    let chars = App::Covariance.characteristics();
-    let temps = [83.25, 61.5, 74.125, 46.0625];
-    assert_eq!(temps.len(), board.thermal.len());
-    let mut out = vec![0.0; board.thermal.len()];
-
-    for &(big, little, gpu) in &[(2000, 1400, 600), (1400, 1000, 420), (200, 200, 177)] {
-        let freqs = ClusterFreqs {
-            big: MHz(big),
-            little: MHz(little),
-            gpu: MHz(gpu),
-        };
-        for &(cpu_busy, gpu_busy) in &[(true, true), (true, false), (false, true), (false, false)] {
-            let alloc = node_powers_for(
-                &board,
-                CpuMapping::new(2, 3),
-                freqs,
-                cpu_busy,
-                gpu_busy,
-                chars.activity,
-                &temps,
-            );
-            node_powers_into(
-                &board,
-                CpuMapping::new(2, 3),
-                freqs,
-                cpu_busy,
-                gpu_busy,
-                chars.activity,
-                &temps,
-                &mut out,
-            );
-            assert_eq!(alloc, out, "busy=({cpu_busy},{gpu_busy}) freqs={freqs:?}");
-        }
-
-        let alloc_idle = idle_node_powers(&board, freqs, &temps);
-        idle_node_powers_into(&board, freqs, &temps, &mut out);
-        assert_eq!(alloc_idle, out, "idle freqs={freqs:?}");
-    }
 }
 
 /// FNV-1a over a scenario result's bits: the trace digest plus every

@@ -171,7 +171,7 @@ pub enum IdlePolicy {
     /// Race to the minimum OPPs, then power-collapse the clusters after
     /// a continuous-idle timeout: dynamic and uncore power drop to zero
     /// and leakage falls to the gated floor
-    /// ([`collapsed_node_powers_into`]). Models `cpuidle` deep states /
+    /// ([`NodePowerModel::collapsed`]). Models `cpuidle` deep states /
     /// GPU runtime-PM with a governor-style promotion timeout.
     TimeoutCollapse {
         /// Continuous idle time before the collapse kicks in,
@@ -303,30 +303,19 @@ impl Simulation {
         // batch sweep and must not allocate on its steady-state path.
         let mut scratch = StepScratch::for_board(&self.board);
 
-        // Warm start: pre-heat to a fraction of the initial load's steady
-        // state (back-to-back measurement protocol), clamped to a
-        // thermally-managed ceiling — whatever ran before was itself kept
-        // below the trip, so no silicon starts beyond ~80 °C.
-        scratch.temps.fill(70.0);
-        NodePowerModel::single_app(
+        let initial_load = NodePowerModel::single_app(
             &self.board,
             self.spec.mapping,
             effective,
             cpu_items > 0.0,
             gpu_items > 0.0,
             chars.activity,
-        )
-        .eval_into(&scratch.temps, &mut scratch.power);
-        let frac = self.config.warm_start_fraction;
-        for p in &mut scratch.power {
-            *p *= frac;
-        }
-        self.board.thermal.warm_start(&scratch.power);
-        const WARM_START_CEILING_C: f64 = 80.0;
-        for i in 0..self.board.thermal.len() {
-            let t = self.board.thermal.temp(i);
-            self.board.thermal.set_temp(i, t.min(WARM_START_CEILING_C));
-        }
+        );
+        warm_start(
+            &mut self.board,
+            &initial_load,
+            self.config.warm_start_fraction,
+        );
 
         let mut meter = crate::meter::SmartPowerMeter::new();
         let mut trace = Trace::with_channels(TRACE_CHANNELS);
@@ -546,9 +535,7 @@ struct FrozenOp {
 }
 
 /// Reusable per-step physics buffers: the node power vector the engines
-/// fill every integration step from their frozen [`NodePowerModel`],
-/// plus a general node-temperature buffer for warm-start style
-/// evaluations at an assumed uniform temperature.
+/// fill every integration step from their frozen [`NodePowerModel`].
 ///
 /// Both [`Simulation`] and the scenario executor drive their step loops
 /// through one `StepScratch`, so the steady-state simulation path
@@ -558,9 +545,6 @@ struct FrozenOp {
 pub struct StepScratch {
     /// Node power vector, watts, indexed as [`Board::nodes`].
     pub power: Vec<f64>,
-    /// Node temperature buffer, °C — for evaluating the power model at
-    /// an assumed uniform temperature before real temperatures exist.
-    pub temps: Vec<f64>,
     /// Step-loop observability accumulator (counters always on, timing
     /// opt-in; see [`StepObs`]).
     pub obs: StepObs,
@@ -569,10 +553,8 @@ pub struct StepScratch {
 impl StepScratch {
     /// Scratch sized for `board`'s thermal network.
     pub fn for_board(board: &Board) -> Self {
-        let n = board.thermal.len();
         StepScratch {
-            power: vec![0.0; n],
-            temps: vec![0.0; n],
+            power: vec![0.0; board.thermal.len()],
             obs: StepObs::default(),
         }
     }
@@ -715,90 +697,9 @@ impl StepObs {
     }
 }
 
-/// Writes the node power vector for `board` into `out`, with an
-/// application mapped on `mapping` at frequencies `freqs` and per-node
-/// silicon temperatures `temps` (indexed as [`Board::nodes`]).
-/// `cpu_busy`/`gpu_busy` select busy versus near-idle utilisation per
-/// device; `activity` is the workload's switching-activity factor
-/// ([`KernelCharacteristics::activity`](teem_workload::KernelCharacteristics)).
-///
-/// A one-off evaluation of [`NodePowerModel::single_app`], the single
-/// power derivation shared by [`Simulation`] and the scenario engine.
-/// Step loops keep the model itself and rebuild it only when the
-/// operating point changes, so between control decisions a step pays
-/// only the leakage exponentials; [`node_powers_for`] is the allocating
-/// convenience wrapper.
-///
-/// # Panics
-///
-/// Panics if `temps.len()` or `out.len()` differ from
-/// `board.thermal.len()`.
-#[allow(clippy::too_many_arguments)] // mirrors the physics: one knob per device
-pub fn node_powers_into(
-    board: &Board,
-    mapping: CpuMapping,
-    freqs: ClusterFreqs,
-    cpu_busy: bool,
-    gpu_busy: bool,
-    activity: f64,
-    temps: &[f64],
-    out: &mut [f64],
-) {
-    NodePowerModel::single_app(board, mapping, freqs, cpu_busy, gpu_busy, activity)
-        .eval_into(temps, out);
-}
-
-/// Allocating wrapper around [`node_powers_into`] for one-off
-/// evaluations (warm starts, calibration, tests). Step loops use the
-/// in-place variant with a [`StepScratch`].
-///
-/// # Panics
-///
-/// Panics if `temps.len() != board.thermal.len()`.
-pub fn node_powers_for(
-    board: &Board,
-    mapping: CpuMapping,
-    freqs: ClusterFreqs,
-    cpu_busy: bool,
-    gpu_busy: bool,
-    activity: f64,
-    temps: &[f64],
-) -> Vec<f64> {
-    let mut p = vec![0.0; board.thermal.len()];
-    node_powers_into(
-        board, mapping, freqs, cpu_busy, gpu_busy, activity, temps, &mut p,
-    );
-    p
-}
-
-/// Writes the node power vector for an idle board (no application
-/// mapped, every device at its near-idle utilisation floor) into `out`
-/// — what a scenario's between-arrivals gaps dissipate. A one-off
-/// evaluation of [`NodePowerModel::idle`].
-///
-/// # Panics
-///
-/// Panics if `temps.len()` or `out.len()` differ from
-/// `board.thermal.len()`.
-pub fn idle_node_powers_into(board: &Board, freqs: ClusterFreqs, temps: &[f64], out: &mut [f64]) {
-    NodePowerModel::idle(board, freqs).eval_into(temps, out);
-}
-
-/// Allocating wrapper around [`idle_node_powers_into`] for one-off
-/// evaluations and tests.
-///
-/// # Panics
-///
-/// Panics if `temps.len() != board.thermal.len()`.
-pub fn idle_node_powers(board: &Board, freqs: ClusterFreqs, temps: &[f64]) -> Vec<f64> {
-    let mut p = vec![0.0; board.thermal.len()];
-    idle_node_powers_into(board, freqs, temps, &mut p);
-    p
-}
-
 /// One co-running application's contribution to the board's power draw
-/// at an instant — the per-app slice of what [`node_powers_into`] takes
-/// as scalars for a single app.
+/// at an instant — the per-app slice of what
+/// [`NodePowerModel::single_app`] takes as scalars for a single app.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoRunShare {
     /// CPU cores the arbiter granted this app.
@@ -809,31 +710,6 @@ pub struct CoRunShare {
     pub gpu_busy: bool,
     /// The app's switching-activity factor.
     pub activity: f64,
-}
-
-/// Writes the node power vector for `board` running N concurrent
-/// applications into `out` — the co-running generalisation of
-/// [`node_powers_into`], a one-off evaluation of
-/// [`NodePowerModel::co_run`] (see there for the superposition rules).
-///
-/// With zero shares this is [`idle_node_powers_into`]; with exactly one
-/// it is [`node_powers_into`] unchanged, which keeps single-app
-/// scenario physics bit-identical to the single-run engine — the
-/// property the golden-digest tests pin.
-///
-/// # Panics
-///
-/// Panics if `temps.len()` or `out.len()` differ from
-/// `board.thermal.len()`, or (debug) if the shares' mappings together
-/// exceed the clusters — the arbiter must hand out disjoint core sets.
-pub fn co_run_node_powers_into(
-    board: &Board,
-    shares: &[CoRunShare],
-    freqs: ClusterFreqs,
-    temps: &[f64],
-    out: &mut [f64],
-) {
-    NodePowerModel::co_run(board, shares, freqs).eval_into(temps, out);
 }
 
 /// Writes each co-running share's attributable *dynamic* power draw,
@@ -895,40 +771,13 @@ pub fn co_run_dynamic_weights(
     }
 }
 
-/// Writes the node power vector for a power-collapsed board into `out`:
-/// every cluster gated (no dynamic or uncore power, leakage at the
-/// fully-gated floor at the minimum-OPP voltage), only the board-level
-/// overhead still drawn. What [`IdlePolicy::TimeoutCollapse`] dissipates
-/// once its timeout fires; a one-off evaluation of
-/// [`NodePowerModel::collapsed`].
-///
-/// # Panics
-///
-/// Panics if `temps.len()` or `out.len()` differ from
-/// `board.thermal.len()`.
-pub fn collapsed_node_powers_into(board: &Board, temps: &[f64], out: &mut [f64]) {
-    NodePowerModel::collapsed(board).eval_into(temps, out);
-}
-
-/// Allocating wrapper around [`collapsed_node_powers_into`] for one-off
-/// evaluations and tests.
-///
-/// # Panics
-///
-/// Panics if `temps.len() != board.thermal.len()`.
-pub fn collapsed_node_powers(board: &Board, temps: &[f64]) -> Vec<f64> {
-    let mut p = vec![0.0; board.thermal.len()];
-    collapsed_node_powers_into(board, temps, &mut p);
-    p
-}
-
 /// What [`fast_forward_gap`] dissipates during the span it advances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GapPower {
     /// Idle floor: every cluster at the given frequencies with no
-    /// application mapped ([`idle_node_powers_into`]).
+    /// application mapped ([`NodePowerModel::idle`]).
     Idle(ClusterFreqs),
-    /// Power-collapsed clusters ([`collapsed_node_powers_into`]) — the
+    /// Power-collapsed clusters ([`NodePowerModel::collapsed`]) — the
     /// regime after [`IdlePolicy::TimeoutCollapse`] fires.
     Collapsed,
 }
@@ -1049,27 +898,44 @@ pub fn fast_forward_gap(
     adv
 }
 
-/// Advances a whole [`ThermalBatch`](crate::ThermalBatch) by one engine
-/// step — the batched twin of the per-step
-/// `board.thermal.step(dt, &scratch.power)` call, taking the SoA power
-/// vector from a [`BatchScratch`](crate::BatchScratch). Returns the
-/// Euler sub-step count (shared by all lanes).
+/// The uniform node temperature a warm start evaluates its load at, °C.
+const WARM_START_EVAL_C: f64 = 70.0;
+
+/// The warm-start ceiling, °C: whatever ran before a measured run was
+/// itself kept below the trip, so no silicon starts hotter than this.
+const WARM_START_CEILING_C: f64 = 80.0;
+
+/// Pre-heats `board` by the back-to-back measurement protocol the
+/// paper's runs start from (Fig. 1 starts at about 80 °C): `load`
+/// evaluated at a uniform 70 °C and scaled by `fraction`, every node
+/// settled to that power's steady state, then clamped to the 80 °C
+/// ceiling and floored at the ambient temperature.
 ///
-/// # Panics
-///
-/// Panics if `scratch` is not sized for `batch` or `dt < 0`.
-pub fn batched_thermal_step(
-    batch: &mut crate::ThermalBatch,
-    dt: f64,
-    scratch: &crate::BatchScratch,
-) -> u32 {
-    batch.step(dt, &scratch.power)
+/// [`Simulation::run`] passes its initial operating point and
+/// [`SimConfig::warm_start_fraction`]; the scenario executor passes its
+/// first arrival's plan, or the idle board at fraction 1.0.
+pub fn warm_start(board: &mut Board, load: &NodePowerModel, fraction: f64) {
+    let n = board.thermal.len();
+    let mut power = vec![0.0; n];
+    load.eval_into(&vec![WARM_START_EVAL_C; n], &mut power);
+    for p in &mut power {
+        *p *= fraction;
+    }
+    board.thermal.warm_start(&power);
+    let ambient = board.thermal.ambient_c();
+    for i in 0..n {
+        let t = board.thermal.temp(i);
+        board
+            .thermal
+            .set_temp(i, t.min(WARM_START_CEILING_C).max(ambient));
+    }
 }
 
 /// Reads the sensor bank including per-core hotspot contributions for
-/// the big cores active under `mapping` — shared by [`Simulation`] and
-/// the scenario engine (`&mut` because TMU-style banks advance their
-/// deterministic noise stream).
+/// the big cores active under `mapping` — the sensor read shared by
+/// [`Simulation`] and the scenario engine (`&mut` because TMU-style banks
+/// advance their deterministic noise stream). The hotspot powers are
+/// [`HotspotSplit`]'s, at the big node's temperature.
 pub fn read_sensors_for(
     board: &mut Board,
     mapping: CpuMapping,
@@ -1077,68 +943,25 @@ pub fn read_sensors_for(
     cpu_busy: bool,
     activity: f64,
 ) -> SensorReadings {
-    let big = board.thermal.temp(board.nodes.big);
-    let gpu = board.thermal.temp(board.nodes.gpu);
-    read_sensors_at_temps(board, big, gpu, mapping, freqs, cpu_busy, activity)
-}
-
-/// [`read_sensors_for`] with the big/GPU silicon temperatures supplied
-/// by the caller instead of read from `board.thermal` — the lockstep
-/// pool samples straight from its SoA [`ThermalBatch`](crate::ThermalBatch)
-/// lanes without copying temperatures back into the board first. Same
-/// hotspot model, same sensor noise stream advance, bit-identical
-/// readings for identical inputs.
-pub fn read_sensors_at_temps(
-    board: &mut Board,
-    big_c: f64,
-    gpu_c: f64,
-    mapping: CpuMapping,
-    freqs: ClusterFreqs,
-    cpu_busy: bool,
-    activity: f64,
-) -> SensorReadings {
-    let core_power = big_core_hotspot_powers(board, big_c, mapping, freqs, cpu_busy, activity);
+    let big_c = board.thermal.temp(board.nodes.big);
+    let gpu_c = board.thermal.temp(board.nodes.gpu);
+    let core_power = HotspotSplit::fold(board, mapping, freqs, cpu_busy, activity).eval(big_c);
     board.sensors.read_with_hotspots(big_c, &core_power, gpu_c)
 }
 
-/// The per-core hotspot powers [`read_sensors_at_temps`] feeds the
-/// sensor bank: each of the `mapping.big` active big cores draws one
-/// core's dynamic power plus an even split of the cluster leakage at
-/// `big_c`. Exposed so the lockstep pool can queue lanes into a
-/// [`SensorSweep`](crate::SensorSweep) with the identical inputs.
-pub fn big_core_hotspot_powers(
-    board: &Board,
-    big_c: f64,
-    mapping: CpuMapping,
-    freqs: ClusterFreqs,
-    cpu_busy: bool,
-    activity: f64,
-) -> [f64; 4] {
-    let active = mapping.big;
-    let mut core_power = [0.0_f64; 4];
-    if active > 0 {
-        let volts = board.big_opps.volts_at(freqs.big);
-        let util = if cpu_busy { 1.0 } else { 0.03 };
-        let dyn_core = board
-            .big_power
-            .dynamic_w(volts, freqs.big.as_hz(), 1, util, activity);
-        let leak_core = board.big_power.leakage_w(volts, big_c, active) / f64::from(active);
-        for slot in core_power.iter_mut().take(active as usize) {
-            *slot = dyn_core + leak_core;
-        }
-    }
-    core_power
-}
-
-/// The operating-point factors of [`big_core_hotspot_powers`] with
-/// everything but the node temperature folded: per-core dynamic power,
-/// the leakage voltage prefactor, the gating fraction and the leakage
-/// temperature curve. The lockstep pool rebuilds one per lane whenever
+/// The big-core hotspot powers the per-core sensors see, with
+/// everything but the node temperature folded: each of the
+/// `mapping.big` active big cores draws one core's dynamic power plus an
+/// even split of the cluster leakage at the node temperature.
+///
+/// The one derivation of hotspot power: [`read_sensors_for`] folds one
+/// per read, the lockstep pool keeps one per lane and refolds it when
 /// the frequencies or busy flags change (the only inputs the factors
-/// depend on), so the per-sample hotspot split collapses to one
-/// exponential in the node temperature — evaluated through
-/// [`exp_exact`](crate::exp_exact), which returns `f64::exp`'s bits,
-/// so [`HotspotSplit::eval`] is bit-identical to the scalar call.
+/// depend on), and the offline evaluator folds one per phase. An
+/// evaluation is one exponential in the node temperature, through
+/// [`exp_exact`](crate::exp_exact), which returns `f64::exp`'s bits, so
+/// it matches [`PowerParams`](crate::PowerParams)'s per-core dynamic and
+/// leakage expressions bit for bit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HotspotSplit {
     active: u32,
@@ -1151,8 +974,8 @@ pub struct HotspotSplit {
 
 impl HotspotSplit {
     /// Folds the temperature-independent factors for one operating
-    /// point (same inputs as [`big_core_hotspot_powers`] minus the
-    /// temperature).
+    /// point: `mapping.big` active cores at `freqs.big`, at full
+    /// utilisation while `cpu_busy`, with switching `activity`.
     pub fn fold(
         board: &Board,
         mapping: CpuMapping,
@@ -1180,9 +1003,8 @@ impl HotspotSplit {
         }
     }
 
-    /// Evaluates the split at `big_c` — bit-identical to
-    /// [`big_core_hotspot_powers`] with the inputs this split was
-    /// folded from.
+    /// Per-core hotspot powers, watts, with the big node at `big_c`;
+    /// cores past `mapping.big` read zero.
     #[inline]
     pub fn eval(&self, big_c: f64) -> [f64; 4] {
         let mut core_power = [0.0_f64; 4];
@@ -1250,6 +1072,13 @@ mod tests {
         fn control(&mut self, _view: &SocView, ctl: &mut SocControl) {
             ctl.set_big_freq(self.0);
         }
+    }
+
+    /// `model`'s node power vector at `temps`.
+    fn powers(model: &NodePowerModel, temps: &[f64]) -> Vec<f64> {
+        let mut p = vec![0.0; temps.len()];
+        model.eval_into(temps, &mut p);
+        p
     }
 
     fn cv_spec() -> RunSpec {
@@ -1378,16 +1207,21 @@ mod tests {
         };
         let temps = vec![70.0; board.thermal.len()];
         let chars = App::Covariance.characteristics();
-        let busy = node_powers_for(
-            &board,
-            CpuMapping::new(2, 3),
-            freqs,
-            true,
-            true,
-            chars.activity,
+        let busy = powers(
+            &NodePowerModel::single_app(
+                &board,
+                CpuMapping::new(2, 3),
+                freqs,
+                true,
+                true,
+                chars.activity,
+            ),
             &temps,
         );
-        let idle = idle_node_powers(&board, ClusterFreqs::min_of(&board), &temps);
+        let idle = powers(
+            &NodePowerModel::idle(&board, ClusterFreqs::min_of(&board)),
+            &temps,
+        );
         assert_eq!(busy.len(), board.thermal.len());
         // Busy dominates idle on every active silicon node.
         assert!(busy[board.nodes.big] > idle[board.nodes.big] * 3.0);
@@ -1406,36 +1240,36 @@ mod tests {
             gpu: MHz(543),
         };
         let temps = [81.5, 60.25, 72.125, 45.0];
-        let mut a = vec![0.0; board.thermal.len()];
-        let mut b = vec![0.0; board.thermal.len()];
         for &(cpu_busy, gpu_busy) in &[(true, true), (true, false), (false, true), (false, false)] {
-            node_powers_into(
-                &board,
-                CpuMapping::new(2, 3),
-                freqs,
-                cpu_busy,
-                gpu_busy,
-                chars.activity,
-                &temps,
-                &mut a,
-            );
-            co_run_node_powers_into(
-                &board,
-                &[CoRunShare {
-                    mapping: CpuMapping::new(2, 3),
+            let a = powers(
+                &NodePowerModel::single_app(
+                    &board,
+                    CpuMapping::new(2, 3),
+                    freqs,
                     cpu_busy,
                     gpu_busy,
-                    activity: chars.activity,
-                }],
-                freqs,
+                    chars.activity,
+                ),
                 &temps,
-                &mut b,
+            );
+            let b = powers(
+                &NodePowerModel::co_run(
+                    &board,
+                    &[CoRunShare {
+                        mapping: CpuMapping::new(2, 3),
+                        cpu_busy,
+                        gpu_busy,
+                        activity: chars.activity,
+                    }],
+                    freqs,
+                ),
+                &temps,
             );
             assert_eq!(a, b, "single-share delegation busy=({cpu_busy},{gpu_busy})");
         }
         // Zero shares: the idle model.
-        idle_node_powers_into(&board, freqs, &temps, &mut a);
-        co_run_node_powers_into(&board, &[], freqs, &temps, &mut b);
+        let a = powers(&NodePowerModel::idle(&board, freqs), &temps);
+        let b = powers(&NodePowerModel::co_run(&board, &[], freqs), &temps);
         assert_eq!(a, b, "empty-share delegation");
     }
 
@@ -1463,30 +1297,20 @@ mod tests {
             gpu_busy: true,
             activity: 0.65,
         };
-        let mut solo_a = vec![0.0; board.thermal.len()];
-        let mut solo_b = vec![0.0; board.thermal.len()];
-        let mut both = vec![0.0; board.thermal.len()];
-        co_run_node_powers_into(&board, &[a], freqs, &temps, &mut solo_a);
-        co_run_node_powers_into(&board, &[b], freqs, &temps, &mut solo_b);
-        co_run_node_powers_into(&board, &[a, b], freqs, &temps, &mut both);
+        let co_run =
+            |shares: &[CoRunShare]| powers(&NodePowerModel::co_run(&board, shares, freqs), &temps);
+        let (solo_a, solo_b, both) = (co_run(&[a]), co_run(&[b]), co_run(&[a, b]));
         let (sa, sb, sc): (f64, f64, f64) =
             (solo_a.iter().sum(), solo_b.iter().sum(), both.iter().sum());
         assert!(sc > sa && sc > sb, "co-run draws more than either solo");
         assert!(sc < sa + sb, "shared leakage/uncore/GPU not double-charged");
         // The big-domain dynamic power superposes: 4 busy cores' worth.
-        let mut four = vec![0.0; board.thermal.len()];
-        co_run_node_powers_into(
-            &board,
-            &[CoRunShare {
-                mapping: CpuMapping::new(4, 4),
-                cpu_busy: true,
-                gpu_busy: true,
-                activity: 1.0,
-            }],
-            freqs,
-            &temps,
-            &mut four,
-        );
+        let four = co_run(&[CoRunShare {
+            mapping: CpuMapping::new(4, 4),
+            cpu_busy: true,
+            gpu_busy: true,
+            activity: 1.0,
+        }]);
         assert!(both[board.nodes.big] <= four[board.nodes.big] + 1e-9);
     }
 
@@ -1565,8 +1389,11 @@ mod tests {
     fn collapsed_board_draws_less_than_race_to_idle() {
         let board = Board::odroid_xu4_ideal();
         let temps = vec![40.0; board.thermal.len()];
-        let idle = idle_node_powers(&board, ClusterFreqs::min_of(&board), &temps);
-        let collapsed = collapsed_node_powers(&board, &temps);
+        let idle = powers(
+            &NodePowerModel::idle(&board, ClusterFreqs::min_of(&board)),
+            &temps,
+        );
+        let collapsed = powers(&NodePowerModel::collapsed(&board), &temps);
         let (pi, pc): (f64, f64) = (idle.iter().sum(), collapsed.iter().sum());
         assert!(pc < pi, "collapse must save power: {pc} vs {pi}");
         // Board overhead survives the collapse. The big cluster is
@@ -1595,13 +1422,12 @@ mod tests {
         for i in 0..board.thermal.len() {
             board.thermal.set_temp(i, 85.0);
         }
-        let freqs = ClusterFreqs::min_of(&board);
+        let idle = NodePowerModel::idle(&board, ClusterFreqs::min_of(&board));
         // The board lump's time constant is minutes; integrate well past
         // it (temperature-dependent leakage keeps this a fixed point
         // iteration rather than one steady-state solve).
         for _ in 0..50 {
-            let temps = board.thermal.temps().to_vec();
-            let p = idle_node_powers(&board, freqs, &temps);
+            let p = powers(&idle, board.thermal.temps());
             board.thermal.step(60.0, &p);
         }
         // Idle dissipation is ~2.7 W: the die settles ~10 C over ambient.
@@ -1622,8 +1448,37 @@ mod tests {
         assert!(r.summary.execution_time_s <= 1.0 + 0.011);
     }
 
-    /// [`HotspotSplit::eval`] must reproduce [`big_core_hotspot_powers`]
-    /// bit-for-bit at every operating point the lockstep pool can fold.
+    /// The per-core hotspot powers as the engines derived them before
+    /// [`HotspotSplit`] folded them, kept as the reference: each of the
+    /// `mapping.big` active big cores draws one core's dynamic power plus
+    /// an even split of the cluster leakage at `big_c`, every term
+    /// re-derived through [`PowerParams`](crate::PowerParams).
+    fn reference_hotspot_powers(
+        board: &Board,
+        big_c: f64,
+        mapping: CpuMapping,
+        freqs: ClusterFreqs,
+        cpu_busy: bool,
+        activity: f64,
+    ) -> [f64; 4] {
+        let active = mapping.big;
+        let mut core_power = [0.0_f64; 4];
+        if active > 0 {
+            let volts = board.big_opps.volts_at(freqs.big);
+            let util = if cpu_busy { 1.0 } else { 0.03 };
+            let dyn_core = board
+                .big_power
+                .dynamic_w(volts, freqs.big.as_hz(), 1, util, activity);
+            let leak_core = board.big_power.leakage_w(volts, big_c, active) / f64::from(active);
+            for slot in core_power.iter_mut().take(active as usize) {
+                *slot = dyn_core + leak_core;
+            }
+        }
+        core_power
+    }
+
+    /// [`HotspotSplit::eval`] must reproduce [`reference_hotspot_powers`]
+    /// bit-for-bit at every operating point the engines can fold.
     #[test]
     fn hotspot_split_matches_scalar_bits() {
         let board = Board::odroid_xu4_ideal();
@@ -1640,7 +1495,7 @@ mod tests {
                         let split = HotspotSplit::fold(&board, mapping, freqs, cpu_busy, activity);
                         let mut t = 15.0;
                         while t <= 100.0 {
-                            let want = big_core_hotspot_powers(
+                            let want = reference_hotspot_powers(
                                 &board, t, mapping, freqs, cpu_busy, activity,
                             );
                             let got = split.eval(t);

@@ -70,18 +70,16 @@ mod thermal_zone;
 pub use batch::{BatchPowerModel, BatchScratch, ThermalBatch};
 pub use board::{Board, BoardSpec, ThermalNodes};
 pub use engine::{
-    batched_thermal_step, big_core_hotspot_powers, clamp_freqs, co_run_dynamic_weights,
-    co_run_node_powers_into, collapsed_node_powers, collapsed_node_powers_into, fast_forward_gap,
-    idle_node_powers, idle_node_powers_into, node_powers_for, node_powers_into,
-    read_sensors_at_temps, read_sensors_for, ClusterFreqs, CoRunShare, GapAdvance, GapPower,
-    HotspotSplit, IdlePolicy, Manager, RunResult, RunSpec, SimConfig, Simulation, SocControl,
-    SocView, StepObs, StepScratch, TimeAdvance, GAP_SEGMENT_DELTA_C,
+    clamp_freqs, co_run_dynamic_weights, fast_forward_gap, read_sensors_for, warm_start,
+    ClusterFreqs, CoRunShare, GapAdvance, GapPower, HotspotSplit, IdlePolicy, Manager, RunResult,
+    RunSpec, SimConfig, Simulation, SocControl, SocView, StepObs, StepScratch, TimeAdvance,
+    GAP_SEGMENT_DELTA_C,
 };
 pub use fastexp::{exp_exact, exp_exact4, exp_exact_block};
 pub use freq::{MHz, Opp, OppTable};
 pub use perf::CpuMapping;
-pub use power::{NodePowerModel, PowerBreakdown, PowerParams};
-pub use sensors::{read_lanes_with_hotspots, SensorBank, SensorReadings, SensorSweep};
+pub use power::{NodePowerModel, PowerParams};
+pub use sensors::{SensorBank, SensorReadings};
 pub use simd::{F64xN, LANES};
 pub use thermal::{ThermalModel, ThermalModelBuilder};
 pub use thermal_zone::ThermalZone;

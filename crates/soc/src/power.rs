@@ -105,27 +105,6 @@ impl PowerParams {
     }
 }
 
-/// Per-source power at one instant, as the wall meter cannot see it but
-/// the model can (useful for ablation and debugging).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PowerBreakdown {
-    /// Big-cluster power, watts.
-    pub big_w: f64,
-    /// LITTLE-cluster power, watts.
-    pub little_w: f64,
-    /// GPU power, watts.
-    pub gpu_w: f64,
-    /// Board base power (DRAM, regulators, fan), watts.
-    pub board_w: f64,
-}
-
-impl PowerBreakdown {
-    /// Sum seen by the wall meter.
-    pub fn total_w(&self) -> f64 {
-        self.big_w + self.little_w + self.gpu_w + self.board_w
-    }
-}
-
 /// Default power parameters for the Exynos 5422's three domains, chosen to
 /// land in the board's published envelope (big cluster ~6–7 W at 2 GHz,
 /// LITTLE ~1 W, Mali ~2.5 W, total wall power 10–13 W under full load).
@@ -298,9 +277,9 @@ impl DomainPower {
 /// (big, LITTLE, GPU) with one [`exp_exact4`] call, which returns
 /// [`f64::exp`]'s bits, and writes the constant board overhead. Step
 /// loops keep a model and rebuild it only when one of its inputs
-/// changes; the per-step helpers ([`node_powers_into`](crate::node_powers_into)
-/// and its idle, collapsed and co-run siblings) build one and evaluate
-/// it once.
+/// changes; one-off evaluations (a warm start, the offline evaluator's
+/// fixed point, tests) build one and call
+/// [`eval_into`](NodePowerModel::eval_into) directly.
 ///
 /// Each constructor reproduces its regime's summation order bit for
 /// bit: one app `(dyn + leak) + uncore` per domain, co-running apps
@@ -592,17 +571,6 @@ mod tests {
             p.dynamic_w(1.0, 1e9, 4, 2.0, 1.0),
             p.dynamic_w(1.0, 1e9, 4, 1.0, 1.0)
         );
-    }
-
-    #[test]
-    fn breakdown_totals() {
-        let b = PowerBreakdown {
-            big_w: 5.0,
-            little_w: 1.0,
-            gpu_w: 2.0,
-            board_w: 2.2,
-        };
-        assert!((b.total_w() - 10.2).abs() < 1e-12);
     }
 }
 

@@ -189,82 +189,6 @@ impl SensorBank {
     }
 }
 
-/// SoA lane buffers for sampling several independent sensor banks in
-/// one sweep ([`read_lanes_with_hotspots`]): the lockstep pool pushes
-/// one row per sample-due lane, sweeps, and reads the results back —
-/// K lanes per call instead of K scattered [`SensorBank::read_with_hotspots`]
-/// calls, with the hotspot arithmetic running over contiguous SoA
-/// rows.
-#[derive(Debug, Clone, Default)]
-pub struct SensorSweep {
-    big_node_c: Vec<f64>,
-    core_power_w: Vec<[f64; 4]>,
-    gpu_node_c: Vec<f64>,
-    /// Per-lane readings, valid after [`read_lanes_with_hotspots`];
-    /// indexed in push order.
-    pub readings: Vec<SensorReadings>,
-}
-
-impl SensorSweep {
-    /// Empties the lane buffers (capacity retained).
-    pub fn clear(&mut self) {
-        self.big_node_c.clear();
-        self.core_power_w.clear();
-        self.gpu_node_c.clear();
-        self.readings.clear();
-    }
-
-    /// Queues one lane's raw inputs; returns its row index.
-    pub fn push_lane(&mut self, big_node_c: f64, core_power_w: [f64; 4], gpu_node_c: f64) -> usize {
-        self.big_node_c.push(big_node_c);
-        self.core_power_w.push(core_power_w);
-        self.gpu_node_c.push(gpu_node_c);
-        self.big_node_c.len() - 1
-    }
-
-    /// Queued lane count.
-    pub fn len(&self) -> usize {
-        self.big_node_c.len()
-    }
-
-    /// `true` when no lanes are queued.
-    pub fn is_empty(&self) -> bool {
-        self.big_node_c.is_empty()
-    }
-}
-
-/// Samples every queued lane of `sweep` through its own bank in one
-/// sweep over the SoA rows. Each lane's bank consumes its
-/// [`SensorBank::DRAWS_PER_READ`] noise draws in exactly the order a
-/// scalar [`SensorBank::read_with_hotspots`] call would (big cores in
-/// index order, then GPU) — lanes own independent streams, so the
-/// cross-lane schedule is free and every lane's readings are
-/// bit-identical to its scalar call. Internally the pass is lane-major
-/// (one lane's five draws back to back) so each bank's noise state and
-/// the lane's readings row stay hot in cache.
-///
-/// # Panics
-///
-/// Panics if `banks.len()` differs from the queued lane count.
-pub fn read_lanes_with_hotspots(banks: &mut [&mut SensorBank], sweep: &mut SensorSweep) {
-    assert_eq!(banks.len(), sweep.len(), "one bank per queued lane");
-    sweep.readings.clear();
-    for (lane, bank) in banks.iter_mut().enumerate() {
-        let bank = &mut **bank;
-        let node = sweep.big_node_c[lane];
-        let core_w = &sweep.core_power_w[lane];
-        let mut big = [0.0; 4];
-        for (core, slot) in big.iter_mut().enumerate() {
-            *slot =
-                bank.measure(node + CORE_HOTSPOT_C_PER_W * core_w[core] + BIG_CORE_OFFSETS_C[core]);
-        }
-        sweep.readings.push(SensorReadings {
-            big_core_c: big,
-            gpu_c: bank.measure(sweep.gpu_node_c[lane]),
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,30 +262,6 @@ mod tests {
         a.skip_reads(1_000_000);
         let mut b = b;
         assert_eq!(a.read(80.0, 70.0), b.read(80.0, 70.0));
-    }
-
-    #[test]
-    fn lane_sweep_matches_scattered_reads_bitwise() {
-        // K lanes with distinct noisy streams: the SoA sweep must land
-        // every bank on the same stream position and produce the same
-        // readings as K scalar calls.
-        let mut scattered: Vec<SensorBank> = (0..5).map(SensorBank::tmu_like).collect();
-        let mut swept = scattered.clone();
-        let mut sweep = SensorSweep::default();
-        for round in 0..3 {
-            sweep.clear();
-            let mut expected = Vec::new();
-            for (i, bank) in scattered.iter_mut().enumerate() {
-                let big = 78.0 + i as f64 + round as f64;
-                let cores = [0.9, 0.0, 1.2, 0.4];
-                let gpu = 66.0 + i as f64;
-                expected.push(bank.read_with_hotspots(big, &cores, gpu));
-                sweep.push_lane(big, cores, gpu);
-            }
-            let mut banks: Vec<&mut SensorBank> = swept.iter_mut().collect();
-            read_lanes_with_hotspots(&mut banks, &mut sweep);
-            assert_eq!(sweep.readings, expected, "round {round}");
-        }
     }
 
     #[test]

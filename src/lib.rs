@@ -63,7 +63,7 @@ pub mod prelude {
         SweepObsReport, SweepSpec,
     };
     pub use teem_soc::{
-        node_powers_into, Board, ClusterFreqs, CpuMapping, IdlePolicy, MHz, Manager, RunResult,
+        Board, ClusterFreqs, CpuMapping, IdlePolicy, MHz, Manager, NodePowerModel, RunResult,
         RunSpec, SimConfig, Simulation, SocControl, SocView, StepScratch, ThermalZone, TimeAdvance,
     };
     pub use teem_telemetry::{
