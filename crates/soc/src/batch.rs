@@ -14,7 +14,9 @@
 //! operations in the same order* as [`ThermalModel::step`]: packed
 //! add/sub/mul/div round each lane exactly like the scalar instruction,
 //! the sub-step schedule (`remaining.min(max_stable_dt)` loop) is shared
-//! verbatim, and the row traversal order is identical. A lane is
+//! verbatim, and every node subtracts its `j = 0..n` terms in the same
+//! order (the batch walks row `i`; the scalar kernel reads the same
+//! bits as column `i` of the symmetric matrix). A lane is
 //! therefore **bit-identical** to stepping its scalar twin — pinned by
 //! the parity proptests — which is what lets the sweep executor hand a
 //! diverging lane back to the scalar path mid-run without a seam.

@@ -4,12 +4,16 @@
 //! and is connected to other nodes and to ambient through thermal
 //! conductances. Heat flows are integrated with forward Euler using
 //! automatic sub-stepping for stability (`dt_sub < min_i C_i / ΣG_i`).
+//! Within one sub-step the nodes are independent, so the Euler kernel
+//! runs SIMD across them, [`LANES`] nodes per block, and each node still
+//! sees exactly the scalar operations in the scalar order.
 //!
 //! This is the standard HotSpot-style compact model; first-order accuracy
 //! is all the reproduction needs because TEEM, the trip-based throttler
 //! and the baselines all react to *sensor readings of node temperatures*,
 //! not to intra-die gradients.
 
+use crate::simd::{F64xN, LANES};
 use std::sync::OnceLock;
 use teem_linreg::{
     eigen::sym_eigen,
@@ -43,16 +47,19 @@ struct CoolingPlan {
 
 /// A lumped RC thermal network.
 ///
-/// The conductance matrix is stored row-major in one flat allocation
-/// (`conductance[i * n + j]`) and the Euler integrator keeps a
-/// persistent derivative scratch buffer, so [`ThermalModel::step`] —
-/// the simulation engines' hottest call — touches one contiguous cache
-/// line per node and allocates nothing.
+/// The conductance matrix is stored in one flat `n × n` allocation
+/// (`conductance[i * n + j]`) that is bitwise symmetric: the builder
+/// adds every edge to both triangles in the same order.
+/// [`ThermalModel::step`], the simulation engines' hottest call,
+/// advances the nodes in blocks of [`LANES`]; for each source node `j`
+/// it reads the block's column `j` as a contiguous slice of row `j`.
+/// The Euler integrator keeps a persistent derivative scratch buffer and
+/// allocates nothing.
 #[derive(Debug, Clone)]
 pub struct ThermalModel {
     names: Vec<String>,
     capacitance: Vec<f64>, // J/°C per node
-    conductance: Vec<f64>, // symmetric node-to-node W/°C, row-major n×n
+    conductance: Vec<f64>, // bitwise-symmetric node-to-node W/°C, n×n
     to_ambient: Vec<f64>,  // node-to-ambient W/°C
     temps: Vec<f64>,       // current temperature per node, °C
     deriv: Vec<f64>,       // Euler scratch, reused across sub-steps
@@ -249,27 +256,65 @@ impl ThermalModel {
     }
 
     fn euler_step(&mut self, h: f64, power_w: &[f64]) {
-        let n = self.len();
-        let ambient = self.ambient_c;
-        // The diagonal is structurally zero (the builder rejects
-        // self-loops), so the `j == i` term contributes exactly `+0.0`
-        // and the inner loop runs branch-free over one contiguous row.
-        for ((((row, d), &ti), &p), (&g_amb, &c)) in self
-            .conductance
-            .chunks_exact(n)
-            .zip(&mut self.deriv)
-            .zip(&self.temps)
-            .zip(power_w)
-            .zip(self.to_ambient.iter().zip(&self.capacitance))
-        {
-            let mut q = p;
-            for (&g, &tj) in row.iter().zip(&self.temps) {
-                q -= g * (ti - tj);
-            }
-            q -= g_amb * (ti - ambient);
-            *d = q / c;
+        // A one-block network (the XU4) gets its own instantiation with
+        // the node count constant-folded: the `j` loop fully unrolls and
+        // the temperatures never leave registers.
+        match self.len() {
+            LANES => self.node_blocked_euler(LANES, h, power_w),
+            n => self.node_blocked_euler(n, h, power_w),
         }
-        for (t, d) in self.temps.iter_mut().zip(&self.deriv) {
+    }
+
+    /// One forward-Euler sub-step, SIMD across nodes.
+    ///
+    /// Node `i`'s derivative is `(Pᵢ − Σⱼ Gᵢⱼ(Tᵢ − Tⱼ) − G_amb,ᵢ(Tᵢ −
+    /// T_amb)) / Cᵢ`, subtracted term by term for `j = 0..n` in order.
+    /// Within one sub-step the nodes are independent, so the kernel runs
+    /// that expression for [`LANES`] nodes at once: a block starts from
+    /// its powers and subtracts `G[j][block]·(T[block] − Tⱼ)` for each
+    /// `j`, reading column `j` as the contiguous row `j`. That read is
+    /// exact because the builder adds every edge to both triangles in
+    /// the same order, so `Gᵢⱼ` and `Gⱼᵢ` are the same bits (pinned by
+    /// `flattened_conductance_is_symmetric_and_queryable`). Nodes past
+    /// the last full block run the same expression scalar. Each node's
+    /// operations and their order are therefore exactly those of
+    /// `ThermalBatch`'s per-lane row walk, so a batch lane stays
+    /// bit-identical to its scalar twin. The diagonal is structurally
+    /// zero (the builder rejects self-loops), so the `j == i` term
+    /// subtracts exactly `0`.
+    #[inline(always)]
+    fn node_blocked_euler(&mut self, n: usize, h: f64, power_w: &[f64]) {
+        let ambient = self.ambient_c;
+        let g = &self.conductance[..n * n];
+        let (cap, g_amb, p) = (&self.capacitance[..n], &self.to_ambient[..n], &power_w[..n]);
+        let temps = &mut self.temps[..n];
+        let deriv = &mut self.deriv[..n];
+        let full = n - n % LANES;
+        for b in (0..full).step_by(LANES) {
+            let ti = F64xN::from_slice(&temps[b..]);
+            let mut q = F64xN::from_slice(&p[b..]);
+            for (col, &tj) in g.chunks_exact(n).zip(&*temps) {
+                q = q - F64xN::from_slice(&col[b..]) * (ti - F64xN::splat(tj));
+            }
+            q = q - F64xN::from_slice(&g_amb[b..]) * (ti - F64xN::splat(ambient));
+            let d = q / F64xN::from_slice(&cap[b..]);
+            if n == LANES {
+                // Every derivative is known: update in registers.
+                (ti + F64xN::splat(h) * d).write_to(temps);
+                return;
+            }
+            d.write_to(&mut deriv[b..]);
+        }
+        for i in full..n {
+            let ti = temps[i];
+            let mut q = p[i];
+            for (col, &tj) in g.chunks_exact(n).zip(&*temps) {
+                q -= col[i] * (ti - tj);
+            }
+            q -= g_amb[i] * (ti - ambient);
+            deriv[i] = q / cap[i];
+        }
+        for (t, &d) in temps.iter_mut().zip(&*deriv) {
             *t += h * d;
         }
     }
@@ -500,6 +545,7 @@ impl ThermalModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BoardSpec;
 
     /// A two-node toy network: die -> board -> ambient.
     fn toy() -> ThermalModel {
@@ -634,6 +680,93 @@ mod tests {
         assert_eq!(m.step(0.0, &[0.0, 0.0]), 0);
     }
 
+    /// `(Pᵢ, [(Gᵢⱼ, j)], G_amb,ᵢ, Cᵢ)` for one node.
+    type Node<'a> = (f64, &'a [(f64, usize)], f64, f64);
+
+    /// The forward-Euler update of node `i`, written out from its
+    /// neighbour list: `Tᵢ + h·(Pᵢ − Σⱼ Gᵢⱼ(Tᵢ − Tⱼ) − G_amb,ᵢ(Tᵢ − T_amb))/Cᵢ`.
+    /// Also sums the terms in reverse and asserts the same bits: a guard
+    /// that the chosen values keep every intermediate exactly
+    /// representable, which makes the check independent of summation
+    /// order.
+    fn hand_euler(h: f64, t: &[f64], ambient: f64, i: usize, node: Node<'_>) -> f64 {
+        let (p, neighbours, g_amb, c) = node;
+        let terms: Vec<f64> = neighbours
+            .iter()
+            .map(|&(g, j)| g * (t[i] - t[j]))
+            .chain([g_amb * (t[i] - ambient)])
+            .collect();
+        let forward = terms.iter().fold(p, |q, x| q - x);
+        let reverse = p - terms.iter().rev().fold(0.0, |s, x| s + x);
+        assert_eq!(forward, reverse, "node {i}: an intermediate rounded");
+        t[i] + h * (forward / c)
+    }
+
+    #[test]
+    fn one_substep_is_the_forward_euler_update_exactly() {
+        // The toy's 0.2 W/°C coupling is not dyadic, so its two nodes
+        // start level: the coupling term is exactly zero and the check
+        // covers injection, the ambient path and the capacities.
+        let mut m = toy();
+        m.set_temp(0, 75.0);
+        m.set_temp(1, 75.0);
+        let h = 1.0;
+        assert!(h <= m.max_stable_dt());
+        let expect = [
+            hand_euler(h, m.temps(), 25.0, 0, (4.0, &[(0.2, 1)], 0.0, 0.5)),
+            hand_euler(h, m.temps(), 25.0, 1, (0.0, &[(0.2, 0)], 0.5, 50.0)),
+        ];
+        assert_eq!(expect, [83.0, 74.5]);
+        assert_eq!(m.step(h, &[4.0, 0.0]), 1);
+        assert_eq!(m.temps(), expect);
+
+        // Five nodes, dyadic throughout: one full SIMD block plus one
+        // scalar node, every coupling term non-zero, and a reversed
+        // duplicate edge (board -> big) accumulating onto big -> board.
+        let mut b = ThermalModelBuilder::new(25.0);
+        let big = b.node("big", 0.5, 0.0, 80.0);
+        let little = b.node("little", 0.25, 0.0, 61.5);
+        let gpu = b.node("gpu", 2.0, 0.0, 72.0);
+        let mem = b.node("mem", 1.0, 0.125, 45.25);
+        let board = b.node("board", 64.0, 0.5, 40.0);
+        b.connect(big, board, 0.25);
+        b.connect(little, board, 0.125);
+        b.connect(gpu, board, 0.125);
+        b.connect(big, gpu, 0.125);
+        b.connect(big, little, 0.0625);
+        b.connect(mem, board, 0.25);
+        b.connect(board, big, 0.125);
+        let mut m = b.build();
+        let h = 0.25;
+        assert!(h <= m.max_stable_dt());
+        let nodes: [Node<'_>; 5] = [
+            (
+                4.0,
+                &[(0.0625, little), (0.125, gpu), (0.375, board)],
+                0.0,
+                0.5,
+            ),
+            (0.5, &[(0.0625, big), (0.125, board)], 0.0, 0.25),
+            (2.0, &[(0.125, big), (0.125, board)], 0.0, 2.0),
+            (1.5, &[(0.25, board)], 0.125, 1.0),
+            (
+                0.25,
+                &[(0.375, big), (0.125, little), (0.125, gpu), (0.25, mem)],
+                0.5,
+                64.0,
+            ),
+        ];
+        let t = m.temps().to_vec();
+        let expect: Vec<f64> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &node)| hand_euler(h, &t, 25.0, i, node))
+            .collect();
+        let p: Vec<f64> = nodes.iter().map(|node| node.0).collect();
+        assert_eq!(m.step(h, &p), 1);
+        assert_eq!(m.temps(), expect);
+    }
+
     #[test]
     fn flattened_conductance_is_symmetric_and_queryable() {
         let mut b = ThermalModelBuilder::new(25.0);
@@ -643,12 +776,32 @@ mod tests {
         b.connect(n0, n1, 0.5);
         b.connect(n1, n2, 0.25);
         b.connect(n0, n1, 0.125); // parallel paths accumulate
+        b.connect(n2, n1, 0.1); // a reversed duplicate, not dyadic
+        b.connect(n1, n2, 0.7);
         let m = b.build();
         assert_eq!(m.conductance_w_per_c(n0, n1), 0.625);
         assert_eq!(m.conductance_w_per_c(n1, n0), 0.625);
-        assert_eq!(m.conductance_w_per_c(n1, n2), 0.25);
+        assert_eq!(m.conductance_w_per_c(n1, n2), 0.25 + 0.1 + 0.7);
         assert_eq!(m.conductance_w_per_c(n0, n2), 0.0);
         assert_eq!(m.conductance_w_per_c(n2, n2), 0.0);
+
+        // The node-blocked Euler kernel reads column j as row j, which
+        // is exact only while the matrix is symmetric bit for bit.
+        let boards = std::iter::once(BoardSpec::OdroidXu4)
+            .chain((16..=64).map(|nodes| BoardSpec::ManyNode { nodes }))
+            .map(|spec| spec.build_ideal().thermal);
+        for m in boards.chain([m]) {
+            for i in 0..m.len() {
+                for j in 0..m.len() {
+                    assert_eq!(
+                        m.conductance_w_per_c(i, j).to_bits(),
+                        m.conductance_w_per_c(j, i).to_bits(),
+                        "{} nodes: G[{i}][{j}] != G[{j}][{i}]",
+                        m.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -238,21 +238,26 @@ proptest! {
     }
 
     /// The SoA lockstep kernel is bit-identical to the scalar Euler
-    /// integrator on *arbitrary* chain topologies — any node count, any
-    /// lane count (including tails that don't fill the last SIMD
-    /// vector, and the 1-lane degenerate batch), any capacitances and
-    /// conductances, sub-stepping dt or not, per-lane divergent states
-    /// and per-step time-varying powers.
+    /// integrator on *arbitrary* topologies — any lane count (including
+    /// tails that don't fill the last SIMD vector, and the 1-lane
+    /// degenerate batch), any capacitances and conductances,
+    /// sub-stepping dt or not, per-lane divergent states and per-step
+    /// time-varying powers. The batch keeps the row-by-row order per
+    /// node, so it is the reference for the scalar kernel's node
+    /// blocks: 1–20 nodes cover one block, several blocks and every
+    /// scalar remainder, and a chain plus up to 160 random extra edges,
+    /// with parallel and reversed duplicates, reaches dense matrices.
     #[test]
     fn batched_lockstep_matches_scalar_on_random_topologies(
-        nodes in 1usize..=6,
+        nodes in 1usize..=20,
         lanes in 1usize..=9,
         dt_scale in 0.5..4.0f64,
-        caps in collection::vec(0.1..50.0f64, 6usize),
-        ambg in collection::vec(0.0..1.0f64, 6usize),
-        inits in collection::vec(20.0..90.0f64, 6usize),
-        edges in collection::vec(0.01..0.5f64, 6usize),
-        powers in collection::vec(0.0..5.0f64, 6usize),
+        caps in collection::vec(0.1..50.0f64, 20usize),
+        ambg in collection::vec(0.0..1.0f64, 20usize),
+        inits in collection::vec(20.0..90.0f64, 20usize),
+        edges in collection::vec(0.01..0.5f64, 20usize),
+        powers in collection::vec(0.0..5.0f64, 20usize),
+        extra in collection::vec((0usize..20, 0usize..20, 0.01..0.5f64), 0usize..=160),
     ) {
         use teem_soc::{BatchScratch, ThermalBatch};
 
@@ -269,7 +274,19 @@ proptest! {
                 })
                 .collect();
             for w in ids.windows(2) {
-                b.connect(w[0], w[1], edges[0] + edges[1] * 0.1);
+                b.connect(w[0], w[1], edges[w[0]] + edges[w[1]] * 0.1);
+            }
+            for (k, &(x, y, g)) in extra.iter().enumerate() {
+                let (x, y) = (ids[x % nodes], ids[y % nodes]);
+                if x == y {
+                    continue;
+                }
+                b.connect(x, y, g);
+                if k % 4 == 0 {
+                    b.connect(y, x, g * 0.3); // reversed duplicate
+                } else if k % 4 == 1 {
+                    b.connect(x, y, g * 0.7); // parallel duplicate
+                }
             }
             b.build()
         };
@@ -277,7 +294,7 @@ proptest! {
         let mut scalars: Vec<_> = (0..lanes).map(build).collect();
         let mut batch = ThermalBatch::like(&scalars[0], lanes);
         for (lane, m) in scalars.iter().enumerate() {
-            prop_assert!(batch.matches(m), "chain topology must match across lanes");
+            prop_assert!(batch.matches(m), "topology must match across lanes");
             batch.load_lane(lane, m);
         }
         let mut scratch = BatchScratch::for_batch(&batch);
