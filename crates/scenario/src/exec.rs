@@ -50,8 +50,9 @@ use teem_soc::perf::{cpu_rate, gpu_rate};
 use teem_soc::sensors::BIG_CORE_OFFSETS_C;
 use teem_soc::{
     clamp_freqs, co_run_dynamic_weights, fast_forward_gap, read_sensors_for, Board, BoardSpec,
-    ClusterFreqs, CoRunShare, CpuMapping, GapAdvance, GapPower, NodePowerModel, SensorBank,
-    SensorReadings, SimConfig, SocControl, SocView, StepObs, StepScratch, ThermalZone, TimeAdvance,
+    BoardTemplate, ClusterFreqs, CoRunShare, CpuMapping, GapAdvance, GapPower, NodePowerModel,
+    SensorBank, SensorReadings, SimConfig, SocControl, SocView, StepObs, StepScratch, ThermalZone,
+    TimeAdvance,
 };
 use teem_telemetry::{
     ChannelId, LogHistogram, RunSummary, SampleStage, ScenarioAppRun, ScenarioSummary, Trace,
@@ -90,6 +91,12 @@ pub struct ScenarioResult {
 /// ([`ScenarioRunner::with_shared_profiles`]) instead of cloning it per
 /// matrix cell; on-demand profiles for apps missing from the shared
 /// store land in a runner-local overflow cache.
+///
+/// Every run clones its board from a [`BoardTemplate`] and its empty
+/// trace from one with every channel registered. The runner shares the
+/// pair the way it shares profiles: a standalone runner builds its own,
+/// and the sweep engine hands every cell on a board the pair it built
+/// once for that board.
 #[derive(Debug)]
 pub struct ScenarioRunner {
     approach: Approach,
@@ -99,7 +106,7 @@ pub struct ScenarioRunner {
     shared_profiles: Arc<ProfileStore>,
     local_profiles: ProfileStore,
     step_timing: bool,
-    board: BoardSpec,
+    template: Arc<CellTemplate>,
 }
 
 impl ScenarioRunner {
@@ -133,6 +140,17 @@ impl ScenarioRunner {
     /// runner hands every worker the same [`Arc`] so a thousand-cell
     /// matrix holds one store, not a thousand copies.
     pub fn with_shared_profiles(approach: Approach, profiles: Arc<ProfileStore>) -> Self {
+        let template = Arc::new(CellTemplate::new(BoardSpec::OdroidXu4));
+        ScenarioRunner::with_shared(approach, profiles, template)
+    }
+
+    /// A runner borrowing both a shared profile store and a shared cell
+    /// template: what the sweep engine hands every cell.
+    pub(crate) fn with_shared(
+        approach: Approach,
+        profiles: Arc<ProfileStore>,
+        template: Arc<CellTemplate>,
+    ) -> Self {
         ScenarioRunner {
             approach,
             config: ScenarioRunner::default_config(),
@@ -141,7 +159,7 @@ impl ScenarioRunner {
             shared_profiles: profiles,
             local_profiles: ProfileStore::new(),
             step_timing: false,
-            board: BoardSpec::OdroidXu4,
+            template,
         }
     }
 
@@ -150,13 +168,15 @@ impl ScenarioRunner {
     /// 4-lump network; [`BoardSpec::ManyNode`] boards carry the same
     /// active silicon in a 16–64-node thermal network.
     pub fn with_board(mut self, board: BoardSpec) -> Self {
-        self.board = board;
+        if board != self.board_spec() {
+            self.template = Arc::new(CellTemplate::new(board));
+        }
         self
     }
 
     /// The board spec this runner builds cells on.
     pub fn board_spec(&self) -> BoardSpec {
-        self.board
+        self.template.board_spec()
     }
 
     /// Enables wall-clock timing of the step loop's power-model and
@@ -211,12 +231,12 @@ impl ScenarioRunner {
 
     /// Pre-heats the board toward the first arrival's busy steady state
     /// by [`teem_soc::warm_start`]'s protocol, scaled by
-    /// `warm_start_fraction`. A scenario with no arrivals warm-starts at
-    /// the idle equilibrium.
+    /// `warm_start_fraction`. A timeline (`events`, time-sorted) with no
+    /// arrivals warm-starts at the idle equilibrium.
     fn warm_start(
         &mut self,
         board: &mut Board,
-        scenario: &Scenario,
+        events: &[TimedEvent],
         idle_freqs: ClusterFreqs,
     ) -> Result<(), teem_linreg::LinregError> {
         // Replay threshold/approach changes that precede the first
@@ -225,7 +245,7 @@ impl ScenarioRunner {
         let mut threshold_c = DEFAULT_THRESHOLD_C;
         let mut approach = self.approach;
         let mut first = None;
-        for e in scenario.sorted_events() {
+        for e in events {
             match e.event {
                 ScenarioEvent::Arrival(req) => {
                     first = Some(req);
@@ -296,11 +316,13 @@ impl ScenarioRunner {
         Ok(self.finish_cell(sim))
     }
 
-    /// Builds the suspended simulation state for `scenario`: fresh
-    /// warm-started board, sorted timeline, pre-sized step buffers and
-    /// pre-created trace channels — everything [`ScenarioRunner::run`]
-    /// used to set up before its loop. The returned [`CellSim`] is
-    /// positioned exactly at the first step boundary.
+    /// Builds the suspended simulation state for `scenario`: from the
+    /// runner's [`CellTemplate`], a board at the scenario's ambient with
+    /// a fresh sensor stream, warm-started, and an empty trace with
+    /// every channel registered; the sorted timeline and pre-sized step
+    /// buffers — everything [`ScenarioRunner::run`] used to set up
+    /// before its loop. The returned [`CellSim`] is positioned exactly
+    /// at the first step boundary.
     ///
     /// # Errors
     ///
@@ -311,8 +333,9 @@ impl ScenarioRunner {
         scenario: &Scenario,
     ) -> Result<CellSim, teem_linreg::LinregError> {
         let mut board = self
+            .template
             .board
-            .build_with(scenario.initial_ambient_c(), SensorBank::tmu_like(42));
+            .instantiate(scenario.initial_ambient_c(), SensorBank::tmu_like(42));
 
         // Warm start, matching the single-run engine's back-to-back
         // measurement protocol: the device was busy before the scenario
@@ -321,9 +344,9 @@ impl ScenarioRunner {
         // equilibrium the paper's runs never see. `warm_start_fraction`
         // scales it; 0 gives a cold start at the idle steady state.
         let idle_freqs = ClusterFreqs::min_of(&board);
-        self.warm_start(&mut board, scenario, idle_freqs)?;
-
         let events = scenario.sorted_events();
+        self.warm_start(&mut board, &events, idle_freqs)?;
+
         // The scenario ends at the last completion: environment events
         // scheduled after the final arrival has completed are not
         // simulated (they could only dilate makespan with idle time).
@@ -343,16 +366,6 @@ impl ScenarioRunner {
         let cluster_cores = CpuMapping::new(board.little_power.cores, board.big_power.cores);
         let effective = idle_freqs;
         let readings = read_sensors_for(&mut board, CpuMapping::new(0, 0), effective, false, 1.0);
-        // Every channel the run can touch is pre-registered here —
-        // including gap telemetry, which only gap-y runs record (empty
-        // channels are digest-invisible, so gap-free digests hold) —
-        // and finish_cell asserts the allocating record fallback never
-        // fired. The sampled channels also get a sample-major stage:
-        // one contiguous row per sample instead of nine scattered
-        // per-channel appends.
-        let trace = Trace::with_channels(ALL_SCENARIO_TRACE_CHANNELS);
-        let ids = TraceIds::resolve(&trace);
-        let stage = SampleStage::for_channels(&trace, SCENARIO_TRACE_CHANNELS);
         // The empty board's model: valid for its key until an input moves.
         let power = NodePowerModel::idle(&board, effective);
 
@@ -389,9 +402,9 @@ impl ScenarioRunner {
             claims: Vec::with_capacity(capacity),
             weights: Vec::with_capacity(capacity),
             cluster_cores,
-            trace,
-            ids,
-            stage,
+            trace: self.template.trace.clone(),
+            ids: self.template.ids,
+            stage: self.template.stage.clone(),
             busy_s: 0.0,
             overlap_s: 0.0,
             idle_s: 0.0,
@@ -805,11 +818,51 @@ impl ScenarioRunner {
     }
 }
 
+/// What every run on one board starts from, built once: the
+/// [`BoardTemplate`], and the scenario trace with every channel
+/// registered and its ids resolved. A sweep builds one per board on its
+/// board axis and hands it to every cell on that board; a standalone
+/// runner builds its own. A cell clones both, so its set-up rebuilds
+/// neither the board nor the channel map.
+#[derive(Debug)]
+pub(crate) struct CellTemplate {
+    board: BoardTemplate,
+    trace: Trace,
+    ids: TraceIds,
+    stage: SampleStage,
+}
+
+impl CellTemplate {
+    pub(crate) fn new(board: BoardSpec) -> Self {
+        // Every channel a run can touch is pre-registered here —
+        // including gap telemetry, which only gap-y runs record (empty
+        // channels are digest-invisible, so gap-free digests hold) —
+        // and finish_cell asserts the allocating record fallback never
+        // fired. The sampled channels also get a sample-major stage:
+        // one contiguous row per sample instead of nine scattered
+        // per-channel appends.
+        let trace = Trace::with_channels(ALL_SCENARIO_TRACE_CHANNELS);
+        let ids = TraceIds::resolve(&trace);
+        let stage = SampleStage::for_channels(&trace, SCENARIO_TRACE_CHANNELS);
+        CellTemplate {
+            board: BoardTemplate::new(board),
+            trace,
+            ids,
+            stage,
+        }
+    }
+
+    /// The board this template's runs simulate on.
+    pub(crate) fn board_spec(&self) -> BoardSpec {
+        self.board.spec()
+    }
+}
+
 /// Pre-resolved [`ChannelId`]s for the scenario trace channels recorded
-/// outside the sample stage — resolved once at
-/// [`ScenarioRunner::prepare_cell`] and recorded through thereafter, so
-/// no name lookup (and no allocating late-channel fallback) ever runs
-/// in the hot loop.
+/// outside the sample stage — resolved once per [`CellTemplate`] and
+/// recorded through thereafter, so no name lookup (and no allocating
+/// late-channel fallback) ever runs in the hot loop.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct TraceIds {
     temp_max: ChannelId,
     freq_big: ChannelId,
@@ -819,7 +872,8 @@ pub(crate) struct TraceIds {
 impl TraceIds {
     /// Resolves the scenario channel set against `trace`, which must
     /// have been created with [`Trace::with_channels`] over
-    /// [`ALL_SCENARIO_TRACE_CHANNELS`] (as every [`CellSim`] trace is).
+    /// [`ALL_SCENARIO_TRACE_CHANNELS`] (as every [`CellSim`] trace's
+    /// template is).
     pub(crate) fn resolve(trace: &Trace) -> TraceIds {
         let id = |name: &str| {
             trace

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::arbiter::ContentionPolicy;
-use crate::exec::{ScenarioResult, ScenarioRunner};
+use crate::exec::{CellTemplate, ScenarioResult, ScenarioRunner};
 use crate::lockstep::LockstepPool;
 use crate::obs::{PoolObs, RunObs, SweepObsReport, WorkerObs};
 use crate::scenario::Scenario;
@@ -312,8 +312,8 @@ pub struct SweepSpec {
     scenarios: Vec<Scenario>,
     approaches: Vec<Approach>,
     contentions: Vec<ContentionPolicy>,
-    thresholds_c: Option<Vec<f64>>,
-    ambients_c: Option<Vec<f64>>,
+    thresholds_c: Option<FloatAxis>,
+    ambients_c: Option<FloatAxis>,
     tunables: Option<Vec<TeemTunables>>,
     idle_policies: Option<Vec<IdlePolicy>>,
     boards: Option<Vec<BoardSpec>>,
@@ -383,7 +383,7 @@ impl SweepSpec {
                 "threshold {t} out of plausible range"
             );
         }
-        self.thresholds_c = Some(thresholds_c.to_vec());
+        self.thresholds_c = Some(FloatAxis::new(thresholds_c, "thr"));
         self.assert_threshold_axis_alive();
         self
     }
@@ -400,7 +400,7 @@ impl SweepSpec {
                 "ambient {a} out of plausible range"
             );
         }
-        self.ambients_c = Some(ambients_c.to_vec());
+        self.ambients_c = Some(FloatAxis::new(ambients_c, "amb"));
         self
     }
 
@@ -424,7 +424,7 @@ impl SweepSpec {
     /// every TEEM knob set carries its own threshold override.
     fn assert_threshold_axis_alive(&self) {
         if let (Some(thresholds), Some(tunables)) = (&self.thresholds_c, &self.tunables) {
-            let axis_dead = !thresholds.is_empty()
+            let axis_dead = !thresholds.values.is_empty()
                 && !tunables.is_empty()
                 && tunables.iter().all(|t| t.threshold_c.is_some());
             assert!(
@@ -480,6 +480,12 @@ impl SweepSpec {
 
     /// Caps the worker count (1 ⇒ fully sequential in cell-index order,
     /// useful for determinism A/B tests).
+    ///
+    /// With one worker the sweep spawns no thread: the cells run on the
+    /// calling thread and the sink runs inline, between cells. Sink work
+    /// such as trace digests and journal writes therefore serialises
+    /// with the cells instead of overlapping them, and counts in every
+    /// cell's share of the wall clock.
     ///
     /// # Panics
     ///
@@ -679,10 +685,10 @@ impl SweepSpec {
                 }
             }
         }
-        let axis = |h: &mut Fnv, v: &Option<Vec<f64>>| match v {
-            Some(vals) => {
-                h.u64(1 + vals.len() as u64);
-                for &x in vals {
+        let axis = |h: &mut Fnv, v: &Option<FloatAxis>| match v {
+            Some(axis) => {
+                h.u64(1 + axis.values.len() as u64);
+                for &x in &axis.values {
                     h.f64(x);
                 }
             }
@@ -764,8 +770,8 @@ impl SweepSpec {
         self.scenarios.len()
             * self.approaches.len()
             * self.contentions.len()
-            * self.thresholds_c.as_ref().map_or(1, Vec::len)
-            * self.ambients_c.as_ref().map_or(1, Vec::len)
+            * self.thresholds_c.as_ref().map_or(1, FloatAxis::len)
+            * self.ambients_c.as_ref().map_or(1, FloatAxis::len)
             * self.tunables.as_ref().map_or(1, Vec::len)
             * self.idle_policies.as_ref().map_or(1, Vec::len)
             * self.boards.as_ref().map_or(1, Vec::len)
@@ -800,58 +806,52 @@ impl SweepSpec {
             .as_ref()
             .map(|ps| ps[pick(&mut rest, ps.len())]);
         let contention = self.contentions[pick(&mut rest, self.contentions.len())];
-        let ambient_c = self
+        let ambient = self
             .ambients_c
             .as_ref()
-            .map(|a| a[pick(&mut rest, a.len())]);
-        let threshold_c = self
+            .map(|a| a.pick(pick(&mut rest, a.len())));
+        let threshold = self
             .thresholds_c
             .as_ref()
-            .map(|t| t[pick(&mut rest, t.len())]);
+            .map(|t| t.pick(pick(&mut rest, t.len())));
         let board = match &self.boards {
             Some(bs) => bs[pick(&mut rest, bs.len())],
             None => BoardSpec::OdroidXu4,
         };
         let scenario_index = rest;
 
-        let mut tags: Vec<String> = Vec::new();
-        if self.boards.is_some() {
-            tags.push(board.label());
-        }
-        if let Some(t) = threshold_c {
-            tags.push(format!("thr{t}"));
-        }
-        if let Some(a) = ambient_c {
-            tags.push(format!("amb{a}"));
-        }
-        if self.contentions.len() > 1 {
-            tags.push(contention.name().to_string());
-        }
-        if let Some(p) = idle_policy {
-            tags.push(match p {
-                IdlePolicy::RaceToIdle => "race".to_string(),
-                IdlePolicy::TimeoutCollapse { timeout_ms } => {
-                    format!("collapse{timeout_ms}ms")
-                }
-            });
-        }
-        if self.tunables.is_some() {
-            tags.push(tunables.label());
-        }
+        // The name is the base name, then `@` and the set axes' tags
+        // joined by `/`, written into one exactly sized string.
+        let board_tag = self.boards.is_some().then(|| board.label());
+        let idle_tag = idle_policy.map(|p| match p {
+            IdlePolicy::RaceToIdle => "race".to_string(),
+            IdlePolicy::TimeoutCollapse { timeout_ms } => format!("collapse{timeout_ms}ms"),
+        });
+        let tunables_tag = self.tunables.is_some().then(|| tunables.label());
+        let tags = [
+            board_tag.as_deref(),
+            threshold.map(|(_, tag)| tag),
+            ambient.map(|(_, tag)| tag),
+            (self.contentions.len() > 1).then(|| contention.name()),
+            idle_tag.as_deref(),
+            tunables_tag.as_deref(),
+        ];
         let base = self.scenarios[scenario_index].name();
-        let name = if tags.is_empty() {
-            base.to_string()
-        } else {
-            format!("{base}@{}", tags.join("/"))
-        };
+        let tags_len: usize = tags.iter().flatten().map(|t| 1 + t.len()).sum();
+        let mut name = String::with_capacity(base.len() + tags_len);
+        name.push_str(base);
+        for (i, tag) in tags.iter().flatten().enumerate() {
+            name.push(if i == 0 { '@' } else { '/' });
+            name.push_str(tag);
+        }
 
         SweepCell {
             index,
             name,
             approach,
             contention,
-            threshold_c,
-            ambient_c,
+            threshold_c: threshold.map(|(t, _)| t),
+            ambient_c: ambient.map(|(a, _)| a),
             tunables,
             idle_policy,
             board,
@@ -943,10 +943,20 @@ impl SweepSpec {
             });
         }
 
-        // Profile every app once, up front, shared with every worker.
+        // Profile every app and build every board's cell template once,
+        // up front, shared with every worker.
         let apps: BTreeSet<App> = self.scenarios.iter().flat_map(Scenario::apps).collect();
-        let profiles = cached_profiles(apps)?;
-        let config = self.resolved_config();
+        let mut templates: Vec<Arc<CellTemplate>> = Vec::new();
+        for &board in self.boards.as_deref().unwrap_or(&[BoardSpec::OdroidXu4]) {
+            if templates.iter().all(|t| t.board_spec() != board) {
+                templates.push(Arc::new(CellTemplate::new(board)));
+            }
+        }
+        let shared = SweepShared {
+            profiles: cached_profiles(apps)?,
+            templates,
+            config: self.resolved_config(),
+        };
         let workers = self.threads.min(total);
 
         let mut completed = 0usize;
@@ -964,17 +974,10 @@ impl SweepSpec {
             // Sequential: one worker on this thread, claiming in
             // cell-index order and handing events straight to the sink.
             let mut order = (0..total).map(&to_index);
-            self.worker_loop(
-                0,
-                obs,
-                &profiles,
-                config,
-                &mut |_| order.next(),
-                &mut |_, event| {
-                    deliver(event);
-                    true
-                },
-            );
+            self.worker_loop(0, obs, &shared, &mut |_| order.next(), &mut |_, event| {
+                deliver(event);
+                true
+            });
         } else {
             // Work-stealing pool: a shared injector of chunks, one
             // claimed (start, end) range per worker, thieves take the
@@ -1015,7 +1018,7 @@ impl SweepSpec {
                     let injector = &injector;
                     let claims = &claims;
                     let claimed = &claimed;
-                    let profiles = &profiles;
+                    let shared = &shared;
                     let to_index = &to_index;
                     scope.spawn(move || {
                         // The claim structure schedules work-list
@@ -1054,7 +1057,7 @@ impl SweepSpec {
                                 sent
                             }
                         };
-                        self.worker_loop(me, obs, profiles, config, &mut next, &mut emit);
+                        self.worker_loop(me, obs, shared, &mut next, &mut emit);
                     });
                 }
                 drop(tx); // the receiver loop ends when every worker has
@@ -1114,16 +1117,16 @@ impl SweepSpec {
     }
 
     /// Starts one cell: materialises its scenario (name, threshold,
-    /// ambient overrides), builds its configured runner, prepares it
-    /// and steps it on the scalar loop, panics caught. With `admit`
-    /// set the cell stops at the first lockstep-eligible step
-    /// boundary; otherwise, or if it never becomes eligible, it runs to
+    /// ambient overrides), builds its configured runner on the run's
+    /// shared profiles and its board's cell template, prepares it and
+    /// steps it on the scalar loop, panics caught. With `admit` set the
+    /// cell stops at the first lockstep-eligible step boundary;
+    /// otherwise, or if it never becomes eligible, it runs to
     /// completion — exactly [`ScenarioRunner::run`]'s calls.
     fn start_cell(
         &self,
         cell: &SweepCell,
-        profiles: &Arc<ProfileStore>,
-        config: SimConfig,
+        shared: &SweepShared,
         instrument: bool,
         admit: bool,
     ) -> CellStart {
@@ -1137,16 +1140,24 @@ impl SweepSpec {
         if let Some(a) = cell.ambient_c {
             scenario = scenario.with_initial_ambient(a);
         }
-        let mut cfg = config;
+        let mut cfg = shared.config;
         if let Some(p) = cell.idle_policy {
             cfg.idle_policy = p;
         }
-        let mut runner = ScenarioRunner::with_shared_profiles(cell.approach, Arc::clone(profiles))
-            .with_contention(cell.contention)
-            .with_tunables(cell.tunables)
-            .with_board(cell.board)
-            .with_config(cfg)
-            .with_step_timing(instrument);
+        let template = shared
+            .templates
+            .iter()
+            .find(|t| t.board_spec() == cell.board)
+            .expect("every board on the axis has a template");
+        let mut runner = ScenarioRunner::with_shared(
+            cell.approach,
+            Arc::clone(&shared.profiles),
+            Arc::clone(template),
+        )
+        .with_contention(cell.contention)
+        .with_tunables(cell.tunables)
+        .with_config(cfg)
+        .with_step_timing(instrument);
         catch_cell(move || {
             let mut sim = runner.prepare_cell(&scenario)?;
             loop {
@@ -1177,8 +1188,7 @@ impl SweepSpec {
         &self,
         worker: usize,
         obs: Option<&RunObs>,
-        profiles: &Arc<ProfileStore>,
-        config: SimConfig,
+        shared: &SweepShared,
         next: &mut dyn FnMut(&mut Option<WorkerObs>) -> Option<usize>,
         emit: &mut dyn FnMut(&mut Option<WorkerObs>, SweepEvent) -> bool,
     ) {
@@ -1213,8 +1223,7 @@ impl SweepSpec {
                     break;
                 }
                 let started = clock(&wobs);
-                let start =
-                    self.start_cell(&cell, profiles, config, instrument, lockstep.is_some());
+                let start = self.start_cell(&cell, shared, instrument, lockstep.is_some());
                 bank_busy(&mut wobs, started);
                 let outcome = match start {
                     CellStart::Eligible(boxed) => {
@@ -1274,8 +1283,7 @@ impl SweepSpec {
                 for token in pool.evict_all() {
                     let (cell, started) = take_in_flight(&mut in_flight, token);
                     let busy_t0 = clock(&wobs);
-                    let outcome = match self.start_cell(&cell, profiles, config, instrument, false)
-                    {
+                    let outcome = match self.start_cell(&cell, shared, instrument, false) {
                         CellStart::Done(result) => Ok(*result),
                         CellStart::Failed(message) => Err(message),
                         CellStart::Eligible(_) => unreachable!("lane admission is off"),
@@ -1313,6 +1321,42 @@ impl SweepSpec {
                 .push(w);
         }
     }
+}
+
+/// A float knob axis (thresholds, ambients): its values, and each
+/// value's cell-name tag (`thr82.5`, `amb30`), formatted once when the
+/// axis is set instead of once per cell.
+#[derive(Debug, Clone)]
+struct FloatAxis {
+    values: Vec<f64>,
+    tags: Vec<String>,
+}
+
+impl FloatAxis {
+    fn new(values: &[f64], prefix: &str) -> Self {
+        FloatAxis {
+            values: values.to_vec(),
+            tags: values.iter().map(|v| format!("{prefix}{v}")).collect(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Value `i` and its tag.
+    fn pick(&self, i: usize) -> (f64, &str) {
+        (self.values[i], &self.tags[i])
+    }
+}
+
+/// What every cell of one sweep run shares, built once before the
+/// first cell: the offline profiles, one cell template per distinct
+/// board on the board axis, and the resolved configuration.
+struct SweepShared {
+    profiles: Arc<ProfileStore>,
+    templates: Vec<Arc<CellTemplate>>,
+    config: SimConfig,
 }
 
 /// The shared offline-profile store for an app set, memoised across

@@ -16,6 +16,10 @@
 //! and `Simulation::run` through `evaluate::simulate` and `runner::run`.
 //! They were recorded from the engine that re-derived the power
 //! operating point every step.
+//!
+//! A third pins a sweep grid over every axis a cell's set-up depends
+//! on (threshold, ambient, board, gappy event-driven cells), scalar and
+//! batched. It was recorded while every cell still built its own board.
 
 use teem_core::offline::profile_app;
 use teem_core::runner::{fig5_mapping, fig5_requirement, run as run_approach, Approach};
@@ -390,4 +394,77 @@ fn simulation_run_results_are_pinned() {
         }
     }
     check("simulation-run", h.finish(), GOLDEN_SIMULATION_RUN);
+}
+
+/// Two one-arrival scenarios plus a gappy two-arrival one, over every
+/// axis a cell's board depends on: threshold, ambient (non-dyadic
+/// values) and board. Event-driven under `TimeoutCollapse`, so each
+/// gappy cell fast-forwards its idle gap in closed form on its own
+/// board's cooling plan, collapses the clusters and records the gap
+/// length.
+fn axis_grid() -> teem_scenario::SweepSpec {
+    teem_scenario::SweepSpec::over([
+        Scenario::new("ax-mvt").arrive(0.0, App::Mvt, 0.9),
+        Scenario::new("ax-gesummv").arrive(0.0, App::Gesummv, 0.7),
+        Scenario::new("ax-gappy")
+            .arrive(0.0, App::Mvt, 0.9)
+            .arrive(75.0, App::Mvt, 0.9),
+    ])
+    .thresholds_c(&[80.7, 86.3])
+    .ambients_c(&[17.35, 31.9])
+    .boards(&[BoardSpec::OdroidXu4, BoardSpec::ManyNode { nodes: 16 }])
+    .patch_config(ConfigPatch {
+        idle_policy: Some(IdlePolicy::TimeoutCollapse { timeout_ms: 500 }),
+        time_advance: Some(TimeAdvance::EventDriven),
+        ..ConfigPatch::default()
+    })
+}
+
+/// The `journal_digest` of every cell's record (name, approach, summary
+/// figures, trace digest), and the count and summed length (ms) of the
+/// gaps the cells fast-forwarded.
+fn axis_grid_digest(spec: &teem_scenario::SweepSpec) -> (u64, u64, u64) {
+    use teem_scenario::{journal_digest, SweepEvent};
+    use teem_telemetry::{CellRecord, LogHistogram};
+
+    let mut records = Vec::new();
+    let mut gaps = LogHistogram::new();
+    let stats = spec
+        .run_streaming(|ev| {
+            if let SweepEvent::CellDone { cell, result } = ev {
+                gaps.merge(&result.gap_len_ms);
+                records.push(CellRecord::from_summary(
+                    cell.index,
+                    &result.summary,
+                    result.trace.digest(),
+                ));
+            }
+        })
+        .expect("sweep runs");
+    assert_eq!(stats.failed, 0, "no cell may fail");
+    assert_eq!(records.len(), spec.cells());
+    (journal_digest(&records), gaps.count(), gaps.sum())
+}
+
+/// Recorded before sweep cells cloned their boards from a per-sweep
+/// template: every cell built its own board.
+const GOLDEN_AXIS_GRID: u64 = 0xa406_8db3_11fd_5eb4;
+const GOLDEN_AXIS_GRID_GAPS: u64 = 8;
+const GOLDEN_AXIS_GRID_GAP_MS: u64 = 184_000;
+
+/// The parity suites compare two paths that both set a cell up through
+/// the same code, so a set-up bug moves both alike. This pins the set-up
+/// itself: per-cell ambients and boards, sensor streams, and the gap
+/// path on each cell's own board, scalar and batched.
+#[test]
+fn axis_grid_is_pinned_scalar_and_batched() {
+    for (mode, spec) in [
+        ("scalar", axis_grid().threads(1)),
+        ("batched", axis_grid().batch(4).threads(2)),
+    ] {
+        let (digest, gaps, gap_ms) = axis_grid_digest(&spec);
+        check(&format!("axis-grid/{mode}"), digest, GOLDEN_AXIS_GRID);
+        assert_eq!(gaps, GOLDEN_AXIS_GRID_GAPS, "{mode}: gap count");
+        assert_eq!(gap_ms, GOLDEN_AXIS_GRID_GAP_MS, "{mode}: gap length");
+    }
 }

@@ -119,6 +119,58 @@ impl BoardSpec {
     }
 }
 
+/// One [`BoardSpec`] built once, with its thermal network already
+/// LU-factorised, for runs to clone their boards from.
+///
+/// Building a board assembles its RC network, OPP tables and power
+/// parameters, and its first warm start factorises the network. None of
+/// that depends on the ambient or the sensors, so a sweep builds one
+/// template per board and every cell clones it
+/// ([`BoardTemplate::instantiate`]). The clone is bit-identical to
+/// [`BoardSpec::build_with`] at the same ambient and sensor bank, and it
+/// already holds the factors. The template's own board is private and
+/// never stepped, sampled or cooled, so no run's state can reach
+/// another's.
+#[derive(Debug)]
+pub struct BoardTemplate {
+    spec: BoardSpec,
+    board: Board,
+}
+
+impl BoardTemplate {
+    /// Builds `spec` and factorises its thermal network.
+    ///
+    /// # Panics
+    ///
+    /// As [`BoardSpec::build_with`].
+    pub fn new(spec: BoardSpec) -> Self {
+        let board = spec.build_ideal();
+        // The first solve factorises the network; clones keep the
+        // factors.
+        board.thermal.steady_state(&vec![0.0; board.thermal.len()]);
+        BoardTemplate { spec, board }
+    }
+
+    /// The spec this template was built from.
+    pub fn spec(&self) -> BoardSpec {
+        self.spec
+    }
+
+    /// A board for one run: the template's board with every node and
+    /// the ambient at `ambient_c`, and `sensors` as its sensor bank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ambient_c` is outside −40 to 120 °C
+    /// ([`ThermalModel::set_ambient_c`](crate::ThermalModel::set_ambient_c)).
+    pub fn instantiate(&self, ambient_c: f64, sensors: SensorBank) -> Board {
+        let mut board = self.board.clone();
+        board.thermal.reset_to_ambient(ambient_c);
+        board.sensors = sensors;
+        board
+    }
+}
+
 /// SplitMix64 step for the deterministic tile-parameter lottery —
 /// self-contained so board generation needs no RNG plumbing.
 fn splitmix(state: &mut u64) -> f64 {
@@ -414,6 +466,78 @@ mod tests {
             c.thermal.capacitances_j_per_c(),
             "different seed must vary tile constants"
         );
+    }
+
+    #[test]
+    fn template_clone_matches_fresh_build_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for spec in [
+            BoardSpec::OdroidXu4,
+            BoardSpec::ManyNode { nodes: 16 },
+            BoardSpec::ManyNode { nodes: 64 },
+        ] {
+            let template = BoardTemplate::new(spec);
+            assert_eq!(template.spec(), spec);
+            // Every ambient clones the same template after the previous
+            // clone was cooled, sampled and stepped: nothing leaks back.
+            for ambient in [15.0, 25.0, 33.0, 17.35] {
+                let mut fresh = spec.build_with(ambient, SensorBank::tmu_like(42));
+                let mut cloned = template.instantiate(ambient, SensorBank::tmu_like(42));
+                let (a, b) = (&fresh.thermal, &cloned.thermal);
+                let n = a.len();
+                assert_eq!(b.len(), n);
+                // A template keeps one board per spec and resets the
+                // ambient, which is only exact because a fresh build
+                // starts every node at its ambient.
+                assert!(a.temps().iter().all(|&t| t == ambient), "{spec:?}");
+                assert_eq!(bits(b.temps()), bits(a.temps()), "{spec:?} @ {ambient}");
+                assert_eq!(b.ambient_c().to_bits(), ambient.to_bits());
+                assert_eq!(b.max_stable_dt().to_bits(), a.max_stable_dt().to_bits());
+                assert_eq!(
+                    bits(b.capacitances_j_per_c()),
+                    bits(a.capacitances_j_per_c())
+                );
+                assert_eq!(
+                    bits(b.ambient_conductances_w_per_c()),
+                    bits(a.ambient_conductances_w_per_c())
+                );
+                for i in 0..n {
+                    for j in 0..n {
+                        assert_eq!(
+                            b.conductance_w_per_c(i, j).to_bits(),
+                            a.conductance_w_per_c(i, j).to_bits(),
+                            "{spec:?}: G[{i}][{j}]"
+                        );
+                    }
+                }
+                let mut power = vec![0.0; n];
+                power[fresh.nodes.big] = 4.2;
+                power[fresh.nodes.little] = 0.7;
+                power[fresh.nodes.gpu] = 2.3;
+                power[fresh.nodes.board] = fresh.board_base_w;
+                assert_eq!(
+                    bits(&b.steady_state(&power)),
+                    bits(&a.steady_state(&power)),
+                    "{spec:?} @ {ambient}: steady state"
+                );
+                fresh.thermal.cool_to(7.3, ambient, &power);
+                cloned.thermal.cool_to(7.3, ambient, &power);
+                assert_eq!(
+                    bits(cloned.thermal.temps()),
+                    bits(fresh.thermal.temps()),
+                    "{spec:?} @ {ambient}: cool_to"
+                );
+                for k in 0..20 {
+                    let (big, gpu) = (61.3 + 0.37 * f64::from(k), 55.1 + 0.29 * f64::from(k));
+                    assert_eq!(
+                        cloned.sensors.read(big, gpu),
+                        fresh.sensors.read(big, gpu),
+                        "{spec:?} @ {ambient}: sensor read {k}"
+                    );
+                }
+                cloned.thermal.step(0.01, &power);
+            }
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod thermal;
 mod thermal_zone;
 
 pub use batch::{BatchPowerModel, BatchScratch, ThermalBatch};
-pub use board::{Board, BoardSpec, ThermalNodes};
+pub use board::{Board, BoardSpec, BoardTemplate, ThermalNodes};
 pub use engine::{
     clamp_freqs, co_run_dynamic_weights, fast_forward_gap, read_sensors_for, warm_start,
     ClusterFreqs, CoRunShare, GapAdvance, GapPower, HotspotSplit, IdlePolicy, Manager, RunResult,

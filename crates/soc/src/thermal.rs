@@ -227,6 +227,19 @@ impl ThermalModel {
         self.ambient_c = ambient_c;
     }
 
+    /// Puts the whole network at `ambient_c`: the ambient and every node
+    /// temperature. That is the state [`ThermalModelBuilder::build`]
+    /// leaves when every node starts at the builder's ambient, as every
+    /// board's nodes do. The topology and any cached factors are kept.
+    ///
+    /// # Panics
+    ///
+    /// As [`ThermalModel::set_ambient_c`].
+    pub(crate) fn reset_to_ambient(&mut self, ambient_c: f64) {
+        self.set_ambient_c(ambient_c);
+        self.temps.fill(ambient_c);
+    }
+
     /// Advances the network by `dt` seconds with `power_w[i]` watts
     /// injected into node `i`, sub-stepping as needed for stability.
     /// Returns the number of Euler sub-steps taken.

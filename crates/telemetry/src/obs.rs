@@ -42,13 +42,16 @@ const BUCKETS: usize = SUB as usize * (OCTAVES + 2);
 ///
 /// Values below 32 are exact; above, each power-of-two range is split
 /// into 32 linear sub-buckets, so any reported quantile is within
-/// ~3 % of the true value. The bucket array is fixed-size (one
-/// allocation at construction, ~15 KiB), recording is two shifts and an
-/// add, and two histograms with the same (compile-time) geometry merge
-/// by bucket-wise addition — exactly associative, which lets per-worker
-/// histograms fold into a campaign total in any order.
+/// ~3 % of the true value. The bucket array is fixed-size (~15 KiB) and
+/// allocated once, by the first [`LogHistogram::record`] or the first
+/// merge of a non-empty histogram: an empty histogram, such as a gap-free
+/// run's gap lengths, costs no allocation. Recording is two shifts and
+/// an add, and two histograms with the same (compile-time) geometry
+/// merge by bucket-wise addition — exactly associative, which lets
+/// per-worker histograms fold into a campaign total in any order.
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
+    /// Empty until the first sample; then `BUCKETS` long.
     counts: Vec<u64>,
     count: u64,
     sum: u64,
@@ -63,10 +66,10 @@ impl Default for LogHistogram {
 }
 
 impl LogHistogram {
-    /// An empty histogram.
+    /// An empty histogram. Allocates nothing.
     pub fn new() -> Self {
         LogHistogram {
-            counts: vec![0; BUCKETS],
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -97,9 +100,17 @@ impl LogHistogram {
         lower + ((1u64 << octave) - 1)
     }
 
+    /// The bucket array, allocated on first use.
+    fn counts_mut(&mut self) -> &mut [u64] {
+        if self.counts.is_empty() {
+            self.counts = vec![0; BUCKETS];
+        }
+        &mut self.counts
+    }
+
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
-        self.counts[Self::bucket(v)] += 1;
+        self.counts_mut()[Self::bucket(v)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
@@ -167,8 +178,10 @@ impl LogHistogram {
     /// Folds `other` into `self` (bucket-wise addition — exactly
     /// associative and commutative).
     pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        if !other.counts.is_empty() {
+            for (a, b) in self.counts_mut().iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
@@ -1056,6 +1069,98 @@ impl ProgressModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An empty histogram with its bucket array allocated up front, as
+    /// every histogram was before allocation moved to the first sample.
+    fn eager() -> LogHistogram {
+        LogHistogram {
+            counts: vec![0; BUCKETS],
+            ..LogHistogram::new()
+        }
+    }
+
+    /// Everything a histogram reports through its public surface.
+    fn observed(h: &LogHistogram) -> (u64, u64, u64, u64, f64, Vec<u64>) {
+        let qs = [0.0, 0.01, 0.5, 0.9, 0.99, 1.0];
+        (
+            h.count(),
+            h.sum(),
+            h.min(),
+            h.max(),
+            h.mean(),
+            qs.iter().map(|&q| h.quantile(q)).collect(),
+        )
+    }
+
+    #[test]
+    fn empty_histogram_reports_zeros_without_allocating() {
+        let h = LogHistogram::new();
+        assert!(h.counts.is_empty(), "no bucket array before a sample");
+        assert_eq!(observed(&h), observed(&eager()));
+        assert_eq!(observed(&h), (0, 0, 0, 0, 0.0, vec![0; 6]));
+        assert_eq!(
+            h.summary(),
+            HistogramSummary {
+                count: 0,
+                mean: 0.0,
+                p50: 0,
+                p90: 0,
+                p99: 0,
+                max: 0,
+            }
+        );
+        assert_eq!(h.summary(), eager().summary());
+    }
+
+    #[test]
+    fn merging_empty_histograms_matches_eager_allocation() {
+        let mut populated = LogHistogram::new();
+        for v in [3u64, 40, 900, 17_000, 5_000_000] {
+            populated.record(v);
+        }
+        assert_eq!(populated.counts.len(), BUCKETS);
+
+        // Empty into populated: nothing moves.
+        let mut lazy = populated.clone();
+        lazy.merge(&LogHistogram::new());
+        let mut eager_into = populated.clone();
+        eager_into.merge(&eager());
+        assert_eq!(observed(&lazy), observed(&populated));
+        assert_eq!(observed(&lazy), observed(&eager_into));
+        assert_eq!(lazy.counts, eager_into.counts);
+
+        // Populated into empty: the buckets are allocated and equal.
+        let mut lazy = LogHistogram::new();
+        lazy.merge(&populated);
+        let mut eager_from = eager();
+        eager_from.merge(&populated);
+        assert_eq!(observed(&lazy), observed(&eager_from));
+        assert_eq!(lazy.counts, eager_from.counts);
+        assert_eq!(lazy.counts, populated.counts);
+
+        // Empty into empty stays unallocated and empty.
+        let mut both = LogHistogram::new();
+        both.merge(&LogHistogram::new());
+        assert!(both.counts.is_empty());
+        assert_eq!(observed(&both), observed(&eager()));
+    }
+
+    #[test]
+    fn registry_snapshot_of_an_empty_histogram() {
+        let mut reg = MetricsRegistry::new();
+        reg.histogram("engine.gap_len_ms");
+        reg.merge_histogram("pool.steal_size", &LogHistogram::new());
+        let snap = reg.snapshot();
+        for name in ["engine.gap_len_ms", "pool.steal_size"] {
+            assert_eq!(
+                snap.histogram(name),
+                Some(&eager().summary()),
+                "{name}: an empty histogram snapshots as zeros"
+            );
+        }
+        let back = MetricsSnapshot::from_json(&snap.to_json()).expect("round-trips");
+        assert_eq!(back, snap);
+    }
 
     #[test]
     fn small_values_are_exact_buckets() {

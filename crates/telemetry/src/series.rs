@@ -72,6 +72,11 @@ impl TimeSeries {
         self.samples.push(Sample { t, v });
     }
 
+    /// Reserves room for at least `additional` more samples.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.samples.reserve(additional);
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()

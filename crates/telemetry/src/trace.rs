@@ -3,6 +3,7 @@
 
 use crate::series::TimeSeries;
 use crate::stats::SeriesStats;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -137,7 +138,9 @@ impl SampleStage {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    names: BTreeMap<String, usize>,
+    /// Name → series index. Pre-registered names are borrowed `'static`
+    /// strings; only late-created channels own theirs.
+    names: BTreeMap<Cow<'static, str>, usize>,
     series: Vec<TimeSeries>,
     late_creates: u64,
 }
@@ -153,23 +156,30 @@ impl Trace {
     /// Simulation engines know their channel set up front; pre-creating
     /// it means [`Trace::record`] takes the existing-channel fast path
     /// from the first sample on and the recording hot loop never
-    /// allocates a channel key.
-    pub fn with_channels(names: &[&str]) -> Self {
-        let mut tr = Trace::new();
+    /// allocates a channel key. The names are `'static`, so the trace
+    /// and every clone of it borrow them instead of copying each into a
+    /// `String`: cloning an empty registered trace copies the map and
+    /// the series table, and allocates no string per channel. Repeated
+    /// names register one channel.
+    pub fn with_channels(names: &[&'static str]) -> Self {
+        let mut tr = Trace {
+            series: Vec::with_capacity(names.len()),
+            ..Trace::default()
+        };
         for &name in names {
-            tr.ensure_channel(name);
+            tr.ensure_channel(Cow::Borrowed(name));
         }
         tr
     }
 
     /// Index of `name`'s series, creating an empty one if missing.
-    fn ensure_channel(&mut self, name: &str) -> usize {
-        if let Some(&idx) = self.names.get(name) {
+    fn ensure_channel(&mut self, name: Cow<'static, str>) -> usize {
+        if let Some(&idx) = self.names.get(&*name) {
             return idx;
         }
         let idx = self.series.len();
         self.series.push(TimeSeries::default());
-        self.names.insert(name.to_string(), idx);
+        self.names.insert(name, idx);
         idx
     }
 
@@ -191,7 +201,7 @@ impl Trace {
                 // channel set, so this firing during a hot loop is a
                 // registration bug; the counter makes it assertable.
                 self.late_creates += 1;
-                self.ensure_channel(channel)
+                self.ensure_channel(Cow::Owned(channel.to_string()))
             }
         };
         self.series[idx].push(t, v);
@@ -234,14 +244,14 @@ impl Trace {
 
     /// Channel names in sorted order.
     pub fn channel_names(&self) -> Vec<&str> {
-        self.names.keys().map(String::as_str).collect()
+        self.names.keys().map(|name| &**name).collect()
     }
 
     /// Name-sorted iteration over `(name, series)` pairs.
     fn iter_sorted(&self) -> impl Iterator<Item = (&str, &TimeSeries)> {
         self.names
             .iter()
-            .map(move |(name, &idx)| (name.as_str(), &self.series[idx]))
+            .map(move |(name, &idx)| (&**name, &self.series[idx]))
     }
 
     /// Number of channels.
@@ -297,8 +307,9 @@ impl Trace {
     /// direct [`Trace::record_id`] calls per row would have produced,
     /// so digests and exports are bit-identical to unstaged recording.
     ///
-    /// The stage keeps its channel set and capacity; only the rows are
-    /// consumed.
+    /// Each channel reserves room for the staged rows once per flush
+    /// instead of growing sample by sample. The stage keeps its channel
+    /// set and capacity; only the rows are consumed.
     ///
     /// # Panics
     ///
@@ -308,8 +319,10 @@ impl Trace {
     /// staged channel).
     pub fn flush_stage(&mut self, stage: &mut SampleStage) {
         let width = stage.ids.len() + 1;
+        let rows = stage.len();
         for (col, id) in stage.ids.iter().enumerate() {
             let series = &mut self.series[id.0];
+            series.reserve(rows);
             let mut row = 0;
             while row < stage.rows.len() {
                 series.push(stage.rows[row], stage.rows[row + 1 + col]);
