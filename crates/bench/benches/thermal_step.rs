@@ -5,7 +5,7 @@
 
 use std::hint::black_box;
 use teem_bench::microbench::Runner;
-use teem_soc::{Board, ClusterFreqs, CpuMapping, MHz, NodePowerModel, StepScratch};
+use teem_soc::{Board, BoardSpec, ClusterFreqs, CpuMapping, MHz, NodePowerModel, StepScratch};
 use teem_workload::App;
 
 fn main() {
@@ -48,25 +48,51 @@ fn main() {
         frozen.eval_into(black_box(&temps), &mut scratch.power)
     });
 
+    // One step from a frozen model, the scalar engines' steady state
+    // between control decisions: power evaluated then stepped through
+    // the vector (split), against the fused kernel the engines call,
+    // which keeps the power block in registers. Both sides chain each
+    // step's temperatures into the next step's leakage.
+    for (label, spec) in [
+        ("xu4", BoardSpec::OdroidXu4),
+        ("n16", BoardSpec::ManyNode { nodes: 16 }),
+    ] {
+        let mut split = spec.build_ideal();
+        let model = NodePowerModel::single_app(&split, mapping, freqs, true, true, activity);
+        let mut scratch = StepScratch::for_board(&split);
+        r.bench(&format!("physics_step_frozen_split_{label}"), || {
+            model.eval_into(split.thermal.temps(), &mut scratch.power);
+            split.thermal.step(black_box(0.01), &scratch.power)
+        });
+        let mut fused = spec.build_ideal();
+        r.bench(&format!("physics_step_frozen_fused_{label}"), || {
+            fused
+                .thermal
+                .step_frozen(black_box(0.01), &model, &mut scratch.power)
+        });
+    }
+
     // The full physics step kernel with the operating point re-derived
-    // every dt (the engines' cost at a control decision): busy power
-    // from live temperatures, then one Euler step. The it/s column is
-    // simulation steps per second.
+    // every dt (the engines' cost at a control decision): the busy
+    // model rebuilt, then the engines' fused step from it. The it/s
+    // column is simulation steps per second.
     let mut sim_board = Board::odroid_xu4_ideal();
     let mut scratch = StepScratch::for_board(&sim_board);
     r.bench("physics_step_kernel_busy", || {
-        NodePowerModel::single_app(&sim_board, mapping, freqs, true, true, activity)
-            .eval_into(sim_board.thermal.temps(), &mut scratch.power);
-        sim_board.thermal.step(black_box(0.01), &scratch.power)
+        let model = NodePowerModel::single_app(&sim_board, mapping, freqs, true, true, activity);
+        sim_board
+            .thermal
+            .step_frozen(black_box(0.01), &model, &mut scratch.power)
     });
 
     let mut idle_board = Board::odroid_xu4_ideal();
     let idle_freqs = ClusterFreqs::min_of(&idle_board);
     let mut scratch = StepScratch::for_board(&idle_board);
     r.bench("physics_step_kernel_idle", || {
-        NodePowerModel::idle(&idle_board, idle_freqs)
-            .eval_into(idle_board.thermal.temps(), &mut scratch.power);
-        idle_board.thermal.step(black_box(0.01), &scratch.power)
+        let model = NodePowerModel::idle(&idle_board, idle_freqs);
+        idle_board
+            .thermal
+            .step_frozen(black_box(0.01), &model, &mut scratch.power)
     });
 
     r.finish();

@@ -21,7 +21,8 @@
 //!   threshold and management approach can change mid-scenario.
 //!
 //! Physics is shared with the single-run engine through
-//! [`teem_soc::NodePowerModel`] / [`teem_soc::read_sensors_for`]; with a
+//! [`teem_soc::NodePowerModel`], [`teem_soc::ThermalModel::step_frozen`]
+//! and [`teem_soc::read_sensors_for`]; with a
 //! single active app the co-run power model is the single-app one, so a
 //! serial-policy scenario step is bit-identical to the equivalent
 //! single-run step — a property pinned by the golden-digest tests. The
@@ -697,9 +698,10 @@ impl ScenarioRunner {
             }
         }
 
-        // --- Power & thermal (shared model, in place: temps
-        //     borrowed, power into the reusable scratch; N active
-        //     apps superposed per domain) ---
+        // --- Power & thermal (shared model, N active apps
+        //     superposed per domain; one fused step at the step-start
+        //     temperatures, which also leaves the step's power vector
+        //     in the reusable scratch for the accounting) ---
         let obs_t0 = sim.scratch.obs.clock();
         sim.shares.clear();
         sim.shares.extend(sim.active.iter().map(|j| CoRunShare {
@@ -714,9 +716,13 @@ impl ScenarioRunner {
                 .idle_timeout_s
                 .is_some_and(|timeout| sim.t - sim.idle_gap_start >= timeout);
         sim.refresh_power(collapsed);
-        sim.power
-            .eval_into(sim.board.thermal.temps(), &mut sim.scratch.power);
         sim.scratch.obs.lap_power(obs_t0);
+        let obs_t0 = sim.scratch.obs.clock();
+        let substeps = sim
+            .board
+            .thermal
+            .step_frozen(sim.dt, &sim.power, &mut sim.scratch.power);
+        sim.scratch.obs.lap_thermal(obs_t0);
         let total: f64 = sim.scratch.power.iter().sum();
         sim.energy_j += total * sim.dt;
         if sim.active.is_empty() {
@@ -749,9 +755,6 @@ impl ScenarioRunner {
             sim.active[0].energy_j += total * sim.dt;
         }
         sim.last_total_w = total;
-        let obs_t0 = sim.scratch.obs.clock();
-        let substeps = sim.board.thermal.step(sim.dt, &sim.scratch.power);
-        sim.scratch.obs.lap_thermal(obs_t0);
         sim.scratch.obs.steps += 1;
         sim.scratch.obs.substeps += u64::from(substeps);
         sim.step_idx += 1;

@@ -386,6 +386,12 @@ impl SweepObsReport {
     /// recording, the control/actuate phases, and everything else the
     /// step loop does (event handling, progress, scheduling) — only
     /// meaningful when the run timed (instrumented runs always do).
+    ///
+    /// A scalar step evaluates node power inside its one fused thermal
+    /// call ([`teem_soc::ThermalModel::step_frozen`]), so on scalar
+    /// steps the power row is the model refresh alone, and the thermal
+    /// rows, the per-sub-step figure included, contain the power
+    /// evaluation. Batched rounds time the two apart.
     pub fn kernel_split(&self) -> String {
         use std::fmt::Write as _;
         let k = &self.kernel;
@@ -404,8 +410,8 @@ impl SweepObsReport {
             k.steps, k.substeps
         );
         for (label, ns) in [
-            ("power model", k.power_ns),
-            ("thermal integration", k.thermal_ns),
+            ("power model*", k.power_ns),
+            ("thermal integration*", k.thermal_ns),
             ("sensor sampling", k.sample_ns),
             ("trace recording", k.trace_ns),
             ("control+actuate", k.control_ns),
@@ -422,10 +428,15 @@ impl SweepObsReport {
             let _ = writeln!(
                 out,
                 "  {:<22} {:>10.0} ns",
-                "per thermal sub-step",
+                "per thermal sub-step*",
                 k.thermal_ns as f64 / k.substeps as f64
             );
         }
+        let _ = writeln!(
+            out,
+            "  * scalar steps evaluate node power inside the thermal step; \
+             batched rounds time the power model apart"
+        );
         out
     }
 }

@@ -351,7 +351,9 @@ impl BatchPowerModel {
             "a co-run power model has no single-app SoA form"
         );
         self.reset_column(lane);
-        for (&node, d) in model.nodes.iter().zip(&model.domains) {
+        // The power nodes are thermal ids 0-3: the three leaky domains
+        // in order, then the board overhead (see `ThermalNodes`).
+        for (node, d) in model.domains.iter().enumerate() {
             let DomainPower {
                 leak_vv,
                 gate,
@@ -368,7 +370,7 @@ impl BatchPowerModel {
             self.alpha[idx] = alpha;
             self.ref_c[idx] = ref_c;
         }
-        let idx = model.board_node * self.kp + lane;
+        let idx = 3 * self.kp + lane;
         self.dyn_w[idx] = model.board_w;
         self.const_w[idx] = model.board_w + 0.0 + 0.0;
         self.recompute_leaky();

@@ -7,6 +7,17 @@ use crate::sensors::SensorBank;
 use crate::thermal::{NodeId, ThermalModel, ThermalModelBuilder};
 
 /// Thermal node ids of the board's RC network.
+///
+/// # Layout invariant
+///
+/// The four power nodes come first: big, LITTLE, GPU and board are
+/// thermal ids 0, 1, 2 and 3, and any passive node follows. Every board
+/// constructor builds them in that order, and
+/// [`NodePowerModel`](crate::NodePowerModel) asserts it when it is
+/// built. A power vector's non-zero entries are then one
+/// [`LANES`](crate::LANES)-wide node block at the front, which
+/// [`ThermalModel::step_frozen`] keeps in registers through the Euler
+/// step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThermalNodes {
     /// A15 (big) cluster silicon.

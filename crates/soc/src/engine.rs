@@ -443,11 +443,12 @@ impl Simulation {
                 gpu_done_items += frozen.gpu_inc;
             }
 
-            // --- Power & thermal (in place: temps borrowed, power into
-            //     the reusable scratch, no per-step allocation) ---
-            frozen
-                .model
-                .eval_into(self.board.thermal.temps(), &mut scratch.power);
+            // --- Power & thermal: one fused step at the step-start
+            //     temperatures, which also leaves the step's power
+            //     vector in the reusable scratch for the accounting ---
+            self.board
+                .thermal
+                .step_frozen(dt, &frozen.model, &mut scratch.power);
             let p = &scratch.power;
             energy_breakdown.0 += p[self.board.nodes.big] * dt;
             energy_breakdown.1 += p[self.board.nodes.little] * dt;
@@ -456,7 +457,6 @@ impl Simulation {
             let total: f64 = p.iter().sum();
             meter.observe(t, dt, total);
             last_total_w = total;
-            self.board.thermal.step(dt, &scratch.power);
 
             t += dt;
         }
@@ -534,8 +534,10 @@ struct FrozenOp {
     gpu_inc: f64,
 }
 
-/// Reusable per-step physics buffers: the node power vector the engines
-/// fill every integration step from their frozen [`NodePowerModel`].
+/// Reusable per-step physics buffers: the node power vector that each
+/// step writes from the engines' frozen [`NodePowerModel`]
+/// ([`ThermalModel::step_frozen`](crate::ThermalModel::step_frozen))
+/// and the energy accounting reads.
 ///
 /// Both [`Simulation`] and the scenario executor drive their step loops
 /// through one `StepScratch`, so the steady-state simulation path
@@ -561,8 +563,8 @@ impl StepScratch {
 }
 
 /// Scratch-resident step-loop accumulator: per-run step/sub-step
-/// counters and the wall-time split between the power-model evaluation
-/// and the thermal integration.
+/// counters and the wall-time split between the step phases (power
+/// model, thermal step, sensing, trace, control).
 ///
 /// Counters are unconditional (one integer add per step — cheaper than
 /// the branch that would gate them). Wall-clock timing is gated on the
@@ -586,9 +588,16 @@ pub struct StepObs {
     pub batched_steps: u64,
     /// Euler sub-steps the thermal integrator actually took.
     pub substeps: u64,
-    /// Nanoseconds in the power-model evaluation (0 unless `enabled`).
+    /// Nanoseconds keeping the power model current (0 unless
+    /// `enabled`). On the scalar step loop that is the model refresh
+    /// alone: the operating-point check and, when it moved, the
+    /// rebuild. On the batched path it is the SoA power evaluation.
     pub power_ns: u64,
-    /// Nanoseconds in the thermal integration (0 unless `enabled`).
+    /// Nanoseconds in the thermal step (0 unless `enabled`). On the
+    /// scalar step loop that is one fused
+    /// [`step_frozen`](crate::ThermalModel::step_frozen) call, so it
+    /// includes the node power evaluation. On the batched path it is
+    /// the Euler integration alone.
     pub thermal_ns: u64,
     /// Nanoseconds reading sensors on sample ticks (0 unless `enabled`).
     pub sample_ns: u64,

@@ -29,6 +29,18 @@
 //! [`f64::exp`] itself, keeping exactness trivially. The leakage
 //! arguments the hot loop produces (`|x| ≤ ~4`) sit squarely in the
 //! main path.
+//!
+//! # Build flags
+//!
+//! The hardware FMAs, packed or scalar, come from the workspace's
+//! `.cargo/config.toml`, which builds for `-C target-cpu=native`. Any
+//! `RUSTFLAGS` in the environment *replaces* that file's flags (Cargo
+//! does not merge the two), so a build with, say,
+//! `RUSTFLAGS="-C opt-level=3"` targets the x86-64 baseline, which has
+//! no FMA: every `mul_add` here becomes an out-of-line call to the
+//! software `fma` from compiler-builtins. The bits do not change (see
+//! above); the speed does. Add `-C target-cpu=native` to any custom
+//! `RUSTFLAGS`.
 
 /// `N / ln 2` with `N = 128`: scales `x` so the integer part of
 /// `x·INVLN2N` selects the table entry and exponent increment.
@@ -343,7 +355,9 @@ pub fn exp_exact(x: f64) -> f64 {
 
 /// `N` [`exp_exact`]s in lockstep: per lane the identical operation
 /// sequence (so identical bits), laid out as straight-line array code
-/// the autovectorizer lowers to packed FMAs. The block width is pure
+/// the autovectorizer lowers to packed FMAs when the build targets an
+/// FMA-capable CPU (the workspace's `target-cpu=native`; a `RUSTFLAGS`
+/// override drops it, see the module docs). The block width is pure
 /// schedule — each lane's arithmetic never sees its neighbours — so
 /// any `N` produces the same per-lane bits; wider blocks simply give
 /// the out-of-order core several independent copies of the serial

@@ -17,11 +17,11 @@
 //! power is set by the operating point and only leakage follows
 //! temperature.
 
-use crate::board::Board;
+use crate::board::{Board, ThermalNodes};
 use crate::engine::{ClusterFreqs, CoRunShare};
 use crate::fastexp::exp_exact4;
 use crate::perf::CpuMapping;
-use crate::thermal::NodeId;
+use crate::simd::LANES;
 
 /// Static parameters of one power domain (cluster).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -273,13 +273,18 @@ impl DomainPower {
 ///
 /// The constructors fold everything that changes only at a control
 /// decision (OPP voltages, dynamic and uncore power, leakage gating);
-/// [`NodePowerModel::eval_into`] then evaluates the three leaky domains
-/// (big, LITTLE, GPU) with one [`exp_exact4`] call, which returns
-/// [`f64::exp`]'s bits, and writes the constant board overhead. Step
-/// loops keep a model and rebuild it only when one of its inputs
-/// changes; one-off evaluations (a warm start, the offline evaluator's
-/// fixed point, tests) build one and call
-/// [`eval_into`](NodePowerModel::eval_into) directly.
+/// an evaluation then computes the three leaky domains (big, LITTLE,
+/// GPU) with one [`exp_exact4`] call, which returns [`f64::exp`]'s
+/// bits, and adds the constant board overhead. The four power nodes are
+/// thermal ids 0–3 (the layout [`ThermalNodes`] documents; construction
+/// asserts it), so those four figures are one node block. The scalar
+/// step loops keep a model, rebuild it only when one of its inputs
+/// changes, and step with
+/// [`ThermalModel::step_frozen`](crate::ThermalModel::step_frozen),
+/// which keeps the block in registers through the Euler step; one-off
+/// evaluations (a warm start, the gap fast-forward, the offline
+/// evaluator's fixed point, tests) call
+/// [`eval_into`](NodePowerModel::eval_into).
 ///
 /// Each constructor reproduces its regime's summation order bit for
 /// bit: one app `(dyn + leak) + uncore` per domain, co-running apps
@@ -290,12 +295,10 @@ impl DomainPower {
 pub struct NodePowerModel {
     /// Thermal node count (`board.thermal.len()`).
     pub(crate) len: usize,
-    /// Thermal node of each leaky domain: big, LITTLE, GPU.
-    pub(crate) nodes: [NodeId; 3],
-    /// The leaky domains' folded coefficients, in `nodes` order.
+    /// The leaky domains' folded coefficients: big, LITTLE, GPU, at
+    /// thermal ids 0, 1, 2.
     pub(crate) domains: [DomainPower; 3],
-    /// The board-overhead node and its constant draw, watts.
-    pub(crate) board_node: NodeId,
+    /// The board overhead's constant draw at thermal id 3, watts.
     pub(crate) board_w: f64,
     /// Co-run models only: every domain's remaining per-app dynamic
     /// terms, added after its `terms` in share order. Domain `d` owns
@@ -305,12 +308,29 @@ pub struct NodePowerModel {
 }
 
 impl NodePowerModel {
+    /// The model of `board` with the leaky domains folded to `domains`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the board's power nodes are not thermal ids 0–3 of its
+    /// network, in the order [`ThermalNodes`] documents.
     fn from_domains(board: &Board, domains: [DomainPower; 3]) -> Self {
+        let ThermalNodes {
+            big,
+            little,
+            gpu,
+            board: overhead,
+        } = board.nodes;
+        assert!(
+            [big, little, gpu, overhead] == [0, 1, 2, 3] && board.thermal.len() >= LANES,
+            "the power nodes must be thermal ids 0-3 in the order big, LITTLE, GPU, board; \
+             got {:?} in a {}-node network",
+            board.nodes,
+            board.thermal.len()
+        );
         NodePowerModel {
             len: board.thermal.len(),
-            nodes: [board.nodes.big, board.nodes.little, board.nodes.gpu],
             domains,
-            board_node: board.nodes.board,
             board_w: board.board_base_w,
             tail: Vec::new(),
             tail_ends: [0; 3],
@@ -462,20 +482,47 @@ impl NodePowerModel {
     /// Panics if `temps.len()` or `out.len()` differ from the board's
     /// thermal node count.
     pub fn eval_into(&self, temps: &[f64], out: &mut [f64]) {
+        self.write_block(self.eval_block(temps), out);
+    }
+
+    /// The power nodes' draw, watts, at node temperatures `temps`: big,
+    /// LITTLE, GPU and board, which are thermal ids 0–3.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `temps.len()` differs from the board's thermal node
+    /// count.
+    #[inline(always)]
+    pub(crate) fn eval_block(&self, temps: &[f64]) -> [f64; LANES] {
         assert_eq!(temps.len(), self.len, "temperature vector length");
-        assert_eq!(out.len(), self.len, "power vector length");
         let [big, little, gpu] = &self.domains;
-        let [nb, nl, ng] = self.nodes;
-        let x = big.exponent(temps[nb]);
+        let x = big.exponent(temps[0]);
         // The pad lane repeats a real argument, so it never sends the
         // block down the libm fallback on its own.
-        let e = exp_exact4([x, little.exponent(temps[nl]), gpu.exponent(temps[ng]), x]);
+        let e = exp_exact4([x, little.exponent(temps[1]), gpu.exponent(temps[2]), x]);
         let [eb, el, eg] = self.tail_ends;
-        out.fill(0.0);
-        out[nb] = big.eval(e[0], &self.tail[..eb]);
-        out[nl] = little.eval(e[1], &self.tail[eb..el]);
-        out[ng] = gpu.eval(e[2], &self.tail[el..eg]);
-        out[self.board_node] = self.board_w;
+        [
+            big.eval(e[0], &self.tail[..eb]),
+            little.eval(e[1], &self.tail[eb..el]),
+            gpu.eval(e[2], &self.tail[el..eg]),
+            self.board_w,
+        ]
+    }
+
+    /// Writes `block` ([`NodePowerModel::eval_block`]'s output) as the
+    /// node power vector: the block on ids 0–3, zero on every passive
+    /// node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from the board's thermal node
+    /// count.
+    #[inline(always)]
+    pub(crate) fn write_block(&self, block: [f64; LANES], out: &mut [f64]) {
+        assert_eq!(out.len(), self.len, "power vector length");
+        let (head, passive) = out.split_at_mut(LANES);
+        head.copy_from_slice(&block);
+        passive.fill(0.0);
     }
 }
 
@@ -562,6 +609,15 @@ mod tests {
         let off = p.total_w(0.812, 1.77e8, 0, 0.0, 1.0, 50.0);
         assert_eq!(off, p.leakage_w(0.812, 50.0, 0));
         assert!(off < 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "the power nodes must be thermal ids 0-3")]
+    fn power_model_rejects_swapped_power_nodes() {
+        let mut board = Board::odroid_xu4_ideal();
+        let nodes = &mut board.nodes;
+        std::mem::swap(&mut nodes.big, &mut nodes.gpu);
+        NodePowerModel::idle(&board, ClusterFreqs::min_of(&board));
     }
 
     #[test]

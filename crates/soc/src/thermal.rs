@@ -13,6 +13,7 @@
 //! and the baselines all react to *sensor readings of node temperatures*,
 //! not to intra-die gradients.
 
+use crate::power::NodePowerModel;
 use crate::simd::{F64xN, LANES};
 use std::sync::OnceLock;
 use teem_linreg::{
@@ -50,9 +51,10 @@ struct CoolingPlan {
 /// The conductance matrix is stored in one flat `n × n` allocation
 /// (`conductance[i * n + j]`) that is bitwise symmetric: the builder
 /// adds every edge to both triangles in the same order.
-/// [`ThermalModel::step`], the simulation engines' hottest call,
-/// advances the nodes in blocks of [`LANES`]; for each source node `j`
-/// it reads the block's column `j` as a contiguous slice of row `j`.
+/// [`ThermalModel::step`] and [`ThermalModel::step_frozen`] (the scalar
+/// engines' hottest call) advance the nodes in blocks of [`LANES`]; for
+/// each source node `j` they read the block's column `j` as a contiguous
+/// slice of row `j`.
 /// The Euler integrator keeps a persistent derivative scratch buffer and
 /// allocates nothing.
 #[derive(Debug, Clone)]
@@ -67,6 +69,51 @@ pub struct ThermalModel {
     max_stable_dt: f64,
     plan: Option<CoolingPlan>, // lazy spectral cache for cool_to
     steady: OnceLock<Lu>,      // lazy LU factors of G + G_amb for steady_state
+}
+
+/// Where an Euler sub-step reads each node's injected power, watts.
+#[derive(Debug, Clone, Copy)]
+enum NodePowers<'a> {
+    /// One figure per node, indexed as the network
+    /// ([`ThermalModel::step`]).
+    Slice(&'a [f64]),
+    /// Nodes `0..LANES` from a register block and `+0.0` on every other
+    /// node: the layout of a power vector written by
+    /// [`NodePowerModel::eval_into`] ([`ThermalModel::step_frozen`]).
+    Block(F64xN),
+}
+
+impl NodePowers<'_> {
+    /// The powers of the first `n` nodes: one bounds check for a whole
+    /// sub-step instead of one per read.
+    #[inline(always)]
+    fn prefix(self, n: usize) -> Self {
+        match self {
+            NodePowers::Slice(p) => NodePowers::Slice(&p[..n]),
+            block => block,
+        }
+    }
+
+    /// The starting powers of the node block at `b`.
+    #[inline(always)]
+    fn block(self, b: usize) -> F64xN {
+        match self {
+            NodePowers::Slice(p) => F64xN::from_slice(&p[b..]),
+            NodePowers::Block(p) if b == 0 => p,
+            NodePowers::Block(_) => F64xN::ZERO,
+        }
+    }
+
+    /// The starting power of scalar node `i`, past the last full block.
+    /// A power block needs a network of at least one block (the power
+    /// nodes are ids 0–3), so such a node is always passive.
+    #[inline(always)]
+    fn node(self, i: usize) -> f64 {
+        match self {
+            NodePowers::Slice(p) => p[i],
+            NodePowers::Block(_) => 0.0,
+        }
+    }
 }
 
 /// Builder for [`ThermalModel`].
@@ -255,26 +302,61 @@ impl ThermalModel {
     /// Panics if `power_w.len() != self.len()` or `dt < 0`.
     pub fn step(&mut self, dt: f64, power_w: &[f64]) -> u32 {
         assert_eq!(power_w.len(), self.len(), "power vector length mismatch");
+        self.integrate(dt, NodePowers::Slice(power_w))
+    }
+
+    /// One scalar engine step: advances the network by `dt` seconds
+    /// under the node powers `model` draws at the step-start
+    /// temperatures, writes that power vector into `power_w` for the
+    /// caller's energy bookkeeping, and returns the number of Euler
+    /// sub-steps taken.
+    ///
+    /// Bit-identical to [`model.eval_into`](NodePowerModel::eval_into)
+    /// into `power_w` followed by [`ThermalModel::step`] with it: the
+    /// power is held across sub-steps, as there. The difference is
+    /// where the Euler kernel reads it from. The power nodes are ids
+    /// 0–3 ([`ThermalNodes`](crate::ThermalNodes)), so the non-zero
+    /// powers form the first node block; the kernel starts that block
+    /// from the evaluated powers still in registers, and every other
+    /// node from `+0.0`, the value it would read from the vector.
+    /// That keeps the step's temperature → leakage → power →
+    /// temperature chain out of memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` or `power_w` does not match `self.len()`, or
+    /// if `dt < 0`.
+    pub fn step_frozen(&mut self, dt: f64, model: &NodePowerModel, power_w: &mut [f64]) -> u32 {
+        let block = model.eval_block(&self.temps);
+        model.write_block(block, power_w);
+        self.integrate(dt, NodePowers::Block(F64xN(block)))
+    }
+
+    /// The sub-step loop of [`ThermalModel::step`] and
+    /// [`ThermalModel::step_frozen`].
+    #[inline(always)]
+    fn integrate(&mut self, dt: f64, powers: NodePowers<'_>) -> u32 {
         assert!(dt >= 0.0, "negative dt");
         let eps = dt * 1e-9;
         let mut remaining = dt;
         let mut substeps = 0u32;
         while remaining > eps {
             let h = remaining.min(self.max_stable_dt);
-            self.euler_step(h, power_w);
+            self.euler_step(h, powers);
             remaining -= h;
             substeps += 1;
         }
         substeps
     }
 
-    fn euler_step(&mut self, h: f64, power_w: &[f64]) {
+    #[inline(always)]
+    fn euler_step(&mut self, h: f64, powers: NodePowers<'_>) {
         // A one-block network (the XU4) gets its own instantiation with
         // the node count constant-folded: the `j` loop fully unrolls and
         // the temperatures never leave registers.
         match self.len() {
-            LANES => self.node_blocked_euler(LANES, h, power_w),
-            n => self.node_blocked_euler(n, h, power_w),
+            LANES => self.node_blocked_euler(LANES, h, powers),
+            n => self.node_blocked_euler(n, h, powers),
         }
     }
 
@@ -284,8 +366,9 @@ impl ThermalModel {
     /// T_amb)) / Cᵢ`, subtracted term by term for `j = 0..n` in order.
     /// Within one sub-step the nodes are independent, so the kernel runs
     /// that expression for [`LANES`] nodes at once: a block starts from
-    /// its powers and subtracts `G[j][block]·(T[block] − Tⱼ)` for each
-    /// `j`, reading column `j` as the contiguous row `j`. That read is
+    /// its powers (read from `powers`, see [`NodePowers`]) and subtracts
+    /// `G[j][block]·(T[block] − Tⱼ)` for each `j`, reading column `j`
+    /// as the contiguous row `j`. That read is
     /// exact because the builder adds every edge to both triangles in
     /// the same order, so `Gᵢⱼ` and `Gⱼᵢ` are the same bits (pinned by
     /// `flattened_conductance_is_symmetric_and_queryable`). Nodes past
@@ -296,16 +379,20 @@ impl ThermalModel {
     /// zero (the builder rejects self-loops), so the `j == i` term
     /// subtracts exactly `0`.
     #[inline(always)]
-    fn node_blocked_euler(&mut self, n: usize, h: f64, power_w: &[f64]) {
+    fn node_blocked_euler(&mut self, n: usize, h: f64, powers: NodePowers<'_>) {
         let ambient = self.ambient_c;
         let g = &self.conductance[..n * n];
-        let (cap, g_amb, p) = (&self.capacitance[..n], &self.to_ambient[..n], &power_w[..n]);
+        let (cap, g_amb, powers) = (
+            &self.capacitance[..n],
+            &self.to_ambient[..n],
+            powers.prefix(n),
+        );
         let temps = &mut self.temps[..n];
         let deriv = &mut self.deriv[..n];
         let full = n - n % LANES;
         for b in (0..full).step_by(LANES) {
             let ti = F64xN::from_slice(&temps[b..]);
-            let mut q = F64xN::from_slice(&p[b..]);
+            let mut q = powers.block(b);
             for (col, &tj) in g.chunks_exact(n).zip(&*temps) {
                 q = q - F64xN::from_slice(&col[b..]) * (ti - F64xN::splat(tj));
             }
@@ -320,7 +407,7 @@ impl ThermalModel {
         }
         for i in full..n {
             let ti = temps[i];
-            let mut q = p[i];
+            let mut q = powers.node(i);
             for (col, &tj) in g.chunks_exact(n).zip(&*temps) {
                 q -= col[i] * (ti - tj);
             }

@@ -330,3 +330,101 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The scalar engines' fused step, `ThermalModel::step_frozen`, is
+    /// bit-identical to `NodePowerModel::eval_into` followed by
+    /// `ThermalModel::step` with the vector it wrote: temperatures,
+    /// sub-step counts and the written power vector, every step of a
+    /// run that chains each step's temperatures into the next step's
+    /// leakage. Each case runs every board (the one-block XU4, 16 and 64
+    /// nodes in whole blocks, 17 nodes with a scalar tail), every model
+    /// constructor (co-runs of 2–3 apps carry per-app tails) and both an
+    /// unsplit and a sub-stepped `dt`.
+    #[test]
+    fn frozen_step_matches_eval_into_then_step(
+        opps in (0usize..19, 0usize..13, 0usize..7),
+        app in (0u32..=4, 0u32..=4, 0u32..4, 0.0..1.0f64),
+        shares in collection::vec((0u32..=1, 0u32..=1, 0u32..4, 0.2..1.0f64), 3usize),
+        co_runners in 2usize..=3,
+        ambient in 15.0..40.0f64,
+        warmth in 0.0..1.0f64,
+    ) {
+        use teem_soc::{warm_start, BoardSpec, ClusterFreqs, CoRunShare, CpuMapping, NodePowerModel};
+
+        let busy = |flags: u32| (flags & 1 == 1, flags & 2 == 2);
+        let specs = [
+            BoardSpec::OdroidXu4,
+            BoardSpec::ManyNode { nodes: 16 },
+            BoardSpec::ManyNode { nodes: 17 },
+            BoardSpec::ManyNode { nodes: 64 },
+        ];
+        for spec in specs {
+            let mut board = spec.build_with(ambient, SensorBank::ideal());
+            let freqs = ClusterFreqs {
+                big: board.big_opps.iter().nth(opps.0).expect("19 big OPPs").freq,
+                little: board.little_opps.iter().nth(opps.1).expect("13 LITTLE OPPs").freq,
+                gpu: board.gpu_opps.iter().nth(opps.2).expect("7 GPU OPPs").freq,
+            };
+            let (cpu_busy, gpu_busy) = busy(app.2);
+            let co_run: Vec<CoRunShare> = shares[..co_runners]
+                .iter()
+                .map(|&(little, big, flags, activity)| {
+                    let (cpu_busy, gpu_busy) = busy(flags);
+                    CoRunShare {
+                        mapping: CpuMapping::new(little, big),
+                        cpu_busy,
+                        gpu_busy,
+                        activity,
+                    }
+                })
+                .collect();
+            let models = [
+                NodePowerModel::single_app(
+                    &board,
+                    CpuMapping::new(app.0, app.1),
+                    freqs,
+                    cpu_busy,
+                    gpu_busy,
+                    app.3,
+                ),
+                NodePowerModel::co_run(&board, &co_run, freqs),
+                NodePowerModel::idle(&board, freqs),
+                NodePowerModel::collapsed(&board),
+            ];
+            warm_start(&mut board, &models[0], warmth);
+            let n = board.thermal.len();
+            for (m, model) in models.iter().enumerate() {
+                for dt in [0.01, 1.0] {
+                    let (mut split, mut fused) = (board.clone(), board.clone());
+                    // NaN starts: every entry, passive ones included,
+                    // must be written.
+                    let mut split_w = vec![f64::NAN; n];
+                    let mut fused_w = vec![f64::NAN; n];
+                    for step in 0..60 {
+                        model.eval_into(split.thermal.temps(), &mut split_w);
+                        let want = split.thermal.step(dt, &split_w);
+                        let got = fused.thermal.step_frozen(dt, model, &mut fused_w);
+                        prop_assert_eq!(got, want, "n{} model {} dt {} step {}", n, m, dt, step);
+                        for node in 0..n {
+                            prop_assert_eq!(
+                                fused.thermal.temp(node).to_bits(),
+                                split.thermal.temp(node).to_bits(),
+                                "temperature: n{} model {} dt {} step {} node {}",
+                                n, m, dt, step, node
+                            );
+                            prop_assert_eq!(
+                                fused_w[node].to_bits(),
+                                split_w[node].to_bits(),
+                                "power: n{} model {} dt {} step {} node {}",
+                                n, m, dt, step, node
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
