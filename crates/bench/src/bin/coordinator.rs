@@ -243,6 +243,23 @@ fn worker(mut args: Args) -> ! {
         .map(|v| parse_usize(&v, "--hang-after"));
     args.finish();
 
+    // Every argument is checked against the grid before the journal is
+    // created, so a bad one costs a message, not a panic and a stray
+    // file.
+    if let Some((j, m)) = part {
+        if j >= m {
+            fail(format!(
+                "--part {j}/{m} is not a partition slot (J must be below M)"
+            ));
+        }
+    }
+    if let Err(why) = shard.validate(spec.cells()) {
+        fail(format!("--shard {shard} does not fit the grid: {why}"));
+    }
+    if fsync_every == 0 {
+        fail("--fsync-every must be at least 1");
+    }
+
     let assignment = WorkerAssignment {
         shard,
         part,

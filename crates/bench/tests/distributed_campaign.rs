@@ -152,3 +152,63 @@ fn campaign_with_a_worker_killed_mid_shard_still_matches_single_process_digest()
         "a dead worker writes no metrics sidecar"
     );
 }
+
+/// Runs a worker with `shard` plus `extra` flags, which the command line
+/// must refuse before creating its journal: exit code 1, `message` on
+/// stderr, no panic, and no journal file left behind.
+fn assert_worker_refuses(tag: &str, shard: &str, extra: &[&str], message: &str) {
+    let dir = CampaignDir::new(tag);
+    let journal = dir.path().join("worker.jsonl");
+    let Output { status, stderr, .. } = coordinator()
+        .args(["worker", "--grid", "small", "--journal"])
+        .arg(&journal)
+        .args(["--shard", shard])
+        .args(extra)
+        .output()
+        .expect("spawns");
+    let stderr = String::from_utf8_lossy(&stderr);
+    assert_eq!(status.code(), Some(1), "{shard} {extra:?}:\n{stderr}");
+    assert!(stderr.contains(message), "{shard} {extra:?}:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "{shard} {extra:?}:\n{stderr}");
+    assert!(!journal.exists(), "{shard} {extra:?} left a journal behind");
+}
+
+#[test]
+fn worker_refuses_an_empty_partition() {
+    assert_worker_refuses(
+        "part00",
+        "mod:0/1",
+        &["--part", "0/0"],
+        "--part 0/0 is not a partition slot",
+    );
+}
+
+#[test]
+fn worker_refuses_a_part_past_its_partition() {
+    assert_worker_refuses(
+        "part32",
+        "mod:0/1",
+        &["--part", "3/2"],
+        "--part 3/2 is not a partition slot",
+    );
+}
+
+#[test]
+fn worker_refuses_a_zero_fsync_batch() {
+    assert_worker_refuses(
+        "fsync0",
+        "mod:0/1",
+        &["--fsync-every", "0"],
+        "--fsync-every must be at least 1",
+    );
+}
+
+#[test]
+fn worker_refuses_a_shard_past_the_grid() {
+    assert_worker_refuses(
+        "range",
+        "range:0..99999",
+        &[],
+        "--shard range:0..99999 does not fit the grid: range shard 0..99999 ends past the 60-cell grid",
+    );
+}

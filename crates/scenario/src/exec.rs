@@ -51,9 +51,9 @@ use teem_soc::perf::{cpu_rate, gpu_rate};
 use teem_soc::sensors::BIG_CORE_OFFSETS_C;
 use teem_soc::{
     clamp_freqs, co_run_dynamic_weights, fast_forward_gap, read_sensors_for, Board, BoardSpec,
-    BoardTemplate, ClusterFreqs, CoRunShare, CpuMapping, GapAdvance, GapPower, NodePowerModel,
-    SensorBank, SensorReadings, SimConfig, SocControl, SocView, StepObs, StepScratch, ThermalZone,
-    TimeAdvance,
+    BoardTemplate, ClusterFreqs, CoRunShare, CpuMapping, GapAdvance, GapPower, IdlePolicy,
+    NodePowerModel, SensorBank, SensorReadings, SocControl, SocView, StepObs, StepScratch,
+    ThermalZone, TimeAdvance, CONTROL_PERIOD_S, DT_S, SAMPLE_PERIOD_S, WARM_START_FRACTION,
 };
 use teem_telemetry::{
     ChannelId, LogHistogram, RunSummary, SampleStage, ScenarioAppRun, ScenarioSummary, Trace,
@@ -83,6 +83,32 @@ pub struct ScenarioResult {
     pub gap_len_ms: LogHistogram,
 }
 
+/// What scenario runs vary: the executor's options. The integration
+/// step, sampling and control periods and warm-start fraction are the
+/// same for every run ([`DT_S`], [`SAMPLE_PERIOD_S`],
+/// [`CONTROL_PERIOD_S`], [`WARM_START_FRACTION`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SimConfig {
+    /// Abort the scenario after this much simulated time, seconds.
+    pub timeout_s: f64,
+    /// What the board does in idle gaps.
+    pub idle_policy: IdlePolicy,
+    /// How the executor's clock advances across idle gaps.
+    pub time_advance: TimeAdvance,
+}
+
+impl Default for SimConfig {
+    /// A 10 000 s timeout, wide enough for multi-app timelines,
+    /// [`IdlePolicy::RaceToIdle`] and [`TimeAdvance::FixedDt`].
+    fn default() -> Self {
+        SimConfig {
+            timeout_s: 10_000.0,
+            idle_policy: IdlePolicy::RaceToIdle,
+            time_advance: TimeAdvance::FixedDt,
+        }
+    }
+}
+
 /// Executes scenarios under one management approach.
 ///
 /// Profiles are computed on demand (once per app, on the ideal board —
@@ -108,20 +134,6 @@ pub struct ScenarioRunner {
     local_profiles: ProfileStore,
     step_timing: bool,
     template: Arc<CellTemplate>,
-}
-
-impl ScenarioRunner {
-    /// The default executor configuration: single-run integration and
-    /// sampling cadence, with the timeout widened for multi-app
-    /// timelines. Start from this (not `SimConfig::default()`, whose
-    /// 1 000 s single-run timeout truncates long timelines) when
-    /// customising via [`ScenarioRunner::with_config`].
-    pub fn default_config() -> SimConfig {
-        SimConfig {
-            timeout_s: 10_000.0,
-            ..SimConfig::default()
-        }
-    }
 }
 
 impl ScenarioRunner {
@@ -154,7 +166,7 @@ impl ScenarioRunner {
     ) -> Self {
         ScenarioRunner {
             approach,
-            config: ScenarioRunner::default_config(),
+            config: SimConfig::default(),
             arbiter: MappingArbiter::new(ContentionPolicy::Serial),
             tunables: TeemTunables::paper(),
             shared_profiles: profiles,
@@ -190,9 +202,7 @@ impl ScenarioRunner {
         self
     }
 
-    /// Replaces the executor configuration wholesale — including the
-    /// timeout. Derive from [`ScenarioRunner::default_config`] to keep
-    /// the scenario-scale 10 000 s timeout while tuning other fields.
+    /// Replaces the executor configuration.
     pub fn with_config(mut self, config: SimConfig) -> Self {
         self.config = config;
         self
@@ -232,8 +242,8 @@ impl ScenarioRunner {
 
     /// Pre-heats the board toward the first arrival's busy steady state
     /// by [`teem_soc::warm_start`]'s protocol, scaled by
-    /// `warm_start_fraction`. A timeline (`events`, time-sorted) with no
-    /// arrivals warm-starts at the idle equilibrium.
+    /// [`WARM_START_FRACTION`]. A timeline (`events`, time-sorted) with
+    /// no arrivals warm-starts at the idle equilibrium.
     fn warm_start(
         &mut self,
         board: &mut Board,
@@ -286,7 +296,7 @@ impl ScenarioRunner {
                     true,
                     req.app.characteristics().activity,
                 );
-                (load, self.config.warm_start_fraction)
+                (load, WARM_START_FRACTION)
             }
             None => (NodePowerModel::idle(board, idle_freqs), 1.0),
         };
@@ -342,8 +352,8 @@ impl ScenarioRunner {
         // measurement protocol: the device was busy before the scenario
         // began, so it starts near the first workload's (thermally
         // managed) operating point rather than at a cold idle
-        // equilibrium the paper's runs never see. `warm_start_fraction`
-        // scales it; 0 gives a cold start at the idle steady state.
+        // equilibrium the paper's runs never see, scaled by
+        // `WARM_START_FRACTION`.
         let idle_freqs = ClusterFreqs::min_of(&board);
         let events = scenario.sorted_events();
         self.warm_start(&mut board, &events, idle_freqs)?;
@@ -381,10 +391,7 @@ impl ScenarioRunner {
             capacity,
             active: Vec::with_capacity(capacity),
             zone: ThermalZone::stock_xu4(),
-            zone_was_tripped: false,
             zone_trips: 0,
-            dt: self.config.dt_s,
-            sample_period_s: self.config.sample_period_s,
             timeout_s: self.config.timeout_s,
             idle_timeout_s: self.config.idle_policy.timeout_s(),
             event_driven: self.config.time_advance == TimeAdvance::EventDriven,
@@ -560,8 +567,8 @@ impl ScenarioRunner {
             && sim.queue.is_empty()
             && sim.next_ev < sim.events.len()
         {
-            let event_tick = first_tick_at_or_after(sim.dt, sim.events[sim.next_ev].at_s, 1e-9);
-            let timeout_tick = first_tick_at_or_after(sim.dt, sim.timeout_s, 0.0);
+            let event_tick = first_tick_at_or_after(sim.events[sim.next_ev].at_s, 1e-9);
+            let timeout_tick = first_tick_at_or_after(sim.timeout_s, 0.0);
             let end_tick = event_tick.min(timeout_tick);
             if end_tick > sim.step_idx {
                 // The fixed-dt loop races idle gaps to the idle
@@ -573,12 +580,12 @@ impl ScenarioRunner {
                 // inside the gap temperatures only decay, so no
                 // further trip is possible and the step-wise
                 // release is caught up after the jump.
-                if let Some(cap) = sim.zone.update(sim.t, gap_max_temp_estimate(&sim.board)) {
-                    if sim.effective.big > cap {
-                        sim.effective.big = sim.board.big_opps.at_or_below(cap).freq;
-                    }
-                }
-                if sim.zone.is_tripped() && !sim.zone_was_tripped {
+                if sim.zone.actuate(
+                    sim.t,
+                    gap_max_temp_estimate(&sim.board),
+                    &sim.board.big_opps,
+                    &mut sim.effective.big,
+                ) {
                     sim.zone_trips += 1;
                 }
 
@@ -588,13 +595,13 @@ impl ScenarioRunner {
                 // span, each advanced in closed form.
                 let collapse_tick = sim
                     .idle_timeout_s
-                    .map(|to| first_tick_at_or_after(sim.dt, sim.idle_gap_start + to, 0.0));
+                    .map(|to| first_tick_at_or_after(sim.idle_gap_start + to, 0.0));
                 let idle_end_tick =
                     collapse_tick.map_or(end_tick, |c| c.clamp(sim.step_idx, end_tick));
                 let mut gap = GapAdvance::default();
                 let ambient = sim.board.thermal.ambient_c();
                 if idle_end_tick > sim.step_idx {
-                    let span = (idle_end_tick - sim.step_idx) as f64 * sim.dt;
+                    let span = (idle_end_tick - sim.step_idx) as f64 * DT_S;
                     let adv = fast_forward_gap(
                         &mut sim.board,
                         GapPower::Idle(sim.effective),
@@ -607,7 +614,7 @@ impl ScenarioRunner {
                     gap.segments += adv.segments;
                 }
                 if end_tick > idle_end_tick {
-                    let span = (end_tick - idle_end_tick) as f64 * sim.dt;
+                    let span = (end_tick - idle_end_tick) as f64 * DT_S;
                     let adv = fast_forward_gap(
                         &mut sim.board,
                         GapPower::Collapsed,
@@ -619,7 +626,7 @@ impl ScenarioRunner {
                     gap.energy_j += adv.energy_j;
                     gap.segments += adv.segments;
                 }
-                let span_s = (end_tick - sim.step_idx) as f64 * sim.dt;
+                let span_s = (end_tick - sim.step_idx) as f64 * DT_S;
                 sim.energy_j += gap.energy_j;
                 sim.idle_energy_j += gap.energy_j;
                 sim.idle_s += span_s;
@@ -632,7 +639,7 @@ impl ScenarioRunner {
 
                 // Jump the clock to the horizon tick.
                 sim.step_idx = end_tick;
-                sim.t = sim.step_idx as f64 * sim.dt;
+                sim.t = sim.step_idx as f64 * DT_S;
                 // The gap is one trace span, not one point per
                 // sample period: record it on its own pre-registered
                 // channel (empty channels are digest-invisible, so
@@ -643,11 +650,10 @@ impl ScenarioRunner {
                 // aligned.
                 sim.trace.record_id(sim.ids.gap_fastforward, sim.t, span_s);
                 if sim.next_sample < sim.t - 1e-12 {
-                    let n = ((sim.t - 1e-12 - sim.next_sample) / sim.sample_period_s).floor()
-                        as u64
-                        + 1;
+                    let n =
+                        ((sim.t - 1e-12 - sim.next_sample) / SAMPLE_PERIOD_S).floor() as u64 + 1;
                     sim.board.sensors.skip_reads(n);
-                    sim.next_sample += n as f64 * sim.sample_period_s;
+                    sim.next_sample += n as f64 * SAMPLE_PERIOD_S;
                 }
                 // Step-wise zone release across the gap, replayed at
                 // the zone's own poll cadence with the cooled
@@ -658,7 +664,6 @@ impl ScenarioRunner {
                     sim.t,
                     gap_max_temp_estimate(&sim.board),
                 );
-                sim.zone_was_tripped = sim.zone.is_tripped();
                 return Ok(true);
             }
         }
@@ -685,7 +690,7 @@ impl ScenarioRunner {
                 j.chars.mem_sensitivity,
                 total_pressure - j.chars.mem_sensitivity,
             );
-            let (inc_cpu, inc_gpu) = j.increments(sim.effective, s, gpu_sharers, sim.dt);
+            let (inc_cpu, inc_gpu) = j.increments(sim.effective, s, gpu_sharers);
             if !j.cpu_done() && !j.mapping.is_empty() {
                 j.cpu_done_items += inc_cpu;
             }
@@ -693,8 +698,8 @@ impl ScenarioRunner {
                 j.gpu_done_items += inc_gpu;
             }
             if co_running {
-                j.co_run_s += sim.dt;
-                j.contention_delay_s += sim.dt * (1.0 - 1.0 / s);
+                j.co_run_s += DT_S;
+                j.contention_delay_s += DT_S * (1.0 - 1.0 / s);
             }
         }
 
@@ -721,16 +726,16 @@ impl ScenarioRunner {
         let substeps = sim
             .board
             .thermal
-            .step_frozen(sim.dt, &sim.power, &mut sim.scratch.power);
+            .step_frozen(DT_S, &sim.power, &mut sim.scratch.power);
         sim.scratch.obs.lap_thermal(obs_t0);
         let total: f64 = sim.scratch.power.iter().sum();
-        sim.energy_j += total * sim.dt;
+        sim.energy_j += total * DT_S;
         if sim.active.is_empty() {
-            sim.idle_energy_j += total * sim.dt;
-            sim.idle_s += sim.dt;
+            sim.idle_energy_j += total * DT_S;
+            sim.idle_s += DT_S;
         } else if co_running {
-            sim.busy_s += sim.dt;
-            sim.overlap_s += sim.dt;
+            sim.busy_s += DT_S;
+            sim.overlap_s += DT_S;
             // Attribute this step's energy by each app's dynamic-power
             // weight — the draw it causes — rather than an equal split
             // that would overcharge a stalled memory-bound app for its
@@ -739,26 +744,26 @@ impl ScenarioRunner {
             // weights were derived with this step's power model.
             let wsum: f64 = sim.weights.iter().sum();
             if wsum > 0.0 {
-                let step_j = total * sim.dt;
+                let step_j = total * DT_S;
                 for (j, w) in sim.active.iter_mut().zip(sim.weights.iter()) {
                     j.energy_j += step_j * w / wsum;
                 }
             } else {
                 // Every share idle on every device: nothing to key on.
-                let share_j = total * sim.dt / sim.active.len() as f64;
+                let share_j = total * DT_S / sim.active.len() as f64;
                 for j in sim.active.iter_mut() {
                     j.energy_j += share_j;
                 }
             }
         } else {
-            sim.busy_s += sim.dt;
-            sim.active[0].energy_j += total * sim.dt;
+            sim.busy_s += DT_S;
+            sim.active[0].energy_j += total * DT_S;
         }
         sim.last_total_w = total;
         sim.scratch.obs.steps += 1;
         sim.scratch.obs.substeps += u64::from(substeps);
         sim.step_idx += 1;
-        sim.t = sim.step_idx as f64 * sim.dt;
+        sim.t = sim.step_idx as f64 * DT_S;
 
         // --- Completions: free the resources, in completion order ---
         sim.phase_completions();
@@ -913,16 +918,13 @@ pub(crate) struct CellSim {
     pub(crate) capacity: usize,
     pub(crate) active: Vec<ActiveJob>,
     pub(crate) zone: ThermalZone,
-    pub(crate) zone_was_tripped: bool,
     pub(crate) zone_trips: u32,
     /// Copied out of [`SimConfig`] at prepare time so phase methods and
     /// the lockstep pool never need the runner.
-    pub(crate) dt: f64,
-    pub(crate) sample_period_s: f64,
     pub(crate) timeout_s: f64,
     pub(crate) idle_timeout_s: Option<f64>,
     pub(crate) event_driven: bool,
-    /// The clock is derived from the step index (`t = step_idx · dt`),
+    /// The clock is derived from the step index (`t = step_idx · DT_S`),
     /// never accumulated (`t += dt`), so week-long timelines cannot
     /// smear event boundaries or `TimeoutCollapse` firing instants
     /// with float-accumulation drift. Gap fast-forwards jump the
@@ -1048,7 +1050,7 @@ impl CellSim {
         for j in self.active.iter_mut() {
             j.observe(&self.readings, self.effective);
         }
-        self.next_sample += self.sample_period_s;
+        self.next_sample += SAMPLE_PERIOD_S;
     }
 
     /// Drains the staged sample rows into the trace (no-op when
@@ -1083,16 +1085,8 @@ impl CellSim {
                 };
                 let mut ctl = SocControl::default();
                 j.manager.control(&view, &mut ctl);
-                if let Some(f) = ctl.big_request() {
-                    j.desired.big = self.board.big_opps.at_or_below(f).freq;
-                }
-                if let Some(f) = ctl.little_request() {
-                    j.desired.little = self.board.little_opps.at_or_below(f).freq;
-                }
-                if let Some(f) = ctl.gpu_request() {
-                    j.desired.gpu = self.board.gpu_opps.at_or_below(f).freq;
-                }
-                j.next_control += j.manager.period_s();
+                ctl.apply(&self.board, &mut j.desired);
+                j.next_control += CONTROL_PERIOD_S;
             }
         }
     }
@@ -1102,15 +1096,14 @@ impl CellSim {
     /// thermal zone (kernel layer) armed on top.
     pub(crate) fn phase_actuate(&mut self) {
         self.effective = arbitrate_freqs(&self.active, self.idle_freqs);
-        if let Some(cap) = self.zone.update(self.t, self.readings.max_c()) {
-            if self.effective.big > cap {
-                self.effective.big = self.board.big_opps.at_or_below(cap).freq;
-            }
-        }
-        if self.zone.is_tripped() && !self.zone_was_tripped {
+        if self.zone.actuate(
+            self.t,
+            self.readings.max_c(),
+            &self.board.big_opps,
+            &mut self.effective.big,
+        ) {
             self.zone_trips += 1;
         }
-        self.zone_was_tripped = self.zone.is_tripped();
     }
 
     /// The completion phase: retires done jobs in completion order and
@@ -1221,19 +1214,19 @@ fn arbitrate_freqs(active: &[ActiveJob], idle: ClusterFreqs) -> ClusterFreqs {
     }
 }
 
-/// The first tick index `i` of the fixed-dt grid whose time `i·dt`
-/// satisfies the fixed-dt loop's own firing predicate `i·dt + slack >=
+/// The first tick index `i` of the fixed-dt grid whose time `i·DT_S`
+/// satisfies the fixed-dt loop's own firing predicate `i·DT_S + slack >=
 /// target` — i.e. the step at which the fixed-dt loop would first act on
 /// `target`. Computed by a float estimate corrected against the exact
 /// predicate, so the event-driven jump lands on precisely the tick the
 /// stepped loop would have reached (bit-identical timing, no
 /// off-by-one from rounding).
-fn first_tick_at_or_after(dt: f64, target: f64, slack: f64) -> u64 {
-    let mut i = ((target - slack) / dt).ceil().max(0.0) as u64;
-    while (i as f64) * dt + slack < target {
+fn first_tick_at_or_after(target: f64, slack: f64) -> u64 {
+    let mut i = ((target - slack) / DT_S).ceil().max(0.0) as u64;
+    while (i as f64) * DT_S + slack < target {
         i += 1;
     }
-    while i > 0 && ((i - 1) as f64) * dt + slack >= target {
+    while i > 0 && ((i - 1) as f64) * DT_S + slack >= target {
         i -= 1;
     }
     i
@@ -1313,8 +1306,8 @@ pub(crate) struct ActiveJob {
     pub(crate) temp: Welford,
     pub(crate) freq: Welford,
     /// The inputs `inc` was derived at: effective frequencies and the
-    /// bits of the slowdown, GPU sharer count and `dt`.
-    inc_key: Option<(ClusterFreqs, u64, u64, u64)>,
+    /// bits of the slowdown and GPU sharer count.
+    inc_key: Option<(ClusterFreqs, u64, u64)>,
     /// Per-step progress increments `(cpu, gpu)`; see
     /// [`ActiveJob::increments`].
     inc: (f64, f64),
@@ -1377,22 +1370,21 @@ impl ActiveJob {
 
     /// This job's per-step progress increments at `effective` under
     /// bandwidth slowdown `s`, with `gpu_sharers` apps time-sharing the
-    /// GPU: `cpu_rate · dt / s` and `gpu_rate · dt / (s · sharers)`, the
-    /// progress phase's exact expressions, re-derived only when an input
-    /// changes. The scalar loop and the lockstep pool both read them
-    /// here.
+    /// GPU: `cpu_rate · DT_S / s` and `gpu_rate · DT_S / (s · sharers)`,
+    /// the progress phase's exact expressions, re-derived only when an
+    /// input changes. The scalar loop and the lockstep pool both read
+    /// them here.
     pub(crate) fn increments(
         &mut self,
         effective: ClusterFreqs,
         s: f64,
         gpu_sharers: f64,
-        dt: f64,
     ) -> (f64, f64) {
-        let key = (effective, s.to_bits(), gpu_sharers.to_bits(), dt.to_bits());
+        let key = (effective, s.to_bits(), gpu_sharers.to_bits());
         if self.inc_key != Some(key) {
             self.inc = (
-                cpu_rate(&self.chars, self.mapping, effective.big, effective.little) * dt / s,
-                gpu_rate(&self.chars, effective.gpu) * dt / (s * gpu_sharers),
+                cpu_rate(&self.chars, self.mapping, effective.big, effective.little) * DT_S / s,
+                gpu_rate(&self.chars, effective.gpu) * DT_S / (s * gpu_sharers),
             );
             self.inc_key = Some(key);
         }
@@ -1590,6 +1582,18 @@ mod tests {
         let a = empty_shared.run(&sc).expect("runs");
         let b = prepopulated.run(&sc).expect("runs");
         assert_eq!(a.trace.digest(), b.trace.digest());
+    }
+
+    #[test]
+    fn sim_config_default_is_scenario_scale() {
+        assert_eq!(
+            SimConfig::default(),
+            SimConfig {
+                timeout_s: 10_000.0,
+                idle_policy: IdlePolicy::RaceToIdle,
+                time_advance: TimeAdvance::FixedDt,
+            }
+        );
     }
 
     #[test]

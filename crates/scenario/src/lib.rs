@@ -103,7 +103,7 @@ mod sweep;
 pub use arbiter::{Admission, ContentionPolicy, MappingArbiter, ResourceClaim};
 pub use csv::TraceParseError;
 pub use event::{AppRequest, ScenarioEvent, TimedEvent};
-pub use exec::{ScenarioResult, ScenarioRunner};
+pub use exec::{ScenarioResult, ScenarioRunner, SimConfig};
 pub use journal::{
     journal_digest, run_interrupted, FailedCell, JournalError, JournalIoStats, LoadedJournal,
     SweepJournal, JOURNAL_VERSION,

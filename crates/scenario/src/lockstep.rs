@@ -14,10 +14,11 @@
 //!   networks through the autovectorized `F64xN` kernel.
 //! * **Frozen operating points** — between control ticks a solo cell's
 //!   effective frequencies, power coefficients and progress rates are
-//!   provably constant, so the fast path caches them
-//!   ([`NodePowerModel`], per-step progress increments), skips the
-//!   phases that cannot change them, and re-derives only at a control
-//!   tick or a busy-flag flip.
+//!   provably constant, so the fast path loads them once (the
+//!   [`NodePowerModel`] into the batch's power planes, the per-step
+//!   progress increments into the hot planes), skips the phases that
+//!   cannot change them, and re-derives them only at a control tick
+//!   that moves the frequencies or at a busy-flag flip.
 //!
 //! # Exactness, not approximation
 //!
@@ -33,11 +34,12 @@
 //!    (timeout, sample and trip check, control and actuation, progress)
 //!    through the same [`CellSim`] methods as the scalar loop
 //!    (`record_sample`, `phase_control`, `phase_actuate`,
-//!    `phase_completions`), and the cached power, hotspot and progress
-//!    values come from the same derivations the scalar loop uses:
-//!    [`NodePowerModel::single_app`] (its SoA transposition pinned
-//!    bitwise by the `teem-soc` batch tests), [`HotspotSplit`] and the
-//!    job's own progress-increment memo. A due sample reads the lane's
+//!    `phase_completions`), and each lane's one copy of its power model,
+//!    hotspot split and progress increments comes from the derivations
+//!    the scalar loop uses: [`NodePowerModel::single_app`] (its SoA
+//!    transposition pinned bitwise by the `teem-soc` batch tests),
+//!    [`HotspotSplit`] and the job's own progress-increment memo. A due
+//!    sample reads the lane's
 //!    own sensor bank with
 //!    [`SensorBank::read_with_hotspots`](teem_soc::SensorBank::read_with_hotspots),
 //!    at the lane's SoA temperatures.
@@ -49,8 +51,8 @@
 //!    loop itself would have reached. Sibling lanes are untouched.
 
 use teem_soc::{
-    BatchPowerModel, BatchScratch, ClusterFreqs, CpuMapping, HotspotSplit, NodePowerModel, StepObs,
-    ThermalBatch, ThermalModel,
+    BatchPowerModel, BatchScratch, HotspotSplit, NodePowerModel, StepObs, ThermalBatch,
+    ThermalModel, DT_S,
 };
 use teem_workload::bandwidth_slowdown;
 
@@ -74,35 +76,6 @@ pub(crate) fn eligible_for_lockstep(sim: &CellSim) -> bool {
         && sim.readings.max_c() < sim.zone.trip_c
         && !sim.timed_out
         && sim.t < sim.timeout_s
-}
-
-/// The per-lane cache of everything that is constant between control
-/// decisions: the frozen power model, the per-step progress increments,
-/// the operating point they were derived at, and the sample inputs that
-/// are fixed for the solo app's whole residency.
-struct LaneCache {
-    model: NodePowerModel,
-    /// The solo job's per-step CPU and GPU progress increments at the
-    /// cached operating point ([`solo_increments`]).
-    inc_cpu: f64,
-    inc_gpu: f64,
-    /// The effective frequencies the caches were derived at.
-    effective: ClusterFreqs,
-    /// Busy flags the power model was built with (the scalar loop's
-    /// `!cpu_done()` / `!gpu_done()` share flags).
-    cpu_busy: bool,
-    gpu_busy: bool,
-    /// `combined_mapping(active, cluster_cores)` for the solo app — the
-    /// scalar sensing phase's mapping argument, constant while the job
-    /// runs because a job's mapping never changes mid-flight.
-    sample_mapping: CpuMapping,
-    /// The scalar sensing phase's activity fold specialised to one app:
-    /// `max(f64::MIN, activity)` is `activity` bit-for-bit.
-    sample_activity: f64,
-    /// The sensing phase's hotspot split at the cached operating point
-    /// and CPU busy flag — refolded alongside the power model, so a due
-    /// sample costs one `exp`.
-    hotspot: HotspotSplit,
 }
 
 /// Per-lane counter snapshots taken at (re)admission, from which the
@@ -133,18 +106,18 @@ struct LaneBases {
 /// retirement), [`HotPlanes::flush`] writes the owned fields back;
 /// after the call, the mirrors the sim may have moved are re-read — all
 /// of them via [`HotPlanes::reload`] at admission, or just
-/// `next_control` and the cached rates after a control/actuate pass
-/// (the only fields those phases can touch). Every mirrored expression
-/// the fast path evaluates — progress increments, `done()` comparisons,
-/// energy accounting, the `t = step_idx · dt` clock — is the identical
-/// IEEE expression on identical values, so residency moves without
-/// touching a single bit.
+/// `next_control` and the progress increments after a control/actuate
+/// pass (the only fields those phases can touch). Every mirrored
+/// expression the fast path evaluates — progress increments, `done()`
+/// comparisons, energy accounting, the `t = step_idx · DT_S` clock — is
+/// the identical IEEE expression on identical values, so residency
+/// moves without touching a single bit.
 #[derive(Default)]
 struct HotPlanes {
     // Owned while resident (flushed back to the sim at boundaries).
     t: Vec<f64>,
     /// The step index as an (exact) float — advanced by `+= 1.0` in the
-    /// post-thermal vector pass so the `t = step_idx · dt` clock needs
+    /// post-thermal vector pass so the `t = step_idx · DT_S` clock needs
     /// no int→float conversion. Bit-equal to the scalar counter's
     /// conversion while `step_idx < 2⁵³` (campaign cells run thousands
     /// of steps, nowhere near it).
@@ -155,7 +128,7 @@ struct HotPlanes {
     cpu_done: Vec<f64>,
     gpu_done: Vec<f64>,
     job_energy_j: Vec<f64>,
-    // Read-only mirrors (refreshed from the sim/cache after sync points).
+    // Read-only mirrors (refreshed from the sim after sync points).
     next_sample: Vec<f64>,
     next_control: Vec<f64>,
     timeout_s: Vec<f64>,
@@ -165,6 +138,9 @@ struct HotPlanes {
     inc_gpu: Vec<f64>,
     cpu_has_mapping: Vec<bool>,
     // Fast-path-only state (no sim twin).
+    /// The busy flags the lane's power model and hotspot split were
+    /// derived with (the scalar loop's `!cpu_done()` / `!gpu_done()`
+    /// share flags).
     cpu_busy: Vec<bool>,
     gpu_busy: Vec<bool>,
     /// Set when a busy flag flipped during the previous step's progress
@@ -209,7 +185,7 @@ impl HotPlanes {
     /// bits the scalar loop would hold at this boundary. The step and
     /// sub-step counters are derived from the admission bases plus the
     /// rounds lived since (`subs` sub-steps each — the count is a pure
-    /// function of the pool's pinned `dt`, so it is constant across a
+    /// function of [`DT_S`] and the topology, so it is constant across a
     /// residency); when zero rounds have elapsed `subs` is never
     /// consulted.
     fn flush(&self, slot: usize, sim: &mut CellSim, subs: u64) {
@@ -231,11 +207,13 @@ impl HotPlanes {
         j.energy_j = self.job_energy_j[slot];
     }
 
-    /// Re-reads every mirrored field of slot `slot` from `sim`/`cache`
-    /// and re-snapshots the counter bases (busy flags, dirtiness and
-    /// liveness are fast-path state and survive untouched).
+    /// Re-reads every mirrored field of slot `slot` from `sim`, derives
+    /// its progress increments and busy flags, and re-snapshots the
+    /// counter bases (dirtiness and liveness are fast-path state and
+    /// survive untouched).
     #[allow(clippy::cast_precision_loss)] // step_idx ≪ 2⁵³
-    fn reload(&mut self, slot: usize, sim: &CellSim, cache: &LaneCache) {
+    fn reload(&mut self, slot: usize, sim: &mut CellSim) {
+        (self.inc_cpu[slot], self.inc_gpu[slot]) = solo_increments(sim);
         self.t[slot] = sim.t;
         self.step_f[slot] = sim.step_idx as f64;
         self.energy_j[slot] = sim.energy_j;
@@ -256,9 +234,9 @@ impl HotPlanes {
         self.timeout_s[slot] = sim.timeout_s;
         self.cpu_items[slot] = j.cpu_items;
         self.gpu_items[slot] = j.gpu_items;
-        self.inc_cpu[slot] = cache.inc_cpu;
-        self.inc_gpu[slot] = cache.inc_gpu;
         self.cpu_has_mapping[slot] = !j.mapping.is_empty();
+        self.cpu_busy[slot] = !j.cpu_done();
+        self.gpu_busy[slot] = !j.gpu_done();
     }
 
     /// Clears slot `slot` back to the vacant state.
@@ -274,83 +252,63 @@ impl HotPlanes {
 /// the scalar loop's inputs for a lone app: the total pressure is the
 /// app's own sensitivity, and one GPU sharer.
 fn solo_increments(sim: &mut CellSim) -> (f64, f64) {
-    let (effective, dt) = (sim.effective, sim.dt);
+    let effective = sim.effective;
     let j = &mut sim.active[0];
     let total_pressure = j.chars.mem_sensitivity;
     let s = bandwidth_slowdown(
         j.chars.mem_sensitivity,
         total_pressure - j.chars.mem_sensitivity,
     );
-    j.increments(effective, s, 1.0, dt)
+    j.increments(effective, s, 1.0)
 }
 
-impl LaneCache {
-    fn for_sim(sim: &mut CellSim) -> Self {
-        let (inc_cpu, inc_gpu) = solo_increments(sim);
-        let j = &sim.active[0];
-        let mut cache = LaneCache {
-            model: NodePowerModel::single_app(
-                &sim.board,
-                j.mapping,
-                sim.effective,
-                !j.cpu_done(),
-                !j.gpu_done(),
-                j.chars.activity,
-            ),
-            inc_cpu,
-            inc_gpu,
-            effective: sim.effective,
-            cpu_busy: !j.cpu_done(),
-            gpu_busy: !j.gpu_done(),
-            sample_mapping: combined_mapping(&sim.active, sim.cluster_cores),
-            sample_activity: j.chars.activity,
-            hotspot: HotspotSplit::default(),
-        };
-        cache.refresh_hotspot(sim);
-        cache
-    }
-
-    fn rebuild_model(&mut self, sim: &CellSim) {
-        let j = &sim.active[0];
-        self.model = NodePowerModel::single_app(
+/// Derives slot `slot`'s operating point from its cell: the frozen
+/// power model, straight into the batch's power planes, and the
+/// sample-time hotspot split, both at the cell's effective frequencies
+/// and the hot planes' busy flags. Runs at admission, on a busy-flag
+/// flip and when actuation moves the frequencies — the only times an
+/// input moves (the mapping and activity are the job's own).
+fn load_operating_point(
+    p: &HotPlanes,
+    lane: &mut PoolLane,
+    power: &mut BatchPowerModel,
+    slot: usize,
+) {
+    let sim = &lane.sim;
+    let j = &sim.active[0];
+    let (cpu_busy, gpu_busy) = (p.cpu_busy[slot], p.gpu_busy[slot]);
+    power.set_lane(
+        slot,
+        &NodePowerModel::single_app(
             &sim.board,
             j.mapping,
             sim.effective,
-            self.cpu_busy,
-            self.gpu_busy,
+            cpu_busy,
+            gpu_busy,
             j.chars.activity,
-        );
-        self.refresh_hotspot(sim);
-    }
-
-    /// Re-folds the sample-time hotspot split — depends on exactly the
-    /// inputs the model rebuild tracks (effective frequencies and the
-    /// CPU busy flag; mapping and activity are residency-constant).
-    fn refresh_hotspot(&mut self, sim: &CellSim) {
-        self.hotspot = HotspotSplit::fold(
-            &sim.board,
-            self.sample_mapping,
-            sim.effective,
-            self.cpu_busy,
-            self.sample_activity,
-        );
-    }
-
-    /// Refreshes everything derived from the effective frequencies
-    /// after an actuation changed them.
-    fn refresh_operating_point(&mut self, sim: &mut CellSim) {
-        self.effective = sim.effective;
-        (self.inc_cpu, self.inc_gpu) = solo_increments(sim);
-        self.rebuild_model(sim);
-    }
+        ),
+    );
+    // The scalar sensing phase's inputs for a lone app: its mapping
+    // through `combined_mapping`, and the activity fold
+    // `max(f64::MIN, activity)`, which is `activity` bit for bit.
+    lane.hotspot = HotspotSplit::fold(
+        &sim.board,
+        combined_mapping(&sim.active, sim.cluster_cores),
+        sim.effective,
+        cpu_busy,
+        j.chars.activity,
+    );
 }
 
 /// One cell resident in the pool: its runner, its suspended simulation,
-/// its cache, and the bookkeeping for the occupancy metric.
+/// the hotspot split its sensor samples read, and the bookkeeping for
+/// the occupancy metric.
 struct PoolLane {
     runner: ScenarioRunner,
     sim: CellSim,
-    cache: LaneCache,
+    /// The sensing phase's hotspot split at the lane's operating point
+    /// ([`load_operating_point`]), so a due sample costs one `exp`.
+    hotspot: HotspotSplit,
     /// Caller-supplied identifier (the sweep uses the cell index).
     token: usize,
     /// `sim.scratch.obs.steps` at admission — the denominator baseline
@@ -383,9 +341,7 @@ pub(crate) struct LockstepPool {
     batch: ThermalBatch,
     scratch: BatchScratch,
     /// Every resident lane's frozen power coefficients in node-major
-    /// SoA planes — the vectorized twin of the per-lane
-    /// [`NodePowerModel`]s cached in the lanes, kept in sync at
-    /// admission and at every operating-point refresh.
+    /// SoA planes, loaded by [`load_operating_point`].
     power: BatchPowerModel,
     /// Per-lane total draw from the last power sweep (node-order sums,
     /// the scalar loop's `power.iter().sum()` bits).
@@ -394,15 +350,12 @@ pub(crate) struct LockstepPool {
     /// the only per-lane memory the round's pre/post passes touch.
     /// Parallel to `lanes`; `hot.live[i]` tracks `lanes[i].is_some()`.
     hot: HotPlanes,
-    /// Sub-steps per round under the pinned `dt` — refreshed after
-    /// every batched thermal step (it is a pure function of `dt` and
-    /// the topology, so any round's value serves the whole residency)
-    /// and consumed by the derived sub-step accounting at flush.
+    /// Sub-steps per round — refreshed after every batched thermal step
+    /// (it is a pure function of [`DT_S`] and the topology, so any
+    /// round's value serves the whole residency) and consumed by the
+    /// derived sub-step accounting at flush.
     subs_per_round: u64,
     lanes: Vec<Option<PoolLane>>,
-    /// The integration step every resident lane shares (lockstep needs
-    /// one `dt`); pinned by the first admission.
-    dt: Option<f64>,
     /// Pool-level step observability: the batched power/thermal and
     /// the lanes' sensor-read wall-time split (the per-cell kernels keep
     /// their own step and sub-step counts). Zero unless constructed
@@ -447,7 +400,6 @@ impl LockstepPool {
             hot: HotPlanes::new(k),
             subs_per_round: 0,
             lanes: (0..k).map(|_| None).collect(),
-            dt: None,
             obs,
             rounds: 0,
             lane_steps: 0,
@@ -479,9 +431,9 @@ impl LockstepPool {
     }
 
     /// Admits a cell into a free lane. Returns the cell unchanged when
-    /// it is not [`eligible_for_lockstep`], its thermal topology or
-    /// `dt` does not match the pool, or no lane is free — the caller
-    /// runs it scalar instead.
+    /// it is not [`eligible_for_lockstep`], its thermal topology does
+    /// not match the pool, or no lane is free — the caller runs it
+    /// scalar instead.
     // The Err variant intentionally hands the (large) cell back by
     // value — the caller owns it either way; no heap indirection needed.
     #[allow(clippy::result_large_err)]
@@ -491,21 +443,15 @@ impl LockstepPool {
         mut sim: CellSim,
         token: usize,
     ) -> Result<(), (ScenarioRunner, CellSim, usize)> {
-        let dt_ok = self.dt.is_none_or(|dt| dt.to_bits() == sim.dt.to_bits());
         let slot = self.lanes.iter().position(Option::is_none);
         let Some(slot) = slot else {
             return Err((runner, sim, token));
         };
-        if !eligible_for_lockstep(&sim) || !self.batch.matches(&sim.board.thermal) || !dt_ok {
+        if !eligible_for_lockstep(&sim) || !self.batch.matches(&sim.board.thermal) {
             return Err((runner, sim, token));
         }
-        self.dt = Some(sim.dt);
         self.batch.load_lane(slot, &sim.board.thermal);
-        let cache = LaneCache::for_sim(&mut sim);
-        self.power.set_lane(slot, &cache.model);
-        self.hot.reload(slot, &sim, &cache);
-        self.hot.cpu_busy[slot] = cache.cpu_busy;
-        self.hot.gpu_busy[slot] = cache.gpu_busy;
+        self.hot.reload(slot, &mut sim);
         // Conservative: force one control/actuate pass on the first
         // batched step, matching the scalar loop's unconditional
         // per-step actuation without having to prove anything about
@@ -513,13 +459,14 @@ impl LockstepPool {
         self.hot.flags_dirty[slot] = true;
         self.hot.live[slot] = true;
         let steps_at_entry = sim.scratch.obs.steps;
-        self.lanes[slot] = Some(PoolLane {
+        let lane = self.lanes[slot].insert(PoolLane {
             runner,
             sim,
-            cache,
+            hotspot: HotspotSplit::default(),
             token,
             steps_at_entry,
         });
+        load_operating_point(&self.hot, lane, &mut self.power, slot);
         Ok(())
     }
 
@@ -529,7 +476,6 @@ impl LockstepPool {
     /// the tokens come back, so the caller can re-run those cells from
     /// scratch.
     pub(crate) fn evict_all(&mut self) -> Vec<usize> {
-        self.dt = None;
         let tokens: Vec<usize> = self
             .lanes
             .iter_mut()
@@ -553,9 +499,6 @@ impl LockstepPool {
         let kp = self.batch.stride();
         for i in 0..self.batch.nodes() {
             self.scratch.power[i * kp + slot] = 0.0;
-        }
-        if self.is_empty() {
-            self.dt = None;
         }
         retired.push(RetiredLane {
             runner: lane.runner,
@@ -681,16 +624,13 @@ impl LockstepPool {
         self.obs.lap_power(obs_t0);
 
         // --- Thermal: one batched integration for every lane. The
-        //     sub-step count is a function of (dt, max_stable_dt) only,
-        //     so it is identical across lanes and to the scalar loop. ---
-        let dt = self.dt.expect("dt pinned while lanes are resident");
+        //     sub-step count is a function of (DT_S, max_stable_dt)
+        //     only, so it is identical across lanes and to the scalar
+        //     loop, and any round's value serves every resident lane's
+        //     derived sub-step accounting. ---
         let obs_t0 = self.obs.clock();
-        let substeps = self.batch.step(dt, &self.scratch.power);
+        let substeps = self.batch.step(DT_S, &self.scratch.power);
         self.obs.lap_thermal(obs_t0);
-
-        // The sub-step count is a pure function of the pinned `dt` (and
-        // the topology), so any round's value serves every resident
-        // lane's derived sub-step accounting.
         self.subs_per_round = u64::from(substeps);
 
         // --- Post-thermal vector pass: the scalar power phase's energy
@@ -708,12 +648,12 @@ impl LockstepPool {
             let step_f = &mut p.step_f[..k];
             let t = &mut p.t[..k];
             for i in 0..k {
-                energy_j[i] += totals[i] * dt;
-                busy_s[i] += dt;
-                job_energy_j[i] += totals[i] * dt;
+                energy_j[i] += totals[i] * DT_S;
+                busy_s[i] += DT_S;
+                job_energy_j[i] += totals[i] * DT_S;
                 last_total_w[i] = totals[i];
                 step_f[i] += 1.0;
-                t[i] = step_f[i] * dt;
+                t[i] = step_f[i] * DT_S;
             }
         }
 
@@ -784,16 +724,10 @@ fn apply_flip(
     slot: usize,
     subs: u64,
 ) {
-    let cpu_busy = !(p.cpu_done[slot] >= p.cpu_items[slot]);
-    let gpu_busy = !(p.gpu_done[slot] >= p.gpu_items[slot]);
-    p.cpu_busy[slot] = cpu_busy;
-    p.gpu_busy[slot] = gpu_busy;
-    lane.cache.cpu_busy = cpu_busy;
-    lane.cache.gpu_busy = gpu_busy;
-    let sim = &mut lane.sim;
-    p.flush(slot, sim, subs);
-    lane.cache.rebuild_model(sim);
-    power.set_lane(slot, &lane.cache.model);
+    p.cpu_busy[slot] = !(p.cpu_done[slot] >= p.cpu_items[slot]);
+    p.gpu_busy[slot] = !(p.gpu_done[slot] >= p.gpu_items[slot]);
+    p.flush(slot, &mut lane.sim, subs);
+    load_operating_point(p, lane, power, slot);
     p.flags_dirty[slot] = true;
 }
 
@@ -822,23 +756,19 @@ fn event_step(
     }
 
     // Sensing: the lane's own bank, read at its SoA temperatures (the
-    // bits `store_lane` would copy back to the board) with the cached
-    // hotspot split — folded at the lane's current operating point and
-    // busy flags, which every refresh and flip keeps current. Then the
+    // bits `store_lane` would copy back to the board) with the lane's
+    // hotspot split — folded at its current operating point and busy
+    // flags, which every refresh and flip keeps current. Then the
     // sensing phase's observable effects: store the reading, record the
     // row, advance the sample grid (mirrored back so the event mask
     // keeps tracking it).
     if p.t[slot] + 1e-12 >= p.next_sample[slot] {
         let sim = &mut lane.sim;
-        debug_assert!(sim.effective == lane.cache.effective);
-        debug_assert_eq!(
-            !(p.cpu_done[slot] >= p.cpu_items[slot]),
-            lane.cache.cpu_busy
-        );
+        debug_assert_eq!(!(p.cpu_done[slot] >= p.cpu_items[slot]), p.cpu_busy[slot]);
         let nodes = sim.board.nodes;
         let big_c = batch.lane_temp(nodes.big, slot);
         let gpu_c = batch.lane_temp(nodes.gpu, slot);
-        let core_power = lane.cache.hotspot.eval(big_c);
+        let core_power = lane.hotspot.eval(big_c);
         let obs_t0 = obs.clock();
         sim.readings = sim
             .board
@@ -867,21 +797,21 @@ fn event_step(
     if due || p.flags_dirty[slot] {
         let sim = &mut lane.sim;
         p.flush(slot, sim, subs);
+        let before = sim.effective;
         let obs_t0 = sim.scratch.obs.clock();
         sim.phase_control();
         sim.phase_actuate();
         sim.scratch.obs.lap_control(obs_t0);
-        if sim.effective != lane.cache.effective {
-            lane.cache.refresh_operating_point(sim);
-            power.set_lane(slot, &lane.cache.model);
-            p.inc_cpu[slot] = lane.cache.inc_cpu;
-            p.inc_gpu[slot] = lane.cache.inc_gpu;
-        }
-        // Control and actuation touch only `next_control` and the rates
-        // mirrored above: every other mirrored field was just flushed
-        // and left untouched, so the full reload round-trip is elided.
+        // Control and actuation touch only `next_control` and, when they
+        // move the frequencies, the operating point: every other
+        // mirrored field was just flushed and left untouched, so the
+        // full reload round-trip is elided.
         p.next_control[slot] = sim.active[0].next_control;
         p.flags_dirty[slot] = false;
+        if sim.effective != before {
+            (p.inc_cpu[slot], p.inc_gpu[slot]) = solo_increments(sim);
+            load_operating_point(p, lane, power, slot);
+        }
     }
 
     // Progress: the scalar phase specialised to one app, with the

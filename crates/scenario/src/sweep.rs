@@ -37,14 +37,16 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::arbiter::ContentionPolicy;
-use crate::exec::{CellTemplate, ScenarioResult, ScenarioRunner};
+use crate::exec::{CellTemplate, ScenarioResult, ScenarioRunner, SimConfig};
 use crate::lockstep::LockstepPool;
 use crate::obs::{PoolObs, RunObs, SweepObsReport, WorkerObs};
 use crate::scenario::Scenario;
 use teem_core::offline::build_profile_store;
 use teem_core::runner::Approach;
 use teem_core::{ProfileStore, TeemTunables};
-use teem_soc::{Board, BoardSpec, IdlePolicy, SimConfig, TimeAdvance};
+use teem_soc::{
+    Board, BoardSpec, IdlePolicy, TimeAdvance, DT_S, SAMPLE_PERIOD_S, WARM_START_FRACTION,
+};
 use teem_telemetry::Fnv;
 use teem_workload::App;
 
@@ -90,37 +92,25 @@ impl From<teem_linreg::LinregError> for SweepError {
     }
 }
 
-/// Field-wise overrides applied on top of
-/// [`ScenarioRunner::default_config`] — the safe way to customise the
-/// executor configuration.
-///
-/// [`ScenarioRunner::with_config`] replaces the configuration
-/// *wholesale*, so a caller building a [`SimConfig`] from scratch
-/// silently loses the scenario-scale 10 000 s timeout (the PR 1
-/// footgun). A patch starts from the right defaults and overrides only
-/// what it names:
+/// Field-wise overrides of the executor's [`SimConfig`]: a patch
+/// overrides only what it names and keeps every other default.
 ///
 /// ```
 /// use teem_scenario::ConfigPatch;
+/// use teem_soc::TimeAdvance;
 ///
 /// let cfg = ConfigPatch {
-///     sample_period_s: Some(0.2),
+///     time_advance: Some(TimeAdvance::EventDriven),
 ///     ..ConfigPatch::default()
 /// }
 /// .onto_default();
-/// assert_eq!(cfg.sample_period_s, 0.2);
+/// assert_eq!(cfg.time_advance, TimeAdvance::EventDriven);
 /// assert_eq!(cfg.timeout_s, 10_000.0, "scenario timeout survives");
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ConfigPatch {
-    /// Integration step override, seconds.
-    pub dt_s: Option<f64>,
-    /// Sampling-period override, seconds.
-    pub sample_period_s: Option<f64>,
     /// Timeout override, seconds.
     pub timeout_s: Option<f64>,
-    /// Warm-start fraction override.
-    pub warm_start_fraction: Option<f64>,
     /// Idle-policy override (an explicit [`SweepSpec::idle_policies`]
     /// axis wins over this).
     pub idle_policy: Option<IdlePolicy>,
@@ -132,17 +122,8 @@ pub struct ConfigPatch {
 impl ConfigPatch {
     /// Applies the overrides on top of `base`.
     pub fn apply(self, mut base: SimConfig) -> SimConfig {
-        if let Some(v) = self.dt_s {
-            base.dt_s = v;
-        }
-        if let Some(v) = self.sample_period_s {
-            base.sample_period_s = v;
-        }
         if let Some(v) = self.timeout_s {
             base.timeout_s = v;
-        }
-        if let Some(v) = self.warm_start_fraction {
-            base.warm_start_fraction = v;
         }
         if let Some(v) = self.idle_policy {
             base.idle_policy = v;
@@ -153,11 +134,9 @@ impl ConfigPatch {
         base
     }
 
-    /// Applies the overrides on top of the scenario-scale defaults
-    /// ([`ScenarioRunner::default_config`]) — never on a zeroed
-    /// [`SimConfig`].
+    /// Applies the overrides on top of [`SimConfig::default`].
     pub fn onto_default(self) -> SimConfig {
-        self.apply(ScenarioRunner::default_config())
+        self.apply(SimConfig::default())
     }
 }
 
@@ -470,9 +449,7 @@ impl SweepSpec {
         self
     }
 
-    /// Overrides configuration fields on top of
-    /// [`ScenarioRunner::default_config`] — the footgun-free
-    /// customisation path.
+    /// Overrides configuration fields on top of [`SimConfig::default`].
     pub fn patch_config(mut self, patch: ConfigPatch) -> Self {
         self.patch = patch;
         self
@@ -745,18 +722,17 @@ impl SweepSpec {
         }
         // Exhaustive destructuring: adding a physics field to SimConfig
         // breaks this line instead of silently escaping the fingerprint.
+        // The engine constants sit where the config fields they replaced
+        // did, so journals written before the move still resume.
         let SimConfig {
-            dt_s,
-            sample_period_s,
             timeout_s,
-            warm_start_fraction,
             idle_policy,
             time_advance,
         } = self.resolved_config();
-        h.f64(dt_s);
-        h.f64(sample_period_s);
+        h.f64(DT_S);
+        h.f64(SAMPLE_PERIOD_S);
         h.f64(timeout_s);
-        h.f64(warm_start_fraction);
+        h.f64(WARM_START_FRACTION);
         idle(&mut h, idle_policy);
         h.u64(match time_advance {
             TimeAdvance::FixedDt => 0,
@@ -859,9 +835,9 @@ impl SweepSpec {
         }
     }
 
-    /// The configuration every cell starts from:
-    /// [`ScenarioRunner::default_config`] with the patch applied. A
-    /// cell's idle-policy axis value overrides this per cell.
+    /// The configuration every cell starts from: [`SimConfig::default`]
+    /// with the patch applied. A cell's idle-policy axis value overrides
+    /// this per cell.
     pub fn resolved_config(&self) -> SimConfig {
         self.patch.onto_default()
     }
@@ -1844,11 +1820,11 @@ mod tests {
     fn config_patch_rides_on_scenario_defaults() {
         let cfg = SweepSpec::over(two_scenarios())
             .patch_config(ConfigPatch {
-                sample_period_s: Some(0.25),
+                time_advance: Some(TimeAdvance::EventDriven),
                 ..ConfigPatch::default()
             })
             .resolved_config();
-        assert_eq!(cfg.sample_period_s, 0.25);
+        assert_eq!(cfg.time_advance, TimeAdvance::EventDriven);
         assert_eq!(
             cfg.timeout_s, 10_000.0,
             "patch must not lose the scenario-scale timeout"

@@ -15,8 +15,8 @@
 //!    deterministic.
 
 use teem_core::runner::Approach;
-use teem_scenario::{ContentionPolicy, Scenario, ScenarioRunner};
-use teem_soc::{IdlePolicy, SimConfig};
+use teem_scenario::{ContentionPolicy, Scenario, ScenarioRunner, SimConfig};
+use teem_soc::IdlePolicy;
 use teem_workload::App;
 
 /// Two simultaneous arrivals plus a straggler — enough pressure that
@@ -258,7 +258,7 @@ fn timeout_collapse_saves_idle_energy() {
     let run_with = |idle_policy: IdlePolicy| {
         let config = SimConfig {
             idle_policy,
-            ..ScenarioRunner::default_config()
+            ..SimConfig::default()
         };
         ScenarioRunner::new(Approach::Teem)
             .with_config(config)
@@ -308,7 +308,7 @@ fn race_to_idle_default_matches_explicit_config() {
     let explicit = ScenarioRunner::new(Approach::Teem)
         .with_config(SimConfig {
             idle_policy: IdlePolicy::RaceToIdle,
-            ..ScenarioRunner::default_config()
+            ..SimConfig::default()
         })
         .run(&sc)
         .expect("profiles fit");

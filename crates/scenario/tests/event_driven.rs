@@ -205,7 +205,7 @@ fn timeout_collapse_splits_gaps_as_events() {
 /// steps, because 0.01 is not a binary float.
 #[test]
 fn long_timeline_clock_stays_on_the_tick_grid() {
-    let dt = ScenarioRunner::default_config().dt_s;
+    let dt = teem_soc::DT_S;
     // A late second arrival forces a multi-thousand-tick gap; event
     // mode crosses it instantly but must land on the same grid.
     let scenario = Scenario::new("late-arrival")

@@ -28,6 +28,7 @@ use teem_scenario::{
     journal_digest, run_interrupted, ConfigPatch, JournalError, LoadedJournal, Scenario,
     SweepEvent, SweepJournal, SweepSpec,
 };
+use teem_soc::{IdlePolicy, TimeAdvance};
 use teem_telemetry::{sweep_diff, CellRecord, SweepAggregator};
 use teem_workload::App;
 
@@ -514,6 +515,39 @@ fn stale_journal_from_a_different_grid_is_rejected() {
     assert_eq!(
         spec.fingerprint(),
         small_spec().threads(1).chunk(1).fingerprint()
+    );
+}
+
+/// Fingerprint values pinned across refactors of the configuration the
+/// hash reads: a journal written by an older build must still resume,
+/// so moving where a value lives (a config field, a constant) must not
+/// move the hash. Three shapes: the plain grid, an event-driven grid
+/// with a timeout patch, and a grid with an idle-policy axis.
+#[test]
+fn sweep_fingerprints_are_pinned() {
+    let plain = SweepSpec::over([
+        Scenario::new("mvt").arrive(0.0, App::Mvt, 0.9),
+        Scenario::new("gesummv").arrive(0.0, App::Gesummv, 0.9),
+    ])
+    .approaches(&[Approach::Teem, Approach::Ondemand]);
+    let event_driven = plain.clone().patch_config(ConfigPatch {
+        timeout_s: Some(2.0),
+        time_advance: Some(TimeAdvance::EventDriven),
+        ..ConfigPatch::default()
+    });
+    let idle_axis = plain.clone().idle_policies(&[
+        IdlePolicy::RaceToIdle,
+        IdlePolicy::TimeoutCollapse { timeout_ms: 500 },
+    ]);
+    let got = [
+        plain.fingerprint(),
+        event_driven.fingerprint(),
+        idle_axis.fingerprint(),
+    ];
+    assert_eq!(
+        got.map(|f| format!("{f:016x}")),
+        ["6971103abbe55aee", "efcd1b3096962aa4", "7f04a833f0e718ff"],
+        "plain, event-driven + timeout, idle-policy axis"
     );
 }
 

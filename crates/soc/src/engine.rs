@@ -122,10 +122,26 @@ impl SocControl {
     pub fn gpu_request(&self) -> Option<MHz> {
         self.gpu
     }
+
+    /// Quantises the pending requests onto `board`'s OPP tables
+    /// (`at_or_below`) into `freqs`; a cluster with no request keeps its
+    /// frequency.
+    #[inline]
+    pub fn apply(&self, board: &Board, freqs: &mut ClusterFreqs) {
+        if let Some(f) = self.big {
+            freqs.big = board.big_opps.at_or_below(f).freq;
+        }
+        if let Some(f) = self.little {
+            freqs.little = board.little_opps.at_or_below(f).freq;
+        }
+        if let Some(f) = self.gpu {
+            freqs.gpu = board.gpu_opps.at_or_below(f).freq;
+        }
+    }
 }
 
 /// A runtime resource manager: ondemand, EEMP's static policy, RMP, TEEM…
-/// The engine calls [`Manager::control`] every [`Manager::period_s`]
+/// The engine calls [`Manager::control`] every [`CONTROL_PERIOD_S`]
 /// seconds of simulated time.
 pub trait Manager {
     /// Manager name used in reports (e.g. `"TEEM"`).
@@ -133,12 +149,6 @@ pub trait Manager {
 
     /// Observes the SoC and issues frequency requests.
     fn control(&mut self, view: &SocView, ctl: &mut SocControl);
-
-    /// Control period in seconds (default 100 ms, a typical governor
-    /// sampling rate).
-    fn period_s(&self) -> f64 {
-        0.1
-    }
 }
 
 /// Everything a finished run produced.
@@ -157,10 +167,8 @@ pub struct RunResult {
     pub energy_breakdown_j: (f64, f64, f64, f64),
 }
 
-/// How a board spends its idle gaps (no application mapped).
-///
-/// Single runs never idle, so this only matters to the multi-app
-/// scenario executor; [`Simulation`] ignores it.
+/// How a board spends its idle gaps (no application mapped): a knob of
+/// the multi-app scenario executor, since single runs never idle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IdlePolicy {
     /// Race to the minimum OPPs and stay there — every cluster keeps its
@@ -190,59 +198,41 @@ impl IdlePolicy {
     }
 }
 
-/// How an executor advances simulated time (scenario executor only;
-/// single runs are always dense, so [`Simulation`] ignores it).
+/// How the scenario executor advances simulated time across idle gaps
+/// (single runs have none, so they are always dense).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimeAdvance {
-    /// One fixed-`dt_s` integration loop from start to finish — every
+    /// One fixed-[`DT_S`] integration loop from start to finish — every
     /// idle second of a gappy timeline is stepped through. The default,
     /// and the bit-pinned reference semantics.
     #[default]
     FixedDt,
     /// Event-horizon loop: phases with applications running step at
-    /// fixed `dt_s` **bit-identically** to [`TimeAdvance::FixedDt`],
+    /// fixed [`DT_S`] **bit-identically** to [`TimeAdvance::FixedDt`],
     /// but whenever the active set and queue are empty the executor
     /// computes the next state-changing instant (arrival,
     /// ambient/threshold/approach change, idle-collapse timeout,
     /// simulation timeout) and fast-forwards the thermal network across
     /// the whole gap in closed form ([`fast_forward_gap`]) — `O(events)`
-    /// instead of `O(gap/dt_s)`, with a small documented temperature /
+    /// instead of `O(gap/DT_S)`, with a small documented temperature /
     /// energy tolerance on the gap itself.
     EventDriven,
 }
 
-/// Engine options.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimConfig {
-    /// Integration step, seconds.
-    pub dt_s: f64,
-    /// Trace/sensor sampling period, seconds.
-    pub sample_period_s: f64,
-    /// Abort the run after this much simulated time.
-    pub timeout_s: f64,
-    /// Fraction of the run's initial power used to pre-heat the board
-    /// (the paper's runs start warm from back-to-back measurements —
-    /// Fig. 1 starts at ~80 °C).
-    pub warm_start_fraction: f64,
-    /// What the board does in idle gaps (scenario executor only;
-    /// single runs have no idle gaps).
-    pub idle_policy: IdlePolicy,
-    /// How the scenario executor's clock advances across idle gaps.
-    pub time_advance: TimeAdvance,
-}
+/// Integration step of both step loops, seconds.
+pub const DT_S: f64 = 0.01;
 
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            dt_s: 0.01,
-            sample_period_s: 0.1,
-            timeout_s: 1_000.0,
-            warm_start_fraction: 0.93,
-            idle_policy: IdlePolicy::RaceToIdle,
-            time_advance: TimeAdvance::FixedDt,
-        }
-    }
-}
+/// Trace and sensor sampling period of both step loops, seconds.
+pub const SAMPLE_PERIOD_S: f64 = 0.1;
+
+/// Manager control period, seconds: 100 ms, a typical governor sampling
+/// rate.
+pub const CONTROL_PERIOD_S: f64 = 0.1;
+
+/// Fraction of a run's initial power that pre-heats the board before
+/// its first step ([`warm_start`]): the paper's runs start warm from
+/// back-to-back measurements, and Fig. 1 starts at about 80 °C.
+pub const WARM_START_FRACTION: f64 = 0.93;
 
 /// A single-run simulation of the board executing a [`RunSpec`] under a
 /// [`Manager`], with the stock reactive [`ThermalZone`] armed underneath
@@ -251,24 +241,25 @@ impl Default for SimConfig {
 pub struct Simulation {
     board: Board,
     spec: RunSpec,
-    config: SimConfig,
+    timeout_s: f64,
     zone: Option<ThermalZone>,
 }
 
 impl Simulation {
-    /// Creates a simulation with the stock 95 °C thermal zone armed.
+    /// Creates a simulation with the stock 95 °C thermal zone armed and
+    /// a 1 000 s timeout.
     pub fn new(board: Board, spec: RunSpec) -> Self {
         Simulation {
             board,
             spec,
-            config: SimConfig::default(),
+            timeout_s: 1_000.0,
             zone: Some(ThermalZone::stock_xu4()),
         }
     }
 
-    /// Replaces the engine configuration.
-    pub fn with_config(mut self, config: SimConfig) -> Self {
-        self.config = config;
+    /// Aborts the run after `timeout_s` seconds of simulated time.
+    pub fn with_timeout_s(mut self, timeout_s: f64) -> Self {
+        self.timeout_s = timeout_s;
         self
     }
 
@@ -278,11 +269,6 @@ impl Simulation {
         self
     }
 
-    /// Read access to the board (for inspecting OPP tables etc.).
-    pub fn board(&self) -> &Board {
-        &self.board
-    }
-
     /// Runs the spec to completion under `manager` and reports.
     pub fn run(&mut self, manager: &mut dyn Manager) -> RunResult {
         let chars = self.spec.app.characteristics();
@@ -290,7 +276,7 @@ impl Simulation {
         let cpu_items = self.spec.partition.cpu_fraction() * items;
         let gpu_items = items - cpu_items;
 
-        let dt = self.config.dt_s;
+        let dt = DT_S;
         let mut t = 0.0_f64;
         let mut cpu_done_items = 0.0;
         let mut gpu_done_items = 0.0;
@@ -311,11 +297,7 @@ impl Simulation {
             gpu_items > 0.0,
             chars.activity,
         );
-        warm_start(
-            &mut self.board,
-            &initial_load,
-            self.config.warm_start_fraction,
-        );
+        warm_start(&mut self.board, &initial_load, WARM_START_FRACTION);
 
         let mut meter = crate::meter::SmartPowerMeter::new();
         let mut trace = Trace::with_channels(TRACE_CHANNELS);
@@ -324,7 +306,6 @@ impl Simulation {
         // capacity and at run end, bit-identical to direct recording.
         let mut stage = teem_telemetry::SampleStage::for_channels(&trace, TRACE_CHANNELS);
         let mut zone_trips = 0u32;
-        let mut zone_was_tripped = false;
         let mut next_sample = 0.0_f64;
         let mut next_control = 0.0_f64;
         let chars_activity = chars.activity;
@@ -343,7 +324,7 @@ impl Simulation {
             if cpu_done && gpu_done {
                 break;
             }
-            if t >= self.config.timeout_s {
+            if t >= self.timeout_s {
                 timed_out = true;
                 break;
             }
@@ -368,7 +349,7 @@ impl Simulation {
                 if stage.is_full() {
                     trace.flush_stage(&mut stage);
                 }
-                next_sample += self.config.sample_period_s;
+                next_sample += SAMPLE_PERIOD_S;
             }
 
             // --- Manager control ---
@@ -390,30 +371,21 @@ impl Simulation {
                 };
                 let mut ctl = SocControl::default();
                 manager.control(&view, &mut ctl);
-                if let Some(f) = ctl.big {
-                    desired.big = self.board.big_opps.at_or_below(f).freq;
-                }
-                if let Some(f) = ctl.little {
-                    desired.little = self.board.little_opps.at_or_below(f).freq;
-                }
-                if let Some(f) = ctl.gpu {
-                    desired.gpu = self.board.gpu_opps.at_or_below(f).freq;
-                }
-                next_control += manager.period_s();
+                ctl.apply(&self.board, &mut desired);
+                next_control += CONTROL_PERIOD_S;
             }
 
             // --- Reactive thermal zone (kernel layer) ---
             effective = desired;
             if let Some(zone) = &mut self.zone {
-                if let Some(cap) = zone.update(t, readings.max_c()) {
-                    if effective.big > cap {
-                        effective.big = self.board.big_opps.at_or_below(cap).freq;
-                    }
-                }
-                if zone.is_tripped() && !zone_was_tripped {
+                if zone.actuate(
+                    t,
+                    readings.max_c(),
+                    &self.board.big_opps,
+                    &mut effective.big,
+                ) {
                     zone_trips += 1;
                 }
-                zone_was_tripped = zone.is_tripped();
             }
 
             let key = (effective, cpu_done, gpu_done);
@@ -921,8 +893,8 @@ const WARM_START_CEILING_C: f64 = 80.0;
 /// ceiling and floored at the ambient temperature.
 ///
 /// [`Simulation::run`] passes its initial operating point and
-/// [`SimConfig::warm_start_fraction`]; the scenario executor passes its
-/// first arrival's plan, or the idle board at fraction 1.0.
+/// [`WARM_START_FRACTION`]; the scenario executor passes its first
+/// arrival's plan at the same fraction, or the idle board at 1.0.
 pub fn warm_start(board: &mut Board, load: &NodePowerModel, fraction: f64) {
     let n = board.thermal.len();
     let mut power = vec![0.0; n];
@@ -1206,6 +1178,34 @@ mod tests {
     }
 
     #[test]
+    fn soccontrol_apply_quantises_requests_onto_the_opp_tables() {
+        let board = Board::odroid_xu4_ideal();
+        let mut freqs = ClusterFreqs {
+            big: MHz(1000),
+            little: MHz(1000),
+            gpu: MHz(420),
+        };
+        let mut ctl = SocControl::default();
+        // Between two A15 OPPs: rounds down.
+        ctl.set_big_freq(MHz(1850));
+        // Above the A7 maximum: clamps to it.
+        ctl.set_little_freq(MHz(5000));
+        ctl.apply(&board, &mut freqs);
+        assert_eq!(freqs.big, MHz(1800));
+        assert_eq!(freqs.little, MHz(1400));
+        // No GPU request: the GPU keeps its frequency.
+        assert_eq!(freqs.gpu, MHz(420));
+        // A request between Mali OPPs rounds down too.
+        ctl.set_gpu_freq(MHz(500));
+        ctl.apply(&board, &mut freqs);
+        assert_eq!(freqs.gpu, MHz(480));
+        // An empty control changes nothing.
+        let before = freqs;
+        SocControl::default().apply(&board, &mut freqs);
+        assert_eq!(freqs, before);
+    }
+
+    #[test]
     fn shared_power_model_matches_engine_path() {
         // The extracted helper must agree with what a busy run injects.
         let board = Board::odroid_xu4_ideal();
@@ -1422,7 +1422,7 @@ mod tests {
             IdlePolicy::TimeoutCollapse { timeout_ms: 2500 }.timeout_s(),
             Some(2.5)
         );
-        assert_eq!(SimConfig::default().idle_policy, IdlePolicy::RaceToIdle);
+        assert_eq!(IdlePolicy::default(), IdlePolicy::RaceToIdle);
     }
 
     #[test]
@@ -1447,11 +1447,7 @@ mod tests {
 
     #[test]
     fn timeout_is_reported() {
-        let mut sim =
-            Simulation::new(Board::odroid_xu4_ideal(), cv_spec()).with_config(SimConfig {
-                timeout_s: 1.0,
-                ..SimConfig::default()
-            });
+        let mut sim = Simulation::new(Board::odroid_xu4_ideal(), cv_spec()).with_timeout_s(1.0);
         let r = sim.run(&mut PinMax);
         assert!(r.timed_out);
         assert!(r.summary.execution_time_s <= 1.0 + 0.011);

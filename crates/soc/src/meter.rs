@@ -9,10 +9,12 @@
 
 use teem_telemetry::TimeSeries;
 
+/// The instrument's power sampling period, seconds (1 Hz).
+const METER_PERIOD_S: f64 = 1.0;
+
 /// A Smart-Power-2-like wall meter.
 #[derive(Debug, Clone)]
 pub struct SmartPowerMeter {
-    sample_period_s: f64,
     energy_j: f64,
     last_sample_t: f64,
     samples: TimeSeries,
@@ -20,20 +22,9 @@ pub struct SmartPowerMeter {
 }
 
 impl SmartPowerMeter {
-    /// A meter sampling at the instrument's default 1 Hz, 5 V supply.
+    /// A meter sampling at the instrument's 1 Hz, 5 V supply.
     pub fn new() -> Self {
-        SmartPowerMeter::with_sample_period(1.0)
-    }
-
-    /// A meter with a custom sampling period (seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period_s` is not positive.
-    pub fn with_sample_period(period_s: f64) -> Self {
-        assert!(period_s > 0.0, "sample period must be positive");
         SmartPowerMeter {
-            sample_period_s: period_s,
             energy_j: 0.0,
             last_sample_t: f64::NEG_INFINITY,
             samples: TimeSeries::new(),
@@ -45,7 +36,7 @@ impl SmartPowerMeter {
     /// when due.
     pub fn observe(&mut self, t: f64, dt: f64, power_w: f64) {
         self.energy_j += power_w * dt;
-        if t - self.last_sample_t >= self.sample_period_s {
+        if t - self.last_sample_t >= METER_PERIOD_S {
             self.samples.push(t, power_w);
             self.last_sample_t = t;
         }
@@ -121,12 +112,6 @@ mod tests {
         m.observe(0.0, 0.1, 10.0);
         assert!((m.last_current_a() - 2.0).abs() < 1e-12);
         assert_eq!(m.supply_volts(), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn rejects_zero_period() {
-        SmartPowerMeter::with_sample_period(0.0);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Each node (big cluster, LITTLE cluster, GPU, board) has a heat capacity
 //! and is connected to other nodes and to ambient through thermal
 //! conductances. Heat flows are integrated with forward Euler using
-//! automatic sub-stepping for stability (`dt_sub < min_i C_i / ΣG_i`).
+//! automatic sub-stepping for stability (each sub-step below
+//! `min_i C_i / ΣG_i`).
 //! Within one sub-step the nodes are independent, so the Euler kernel
 //! runs SIMD across them, [`LANES`] nodes per block, and each node still
 //! sees exactly the scalar operations in the scalar order.

@@ -11,7 +11,7 @@
 //! and the die hot in Fig. 1(a), and it is the *reactive* behaviour
 //! TEEM's proactive threshold replaces.
 
-use crate::freq::MHz;
+use crate::freq::{MHz, OppTable};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum ZoneState {
@@ -131,6 +131,22 @@ impl ThermalZone {
         }
     }
 
+    /// Polls the zone at `t_s` with the hottest sensor at `max_temp_c`
+    /// and caps `big` at the zone's limit, quantised `at_or_below` on
+    /// `opps`. Returns `true` on a rising trip edge: the poll that moved
+    /// the zone into the hard-throttled state. A held trip does not count
+    /// again; a release followed by a re-trip does.
+    #[inline]
+    pub fn actuate(&mut self, t_s: f64, max_temp_c: f64, opps: &OppTable, big: &mut MHz) -> bool {
+        let was_tripped = self.is_tripped();
+        if let Some(cap) = self.update(t_s, max_temp_c) {
+            if *big > cap {
+                *big = opps.at_or_below(cap).freq;
+            }
+        }
+        self.is_tripped() && !was_tripped
+    }
+
     /// `true` while hard-throttled at the trip cap (not during release).
     pub fn is_tripped(&self) -> bool {
         self.state == ZoneState::Throttled
@@ -192,6 +208,52 @@ mod tests {
         for i in 0..10 {
             assert_eq!(z.update(i as f64, 94.9), None);
         }
+    }
+
+    #[test]
+    fn actuate_counts_one_trip_per_rising_edge() {
+        let opps = crate::freq::a15_opp_table();
+        let mut z = ThermalZone::new(95.0, 7.5, MHz(900), MHz(2000), 100, 1.0);
+        let mut big = MHz(2000);
+        assert!(z.actuate(0.0, 95.0, &opps, &mut big), "the trip counts");
+        assert_eq!(big, MHz(900));
+        // Still at or above the falling threshold: the trip is held, and
+        // a held trip is not a new one.
+        let mut big = MHz(2000);
+        assert!(!z.actuate(0.1, 96.0, &opps, &mut big));
+        assert!(!z.actuate(0.2, 90.0, &opps, &mut big));
+        assert_eq!(big, MHz(900));
+        // Below 87.5 °C the cap starts to release; a re-trip counts again.
+        assert!(!z.actuate(0.3, 80.0, &opps, &mut big));
+        assert!(!z.is_tripped());
+        assert!(z.actuate(0.4, 95.5, &opps, &mut big), "the re-trip counts");
+        assert!(z.is_tripped());
+    }
+
+    #[test]
+    fn actuate_quantises_the_cap_at_or_below_on_the_table() {
+        let opps = crate::freq::a15_opp_table();
+        // 950 MHz is not an A15 OPP: the cap lands on 900.
+        let mut z = ThermalZone::new(95.0, 7.5, MHz(950), MHz(2000), 100, 1.0);
+        let mut big = MHz(2000);
+        z.actuate(0.0, 97.0, &opps, &mut big);
+        assert_eq!(big, MHz(900));
+        // A request already below the cap is left alone.
+        let mut big = MHz(600);
+        z.actuate(0.1, 97.0, &opps, &mut big);
+        assert_eq!(big, MHz(600));
+    }
+
+    #[test]
+    fn actuate_below_trip_leaves_big_untouched() {
+        let opps = crate::freq::a15_opp_table();
+        let mut z = ThermalZone::stock_xu4();
+        for i in 0..10 {
+            let mut big = MHz(2000);
+            assert!(!z.actuate(f64::from(i), 94.9, &opps, &mut big));
+            assert_eq!(big, MHz(2000));
+        }
+        assert!(!z.is_capping());
     }
 
     #[test]

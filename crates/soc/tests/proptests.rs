@@ -251,7 +251,7 @@ proptest! {
     fn batched_lockstep_matches_scalar_on_random_topologies(
         nodes in 1usize..=20,
         lanes in 1usize..=9,
-        dt_scale in 0.5..4.0f64,
+        step_scale in 0.5..4.0f64,
         caps in collection::vec(0.1..50.0f64, 20usize),
         ambg in collection::vec(0.0..1.0f64, 20usize),
         inits in collection::vec(20.0..90.0f64, 20usize),
@@ -298,7 +298,7 @@ proptest! {
             batch.load_lane(lane, m);
         }
         let mut scratch = BatchScratch::for_batch(&batch);
-        let dt = scalars[0].max_stable_dt() * dt_scale;
+        let dt = scalars[0].max_stable_dt() * step_scale;
 
         for step in 0..50 {
             let mut p = vec![0.0f64; nodes];

@@ -59,12 +59,12 @@ pub mod prelude {
     pub use teem_governors::{Conservative, Ondemand, Performance, Powersave, Userspace};
     pub use teem_scenario::{
         AppRequest, ConfigPatch, ContentionPolicy, LoadedJournal, MappingArbiter, ProgressReporter,
-        Scenario, ScenarioEvent, ScenarioResult, ScenarioRunner, SweepEvent, SweepJournal,
-        SweepObsReport, SweepSpec,
+        Scenario, ScenarioEvent, ScenarioResult, ScenarioRunner, SimConfig, SweepEvent,
+        SweepJournal, SweepObsReport, SweepSpec,
     };
     pub use teem_soc::{
         Board, ClusterFreqs, CpuMapping, IdlePolicy, MHz, Manager, NodePowerModel, RunResult,
-        RunSpec, SimConfig, Simulation, SocControl, SocView, StepScratch, ThermalZone, TimeAdvance,
+        RunSpec, Simulation, SocControl, SocView, StepScratch, ThermalZone, TimeAdvance,
     };
     pub use teem_telemetry::{
         sweep_diff, CellRecord, LogHistogram, MetricsRegistry, MetricsSnapshot, RunSummary,
