@@ -257,12 +257,6 @@ impl Simulation {
         }
     }
 
-    /// Aborts the run after `timeout_s` seconds of simulated time.
-    pub fn with_timeout_s(mut self, timeout_s: f64) -> Self {
-        self.timeout_s = timeout_s;
-        self
-    }
-
     /// Replaces or disables the reactive thermal zone.
     pub fn with_thermal_zone(mut self, zone: Option<ThermalZone>) -> Self {
         self.zone = zone;
@@ -1447,7 +1441,8 @@ mod tests {
 
     #[test]
     fn timeout_is_reported() {
-        let mut sim = Simulation::new(Board::odroid_xu4_ideal(), cv_spec()).with_timeout_s(1.0);
+        let mut sim = Simulation::new(Board::odroid_xu4_ideal(), cv_spec());
+        sim.timeout_s = 1.0;
         let r = sim.run(&mut PinMax);
         assert!(r.timed_out);
         assert!(r.summary.execution_time_s <= 1.0 + 0.011);
