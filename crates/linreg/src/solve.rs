@@ -224,23 +224,53 @@ impl Lu {
     ///
     /// Returns [`LinregError::DimensionMismatch`] when `b.len() != dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+        self.check_len(b.len())?;
+        // Forward substitution runs on the permuted `b`: L y = P b.
+        let mut x: Vec<f64> = self.perm.iter().map(|&r| b[r]).collect();
+        self.substitute(&mut x);
+        Ok(x)
+    }
+
+    /// [`Lu::solve`] into a caller-owned `x`, allocating nothing: the
+    /// same operations in the same order, so the same bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinregError::DimensionMismatch`] when `b.len()` or
+    /// `x.len()` differs from `dim()`.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
+        self.check_len(b.len())?;
+        self.check_len(x.len())?;
+        for (xi, &r) in x.iter_mut().zip(&self.perm) {
+            *xi = b[r];
+        }
+        self.substitute(x);
+        Ok(())
+    }
+
+    fn check_len(&self, len: usize) -> Result<()> {
         let n = self.dim();
-        if b.len() != n {
-            return Err(LinregError::DimensionMismatch {
+        if len == n {
+            Ok(())
+        } else {
+            Err(LinregError::DimensionMismatch {
                 op: "lu_solve rhs",
                 lhs: (n, n),
-                rhs: (b.len(), 1),
-            });
+                rhs: (len, 1),
+            })
         }
+    }
+
+    /// Solves in place from `x = P b`: forward substitution on the
+    /// unit-lower `L`, then back substitution on `U`.
+    fn substitute(&self, x: &mut [f64]) {
+        let n = self.dim();
         let lu = &self.lu;
-        // Forward substitution on the unit-lower L: L y = P b
-        let mut x: Vec<f64> = self.perm.iter().map(|&r| b[r]).collect();
         for i in 0..n {
             for k in 0..i {
                 x[i] -= lu[(i, k)] * x[k];
             }
         }
-        // Back substitution on U
         for i in (0..n).rev() {
             let mut s = x[i];
             for c in (i + 1)..n {
@@ -248,7 +278,6 @@ impl Lu {
             }
             x[i] = s / lu[(i, i)];
         }
-        Ok(x)
     }
 }
 

@@ -80,9 +80,14 @@ fn bits(x: &[f64]) -> Vec<u64> {
 
 fn check(a: &Matrix, pinned: &[[u64; 5]; 2]) {
     let lu = lu_factor(a).expect("non-singular");
+    // One buffer across both right-hand sides: `solve_into` must
+    // overwrite every element, whatever the last solve left there.
+    let mut x = [f64::NAN; 5];
     for (b, want) in RHS.iter().zip(pinned) {
         assert_eq!(bits(&lu_solve(a, b).expect("solve")), want, "lu_solve");
         assert_eq!(bits(&lu.solve(b).expect("solve")), want, "reused factors");
+        lu.solve_into(b, &mut x).expect("solve");
+        assert_eq!(bits(&x), want, "solve_into");
     }
 }
 
@@ -112,4 +117,13 @@ fn factors_solve_the_system() {
             }
         }
     }
+}
+
+#[test]
+fn solve_into_rejects_mismatched_lengths() {
+    let lu = lu_factor(&spd()).expect("non-singular");
+    let mut short = [0.0; 4];
+    assert!(lu.solve_into(&RHS[0], &mut short).is_err(), "short output");
+    let mut x = [0.0; 5];
+    assert!(lu.solve_into(&RHS[0][..4], &mut x).is_err(), "short rhs");
 }

@@ -29,7 +29,10 @@
 //! step loop keeps its power model and each job's progress increments
 //! frozen between changes of their inputs, and reuses one
 //! [`teem_soc::StepScratch`] (plus pre-sized share/claim buffers), so
-//! the steady-state path allocates nothing.
+//! the steady-state path allocates nothing. It also steps in spans:
+//! between timeline events, samples, control ticks and busy-flag flips
+//! only the step's tail can act, so each call runs the other phases
+//! once and then the tail alone up to the next such instant.
 //!
 //! The loop body is factored as [`CellSim`] state plus
 //! [`ScenarioRunner::prepare_cell`] / [`ScenarioRunner::step_cell`] /
@@ -95,6 +98,19 @@ pub struct SimConfig {
     pub idle_policy: IdlePolicy,
     /// How the executor's clock advances across idle gaps.
     pub time_advance: TimeAdvance,
+}
+
+/// The longest executor timeout, seconds: 2⁵³ ticks of [`DT_S`]
+/// (about 9.0e13 s), the last tick index a float clock holds exactly.
+const MAX_TIMEOUT_S: f64 = (1u64 << 53) as f64 * DT_S;
+
+/// Rejects a timeout the tick clock cannot reach: one that is not
+/// finite and positive, or lies past 2⁵³ ticks ([`MAX_TIMEOUT_S`]).
+pub(crate) fn check_timeout(timeout_s: f64) {
+    assert!(
+        timeout_s.is_finite() && timeout_s > 0.0 && timeout_s <= MAX_TIMEOUT_S,
+        "timeout {timeout_s} s must be positive and at most {MAX_TIMEOUT_S} s"
+    );
 }
 
 impl Default for SimConfig {
@@ -203,7 +219,14 @@ impl ScenarioRunner {
     }
 
     /// Replaces the executor configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.timeout_s` is not finite and positive, or lies
+    /// past 2⁵³ ticks of [`DT_S`] (about 9.0e13 s), where the tick
+    /// clock stops being exact.
     pub fn with_config(mut self, config: SimConfig) -> Self {
+        check_timeout(config.timeout_s);
         self.config = config;
         self
     }
@@ -323,7 +346,7 @@ impl ScenarioRunner {
     /// Propagates a profiling (regression) failure for an arriving app.
     pub fn run(&mut self, scenario: &Scenario) -> Result<ScenarioResult, teem_linreg::LinregError> {
         let mut sim = self.prepare_cell(scenario)?;
-        while self.step_cell(&mut sim)? {}
+        while self.step_cell(&mut sim, true)? {}
         Ok(self.finish_cell(sim))
     }
 
@@ -427,12 +450,21 @@ impl ScenarioRunner {
         })
     }
 
-    /// Executes exactly one iteration of the scenario step loop —
-    /// timeline events, launches, termination checks, sensing, gap
-    /// fast-forward, control, actuation, progress, power, thermal and
-    /// completions, in that order. Returns `Ok(false)` when the loop is
-    /// finished (timeline complete or timed out) and the cell should be
-    /// handed to [`ScenarioRunner::finish_cell`].
+    /// Executes one iteration of the scenario step loop — timeline
+    /// events, launches, termination checks, sensing, gap fast-forward,
+    /// control, actuation, then the step's tail (progress, power,
+    /// thermal, energy, clock and completions), in that order. Returns
+    /// `Ok(false)` when the loop is finished (timeline complete or timed
+    /// out) and the cell should be handed to
+    /// [`ScenarioRunner::finish_cell`].
+    ///
+    /// With `span` set, the tail then repeats through every following
+    /// step at which none of the phases before it can act
+    /// ([`CellSim::span_end_tick`]), and the span ends after the step
+    /// whose progress flips a busy flag. Each skipped phase is a no-op
+    /// at those steps by its own guard, so a span leaves exactly the
+    /// bits single steps would. The lockstep warm-up passes `false`, so
+    /// a cell reaches lane admission on the same step either way.
     ///
     /// # Errors
     ///
@@ -440,6 +472,7 @@ impl ScenarioRunner {
     pub(crate) fn step_cell(
         &mut self,
         sim: &mut CellSim,
+        span: bool,
     ) -> Result<bool, teem_linreg::LinregError> {
         // --- Timeline events due at this instant ---
         while sim.next_ev < sim.events.len() && sim.events[sim.next_ev].at_s <= sim.t + 1e-9 {
@@ -680,93 +713,22 @@ impl ScenarioRunner {
         sim.phase_actuate();
         sim.scratch.obs.lap_control(obs_t0);
 
-        // --- Workload progress (slowed by shared-bandwidth
-        //     contention; the GPU is time-shared) ---
-        let total_pressure: f64 = sim.active.iter().map(|j| j.chars.mem_sensitivity).sum();
-        let gpu_sharers = sim.active.iter().filter(|j| !j.gpu_done()).count().max(1) as f64;
-        let co_running = sim.active.len() >= 2;
-        for j in sim.active.iter_mut() {
-            let s = bandwidth_slowdown(
-                j.chars.mem_sensitivity,
-                total_pressure - j.chars.mem_sensitivity,
-            );
-            let (inc_cpu, inc_gpu) = j.increments(sim.effective, s, gpu_sharers);
-            if !j.cpu_done() && !j.mapping.is_empty() {
-                j.cpu_done_items += inc_cpu;
-            }
-            if !j.gpu_done() {
-                j.gpu_done_items += inc_gpu;
-            }
-            if co_running {
-                j.co_run_s += DT_S;
-                j.contention_delay_s += DT_S * (1.0 - 1.0 / s);
-            }
-        }
-
-        // --- Power & thermal (shared model, N active apps
-        //     superposed per domain; one fused step at the step-start
-        //     temperatures, which also leaves the step's power vector
-        //     in the reusable scratch for the accounting) ---
-        let obs_t0 = sim.scratch.obs.clock();
-        sim.shares.clear();
-        sim.shares.extend(sim.active.iter().map(|j| CoRunShare {
-            mapping: j.mapping,
-            cpu_busy: !j.cpu_done(),
-            gpu_busy: !j.gpu_done(),
-            activity: j.chars.activity,
-        }));
-        // Idle long enough: the clusters power-collapse.
-        let collapsed = sim.shares.is_empty()
-            && sim
-                .idle_timeout_s
-                .is_some_and(|timeout| sim.t - sim.idle_gap_start >= timeout);
-        sim.refresh_power(collapsed);
-        sim.scratch.obs.lap_power(obs_t0);
-        let obs_t0 = sim.scratch.obs.clock();
-        let substeps = sim
-            .board
-            .thermal
-            .step_frozen(DT_S, &sim.power, &mut sim.scratch.power);
-        sim.scratch.obs.lap_thermal(obs_t0);
-        let total: f64 = sim.scratch.power.iter().sum();
-        sim.energy_j += total * DT_S;
-        if sim.active.is_empty() {
-            sim.idle_energy_j += total * DT_S;
-            sim.idle_s += DT_S;
-        } else if co_running {
-            sim.busy_s += DT_S;
-            sim.overlap_s += DT_S;
-            // Attribute this step's energy by each app's dynamic-power
-            // weight — the draw it causes — rather than an equal split
-            // that would overcharge a stalled memory-bound app for its
-            // compute-heavy co-runner. Shared overheads (leakage,
-            // uncore, board) follow the weights proportionally. The
-            // weights were derived with this step's power model.
-            let wsum: f64 = sim.weights.iter().sum();
-            if wsum > 0.0 {
-                let step_j = total * DT_S;
-                for (j, w) in sim.active.iter_mut().zip(sim.weights.iter()) {
-                    j.energy_j += step_j * w / wsum;
-                }
-            } else {
-                // Every share idle on every device: nothing to key on.
-                let share_j = total * DT_S / sim.active.len() as f64;
-                for j in sim.active.iter_mut() {
-                    j.energy_j += share_j;
-                }
-            }
+        // --- The span: this step's tail, then every following step
+        //     at which no phase above can act, up to the next due
+        //     instant or the first busy-flag flip. The progress terms
+        //     hold for the whole span ---
+        let end_tick = if span {
+            sim.span_end_tick()
         } else {
-            sim.busy_s += DT_S;
-            sim.active[0].energy_j += total * DT_S;
+            sim.step_idx + 1
+        };
+        let co_running = sim.progress_terms();
+        loop {
+            let flipped = sim.step_tail(co_running);
+            if flipped || sim.step_idx >= end_tick {
+                break;
+            }
         }
-        sim.last_total_w = total;
-        sim.scratch.obs.steps += 1;
-        sim.scratch.obs.substeps += u64::from(substeps);
-        sim.step_idx += 1;
-        sim.t = sim.step_idx as f64 * DT_S;
-
-        // --- Completions: free the resources, in completion order ---
-        sim.phase_completions();
 
         Ok(true)
     }
@@ -990,6 +952,143 @@ impl CellSim {
         }
         self.power_key = key;
         self.power_shares.clone_from(&self.shares);
+    }
+
+    /// The first tick after this one at which a phase before the step
+    /// tail can act: the next timeline event, sample, control tick or
+    /// the timeout, each found by its phase's own predicate. While the
+    /// thermal zone is releasing (its cap moves on its own clock), that
+    /// is the next tick.
+    ///
+    /// Until then every other phase is a no-op: the launch loop's
+    /// inputs are unchanged ([`MappingArbiter::admit`] takes `&self`, so
+    /// a deferred queue stays deferred), the termination check's too,
+    /// `arbitrate_freqs` reads the same requests and busy flags, and
+    /// the zone, idle below its trip or holding one, recomputes the
+    /// same cap from the same reading. With no app active the gap
+    /// fast-forward, where it is on, has already taken the step.
+    fn span_end_tick(&self) -> u64 {
+        if self.zone.is_capping() && !self.zone.is_tripped() {
+            return self.step_idx + 1;
+        }
+        let mut end = first_tick_at_or_after(self.next_sample, 1e-12)
+            .min(first_tick_at_or_after(self.timeout_s, 0.0));
+        if let Some(ev) = self.events.get(self.next_ev) {
+            end = end.min(first_tick_at_or_after(ev.at_s, 1e-9));
+        }
+        for j in &self.active {
+            end = end.min(first_tick_at_or_after(j.next_control, 1e-12));
+        }
+        end
+    }
+
+    /// Derives the progress phase's per-step terms from the active set
+    /// and the effective frequencies: each job's bandwidth slowdown,
+    /// progress increments and contention delay, with the GPU
+    /// time-shared by the jobs still busy on it. They hold until a busy
+    /// flag flips or an event phase acts. Returns whether two or more
+    /// apps co-run.
+    fn progress_terms(&mut self) -> bool {
+        let total_pressure: f64 = self.active.iter().map(|j| j.chars.mem_sensitivity).sum();
+        let gpu_sharers = self.active.iter().filter(|j| !j.gpu_done()).count().max(1) as f64;
+        for j in self.active.iter_mut() {
+            let s = bandwidth_slowdown(
+                j.chars.mem_sensitivity,
+                total_pressure - j.chars.mem_sensitivity,
+            );
+            j.increments(self.effective, s, gpu_sharers);
+            j.delay_s = DT_S * (1.0 - 1.0 / s);
+        }
+        self.active.len() >= 2
+    }
+
+    /// One step's tail: workload progress (slowed by shared-bandwidth
+    /// contention; the GPU is time-shared), the power model, the fused
+    /// power and thermal step, energy accounting, the clock and
+    /// completions. Returns `true` when progress flipped a busy flag.
+    fn step_tail(&mut self, co_running: bool) -> bool {
+        let mut flipped = false;
+        for j in self.active.iter_mut() {
+            let (cpu_busy, gpu_busy) = (!j.cpu_done(), !j.gpu_done());
+            if cpu_busy && !j.mapping.is_empty() {
+                j.cpu_done_items += j.inc.0;
+            }
+            if gpu_busy {
+                j.gpu_done_items += j.inc.1;
+            }
+            if co_running {
+                j.co_run_s += DT_S;
+                j.contention_delay_s += j.delay_s;
+            }
+            // Done counters only grow: a flag can only flip busy → done.
+            flipped |= (cpu_busy && j.cpu_done()) || (gpu_busy && j.gpu_done());
+        }
+
+        // --- Power & thermal (shared model, N active apps superposed
+        //     per domain; one fused step at the step-start
+        //     temperatures, which also leaves the step's power vector
+        //     in the reusable scratch for the accounting) ---
+        let obs_t0 = self.scratch.obs.clock();
+        self.shares.clear();
+        self.shares.extend(self.active.iter().map(|j| CoRunShare {
+            mapping: j.mapping,
+            cpu_busy: !j.cpu_done(),
+            gpu_busy: !j.gpu_done(),
+            activity: j.chars.activity,
+        }));
+        // Idle long enough: the clusters power-collapse.
+        let collapsed = self.shares.is_empty()
+            && self
+                .idle_timeout_s
+                .is_some_and(|timeout| self.t - self.idle_gap_start >= timeout);
+        self.refresh_power(collapsed);
+        self.scratch.obs.lap_power(obs_t0);
+        let obs_t0 = self.scratch.obs.clock();
+        let substeps = self
+            .board
+            .thermal
+            .step_frozen(DT_S, &self.power, &mut self.scratch.power);
+        self.scratch.obs.lap_thermal(obs_t0);
+        let total: f64 = self.scratch.power.iter().sum();
+        self.energy_j += total * DT_S;
+        if self.active.is_empty() {
+            self.idle_energy_j += total * DT_S;
+            self.idle_s += DT_S;
+        } else if co_running {
+            self.busy_s += DT_S;
+            self.overlap_s += DT_S;
+            // Attribute this step's energy by each app's dynamic-power
+            // weight — the draw it causes — rather than an equal split
+            // that would overcharge a stalled memory-bound app for its
+            // compute-heavy co-runner. Shared overheads (leakage,
+            // uncore, board) follow the weights proportionally. The
+            // weights were derived with this step's power model.
+            let wsum: f64 = self.weights.iter().sum();
+            if wsum > 0.0 {
+                let step_j = total * DT_S;
+                for (j, w) in self.active.iter_mut().zip(self.weights.iter()) {
+                    j.energy_j += step_j * w / wsum;
+                }
+            } else {
+                // Every share idle on every device: nothing to key on.
+                let share_j = total * DT_S / self.active.len() as f64;
+                for j in self.active.iter_mut() {
+                    j.energy_j += share_j;
+                }
+            }
+        } else {
+            self.busy_s += DT_S;
+            self.active[0].energy_j += total * DT_S;
+        }
+        self.last_total_w = total;
+        self.scratch.obs.steps += 1;
+        self.scratch.obs.substeps += u64::from(substeps);
+        self.step_idx += 1;
+        self.t = self.step_idx as f64 * DT_S;
+
+        // --- Completions: free the resources, in completion order ---
+        self.phase_completions();
+        flipped
     }
 
     /// The sensing phase: reads the sensor bank, then records the row
@@ -1220,10 +1319,14 @@ fn arbitrate_freqs(active: &[ActiveJob], idle: ClusterFreqs) -> ClusterFreqs {
 /// `target`. Computed by a float estimate corrected against the exact
 /// predicate, so the event-driven jump lands on precisely the tick the
 /// stepped loop would have reached (bit-identical timing, no
-/// off-by-one from rounding).
+/// off-by-one from rounding). Total: a target past the last tick,
+/// infinity included, saturates at `u64::MAX`.
 fn first_tick_at_or_after(target: f64, slack: f64) -> u64 {
     let mut i = ((target - slack) / DT_S).ceil().max(0.0) as u64;
     while (i as f64) * DT_S + slack < target {
+        if i == u64::MAX {
+            return i;
+        }
         i += 1;
     }
     while i > 0 && ((i - 1) as f64) * DT_S + slack >= target {
@@ -1311,6 +1414,9 @@ pub(crate) struct ActiveJob {
     /// Per-step progress increments `(cpu, gpu)`; see
     /// [`ActiveJob::increments`].
     inc: (f64, f64),
+    /// Contention delay accrued per co-running step at the current
+    /// slowdown; see [`CellSim::progress_terms`].
+    delay_s: f64,
 }
 
 impl ActiveJob {
@@ -1348,6 +1454,7 @@ impl ActiveJob {
             freq: Welford::new(),
             inc_key: None,
             inc: (0.0, 0.0),
+            delay_s: 0.0,
         };
         // Seed the per-run statistics with the launch instant so even a
         // sub-sample-period run reports sane temperatures.
@@ -1609,6 +1716,59 @@ mod tests {
     }
 
     #[test]
+    fn first_tick_meets_the_firing_predicate_exactly() {
+        for target in [0.0, 0.005, 0.01, 0.1, 2.345, 5.123, 7.97, 1e6 + 0.003] {
+            for slack in [0.0, 1e-12, 1e-9] {
+                let i = first_tick_at_or_after(target, slack);
+                assert!((i as f64) * DT_S + slack >= target, "{target} {slack}");
+                assert!(
+                    i == 0 || ((i - 1) as f64) * DT_S + slack < target,
+                    "{target} {slack}: tick {i} is not the first"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn first_tick_saturates_past_the_last_tick() {
+        // Past u64::MAX ticks (about 1.845e17 s) and at infinity the
+        // estimate saturates; the helper must return, not wrap.
+        assert_eq!(first_tick_at_or_after(1.9e17, 1e-9), u64::MAX);
+        assert_eq!(first_tick_at_or_after(f64::MAX, 0.0), u64::MAX);
+        assert_eq!(first_tick_at_or_after(f64::INFINITY, 0.0), u64::MAX);
+        assert_eq!(first_tick_at_or_after(f64::INFINITY, 1e-12), u64::MAX);
+        // Huge but inside the range: still the first tick at or after.
+        let i = first_tick_at_or_after(1.0e17, 0.0);
+        assert!(i < u64::MAX && (i as f64) * DT_S >= 1.0e17);
+    }
+
+    #[test]
+    #[should_panic(expected = "timeout inf s must be positive")]
+    fn infinite_timeout_is_rejected() {
+        let _ = ScenarioRunner::new(Approach::Teem).with_config(SimConfig {
+            timeout_s: f64::INFINITY,
+            ..SimConfig::default()
+        });
+    }
+
+    #[test]
+    fn timeouts_past_the_exact_tick_range_are_rejected() {
+        let runner = |timeout_s| {
+            std::panic::catch_unwind(|| {
+                ScenarioRunner::new(Approach::Teem).with_config(SimConfig {
+                    timeout_s,
+                    ..SimConfig::default()
+                })
+            })
+            .is_ok()
+        };
+        assert!(runner(MAX_TIMEOUT_S), "2⁵³ ticks is the last exact tick");
+        for bad in [MAX_TIMEOUT_S * 1.001, f64::NAN, 0.0, -1.0] {
+            assert!(!runner(bad), "timeout {bad} accepted");
+        }
+    }
+
+    #[test]
     fn stepwise_run_matches_monolithic_shape() {
         // Drive prepare/step/finish by hand — the decomposition the
         // lockstep pool uses — and check it reproduces run() exactly.
@@ -1617,7 +1777,7 @@ mod tests {
         let mut b = ScenarioRunner::new(Approach::Teem);
         let ra = a.run(&sc).expect("runs");
         let mut sim = b.prepare_cell(&sc).expect("prepares");
-        while b.step_cell(&mut sim).expect("steps") {}
+        while b.step_cell(&mut sim, false).expect("steps") {}
         let rb = b.finish_cell(sim);
         assert_eq!(ra.summary, rb.summary);
         assert_eq!(ra.trace.digest(), rb.trace.digest());

@@ -4,10 +4,11 @@
 //! A sweep grid multiplies a handful of scenarios by knob axes, so at
 //! any instant a worker holds many cells running the *same physics* at
 //! different operating points. The scalar loop steps them one at a
-//! time, running every phase (sensing, control, frequency arbitration,
-//! progress, power) through the full simulation state every 10 ms tick
-//! even though a solo cell's inputs only change at control decisions.
-//! This module exploits both redundancies:
+//! time, one thermal network per kernel call, and even between events,
+//! where it runs only the step tail, that tail walks the cell's jobs
+//! and rebuilds its power shares through the full simulation state
+//! every 10 ms tick although a solo cell's inputs only change at
+//! control decisions. This module exploits both redundancies:
 //!
 //! * **SoA thermal lockstep** — each admitted cell owns one lane of a
 //!   [`ThermalBatch`]; one [`ThermalBatch::step`] integrates all K RC
@@ -838,7 +839,7 @@ pub(crate) fn run_cell_lockstep(
         if eligible_for_lockstep(&sim) {
             break;
         }
-        if !runner.step_cell(&mut sim)? {
+        if !runner.step_cell(&mut sim, false)? {
             return Ok(runner.finish_cell(sim));
         }
     }
@@ -857,7 +858,7 @@ pub(crate) fn run_cell_lockstep(
     let r = retired.pop().expect("one lane retires");
     let mut runner = r.runner;
     let mut sim = r.sim;
-    while runner.step_cell(&mut sim)? {}
+    while runner.step_cell(&mut sim, true)? {}
     Ok(runner.finish_cell(sim))
 }
 

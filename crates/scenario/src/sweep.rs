@@ -450,7 +450,16 @@ impl SweepSpec {
     }
 
     /// Overrides configuration fields on top of [`SimConfig::default`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the patch sets a `timeout_s` that is not finite and
+    /// positive, or lies past 2⁵³ ticks of [`teem_soc::DT_S`] (about
+    /// 9.0e13 s), as [`ScenarioRunner::with_config`] does.
     pub fn patch_config(mut self, patch: ConfigPatch) -> Self {
+        if let Some(t) = patch.timeout_s {
+            crate::exec::check_timeout(t);
+        }
         self.patch = patch;
         self
     }
@@ -1140,7 +1149,7 @@ impl SweepSpec {
                 if admit && crate::lockstep::eligible_for_lockstep(&sim) {
                     return Ok(CellStart::Eligible(Box::new((runner, sim))));
                 }
-                if !runner.step_cell(&mut sim)? {
+                if !runner.step_cell(&mut sim, !admit)? {
                     return Ok(CellStart::Done(Box::new(runner.finish_cell(sim))));
                 }
             }
@@ -1402,7 +1411,7 @@ fn finish_scalar(
     mut sim: crate::exec::CellSim,
 ) -> Result<ScenarioResult, String> {
     catch_cell(move || {
-        while runner.step_cell(&mut sim)? {}
+        while runner.step_cell(&mut sim, true)? {}
         Ok(runner.finish_cell(sim))
     })
 }

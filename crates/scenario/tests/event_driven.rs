@@ -14,7 +14,7 @@
 //!   `t = step_idx · dt` grid, so arrival instants match to the bit.
 
 use teem_core::runner::Approach;
-use teem_scenario::{ConfigPatch, Scenario, ScenarioRunner};
+use teem_scenario::{ConfigPatch, Scenario, ScenarioRunner, SimConfig, SweepSpec};
 use teem_soc::{IdlePolicy, TimeAdvance};
 use teem_workload::App;
 
@@ -229,4 +229,37 @@ fn long_timeline_clock_stays_on_the_tick_grid() {
         let ticks = (r.summary.makespan_s / dt).round();
         assert_eq!(r.summary.makespan_s, ticks * dt, "{advance:?} makespan");
     }
+}
+
+/// An arrival past the tick clock's range (about 1.845e17 s) is a valid
+/// trace line. Finding its tick once looped about 2⁶⁴ times in a
+/// release build and overflowed in a debug one; the gap fast-forward
+/// and the span bound both ask for it. Both clocks must run to the
+/// timeout.
+#[test]
+fn far_future_arrival_runs_to_the_timeout_under_both_clocks() {
+    let scenario =
+        Scenario::from_csv_str("far-future", "0.0, MVT, 0.9\n1.9e17, CV, 0.9\n").expect("parses");
+    for advance in [TimeAdvance::FixedDt, TimeAdvance::EventDriven] {
+        let r = ScenarioRunner::new(Approach::Teem)
+            .with_config(SimConfig {
+                timeout_s: 90.0,
+                time_advance: advance,
+                ..SimConfig::default()
+            })
+            .run(&scenario)
+            .expect("runs");
+        assert!(r.timed_out, "{advance:?}");
+        assert_eq!(r.summary.makespan_s, 90.0, "{advance:?}");
+        assert_eq!(r.summary.apps_completed(), 1, "{advance:?}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "timeout NaN s must be positive")]
+fn sweep_rejects_a_timeout_the_clock_cannot_reach() {
+    let _ = SweepSpec::over([sparse_mvt()]).patch_config(ConfigPatch {
+        timeout_s: Some(f64::NAN),
+        ..ConfigPatch::default()
+    });
 }

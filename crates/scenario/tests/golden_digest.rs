@@ -20,11 +20,21 @@
 //! A third pins a sweep grid over every axis a cell's set-up depends
 //! on (threshold, ambient, board, gappy event-driven cells), scalar and
 //! batched. It was recorded while every cell still built its own board.
+//!
+//! A fourth pins the instants at which the scalar step loop's event
+//! phases act between the sample and control grids: timeline events
+//! and the timeout off the 0.1 s grid, a thermal zone that releases on
+//! a tick left off the grid by a fast-forwarded gap, and busy-flag flips
+//! between control ticks. They were recorded while the loop still ran
+//! every phase on every step.
 
 use teem_core::offline::profile_app;
 use teem_core::runner::{fig5_mapping, fig5_requirement, run as run_approach, Approach};
 use teem_dse::{evaluate, DesignPoint};
-use teem_scenario::{ConfigPatch, ContentionPolicy, Scenario, ScenarioResult, ScenarioRunner};
+use teem_scenario::{
+    ConfigPatch, ContentionPolicy, Scenario, ScenarioEvent, ScenarioResult, ScenarioRunner,
+    SimConfig,
+};
 use teem_soc::{Board, BoardSpec, ClusterFreqs, CpuMapping, IdlePolicy, MHz, TimeAdvance};
 use teem_telemetry::{Fnv, RunSummary};
 use teem_workload::{App, Partition};
@@ -467,4 +477,108 @@ fn axis_grid_is_pinned_scalar_and_batched() {
         assert_eq!(gaps, GOLDEN_AXIS_GRID_GAPS, "{mode}: gap count");
         assert_eq!(gap_ms, GOLDEN_AXIS_GRID_GAP_MS, "{mode}: gap length");
     }
+}
+
+/// Two co-running apps with an ambient change, a threshold change, the
+/// second arrival and the timeout all between ticks of the 0.1 s sample
+/// grid and of both apps' control grids (the first app's control ticks
+/// fall on the sample grid, the second's 0.03 s after it). COVARIANCE
+/// runs on the GPU alone, so MVT is the big cluster's one stakeholder,
+/// and the 50 °C threshold it plans against makes its TEEM manager step
+/// the big cluster down at its own, off-grid control ticks.
+fn off_grid_scenario() -> Scenario {
+    Scenario::new("off-grid")
+        .arrive(0.0, App::Covariance, 1.0)
+        .at(2.345, ScenarioEvent::AmbientChange { ambient_c: 31.7 })
+        .at(4.567, ScenarioEvent::ThresholdChange { threshold_c: 50.0 })
+        .arrive(5.123, App::Mvt, 0.9)
+}
+
+const GOLDEN_OFF_GRID: u64 = 0x00ce_4a27_c2ac_32f7;
+
+#[test]
+fn off_grid_events_and_timeout_are_pinned() {
+    let r = ScenarioRunner::new(Approach::Teem)
+        .with_contention(ContentionPolicy::shared())
+        .with_config(SimConfig {
+            timeout_s: 7.97,
+            ..SimConfig::default()
+        })
+        .run(&off_grid_scenario())
+        .expect("runs");
+    assert!(r.timed_out, "both apps still run at the timeout");
+    assert_eq!(r.summary.makespan_s, 7.97);
+    assert_eq!(r.summary.apps_completed(), 0);
+    check("off-grid", scenario_digest(&r), GOLDEN_OFF_GRID);
+}
+
+/// Ondemand at 35 °C: a lone MVT trips the zone, a 10.85 s idle gap
+/// leaves it releasing, and a GEMM + SYRK co-run arrives while it
+/// still does. Under the event-driven clock the gap's catch-up puts the
+/// zone's release ticks off the sample grid, so the co-run's first
+/// release lands between sample and control ticks; the co-run then
+/// trips and releases the zone again while both apps run.
+fn zone_co_run_scenario() -> Scenario {
+    Scenario::new("zone-co-run")
+        .with_initial_ambient(35.0)
+        .arrive(0.0, App::Mvt, 0.9)
+        .arrive(40.0, App::Gemm, 0.9)
+        .arrive(40.0, App::Syrk, 0.9)
+}
+
+const GOLDEN_ZONE_CO_RUN_FIXED_DT: u64 = 0x2f35_7a32_fd98_3f2d;
+const GOLDEN_ZONE_CO_RUN_EVENT_DRIVEN: u64 = 0x8ed4_0510_8779_0fdc;
+
+#[test]
+fn zone_trip_and_release_during_a_co_run_are_pinned() {
+    for (advance, want) in [
+        (TimeAdvance::FixedDt, GOLDEN_ZONE_CO_RUN_FIXED_DT),
+        (TimeAdvance::EventDriven, GOLDEN_ZONE_CO_RUN_EVENT_DRIVEN),
+    ] {
+        let r = ScenarioRunner::new(Approach::Ondemand)
+            .with_contention(ContentionPolicy::shared())
+            .with_config(SimConfig {
+                time_advance: advance,
+                ..SimConfig::default()
+            })
+            .run(&zone_co_run_scenario())
+            .expect("runs");
+        assert!(!r.timed_out);
+        assert_eq!(r.summary.apps_completed(), 3);
+        assert!(r.summary.zone_trips >= 2, "the co-run must trip again");
+        assert!(r.summary.overlap_s > 0.0);
+        check(
+            &format!("zone-co-run/{advance:?}"),
+            scenario_digest(&r),
+            want,
+        );
+    }
+}
+
+/// TEEM plans both apps onto CPU+GPU partitions; under the shared
+/// policy they co-run, and each CPU share, then GEMM's GPU share,
+/// finishes between the two apps' control ticks (MVT's are offset by
+/// its 0.37 s arrival).
+fn partitioned_co_run_scenario() -> Scenario {
+    Scenario::new("partitioned-co-run")
+        .arrive(0.0, App::Gemm, 0.9)
+        .arrive(0.37, App::Mvt, 0.9)
+}
+
+const GOLDEN_PARTITIONED_CO_RUN: u64 = 0xa709_a51d_e6fb_664b;
+
+#[test]
+fn busy_flips_between_control_ticks_are_pinned() {
+    let r = ScenarioRunner::new(Approach::Teem)
+        .with_contention(ContentionPolicy::shared())
+        .run(&partitioned_co_run_scenario())
+        .expect("runs");
+    assert!(!r.timed_out);
+    assert_eq!(r.summary.apps_completed(), 2);
+    assert!(r.summary.overlap_s > 0.0);
+    check(
+        "partitioned-co-run",
+        scenario_digest(&r),
+        GOLDEN_PARTITIONED_CO_RUN,
+    );
 }

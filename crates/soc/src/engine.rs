@@ -213,9 +213,16 @@ pub enum TimeAdvance {
     /// computes the next state-changing instant (arrival,
     /// ambient/threshold/approach change, idle-collapse timeout,
     /// simulation timeout) and fast-forwards the thermal network across
-    /// the whole gap in closed form ([`fast_forward_gap`]) — `O(events)`
-    /// instead of `O(gap/DT_S)`, with a small documented temperature /
-    /// energy tolerance on the gap itself.
+    /// the whole gap in closed form ([`fast_forward_gap`]), with a small
+    /// documented temperature / energy tolerance on the gap itself.
+    ///
+    /// A gap costs one closed-form segment per re-linearisation, not
+    /// one step per [`DT_S`], but that is not `O(events)` yet: segments
+    /// are sized from the fastest thermal mode's decay rate, so far
+    /// from the idle steady state they are short (on the XU4 about
+    /// 0.014–0.028 s each over a gap's first five minutes, which costs
+    /// more than stepping), and only near equilibrium does the rest of
+    /// a gap become one segment. See [`fast_forward_gap`].
     EventDriven,
 }
 
@@ -513,6 +520,11 @@ struct FrozenOp {
 pub struct StepScratch {
     /// Node power vector, watts, indexed as [`Board::nodes`].
     pub power: Vec<f64>,
+    /// The steady-state solve's right-hand side in [`fast_forward_gap`].
+    pub rhs: Vec<f64>,
+    /// The steady-state temperatures [`fast_forward_gap`] sizes each
+    /// segment against, °C.
+    pub steady: Vec<f64>,
     /// Step-loop observability accumulator (counters always on, timing
     /// opt-in; see [`StepObs`]).
     pub obs: StepObs,
@@ -521,8 +533,11 @@ pub struct StepScratch {
 impl StepScratch {
     /// Scratch sized for `board`'s thermal network.
     pub fn for_board(board: &Board) -> Self {
+        let n = board.thermal.len();
         StepScratch {
-            power: vec![0.0; board.thermal.len()],
+            power: vec![0.0; n],
+            rhs: vec![0.0; n],
+            steady: vec![0.0; n],
             obs: StepObs::default(),
         }
     }
@@ -543,6 +558,14 @@ impl StepScratch {
 /// Timing never feeds back into the physics, fingerprints or digests:
 /// an instrumented run is bit-identical to a disabled one (pinned by
 /// the golden-digest tests in the scenario crate).
+///
+/// The scenario executor's scalar loop runs in *spans*: one step with
+/// every phase, then the step tail alone (progress, power, thermal,
+/// energy, completions) through each following step at which no other
+/// phase can act. The counters and the power and thermal laps cover
+/// every step alike; the control lap covers only the steps that begin
+/// a span, and the sample and trace laps only the steps a sample falls
+/// on, which always begin one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepObs {
     /// `true` ⇒ the step loop samples `Instant::now` around each phase.
@@ -569,8 +592,10 @@ pub struct StepObs {
     pub sample_ns: u64,
     /// Nanoseconds staging/recording trace samples (0 unless `enabled`).
     pub trace_ns: u64,
-    /// Nanoseconds in manager control + actuation on due ticks
-    /// (0 unless `enabled`).
+    /// Nanoseconds in manager control + actuation (0 unless
+    /// `enabled`). The scalar scenario loop runs them once per span, at
+    /// its first step; the batched path on due ticks and after busy-flag
+    /// flips.
     pub control_ns: u64,
     /// Idle gaps the event-driven executor fast-forwarded instead of
     /// stepping (0 under [`TimeAdvance::FixedDt`]).
@@ -774,21 +799,33 @@ pub struct GapAdvance {
 /// empirically by the property tests against brute-force stepping.
 pub const GAP_SEGMENT_DELTA_C: f64 = 0.5;
 
-/// Advances the board across an all-idle gap in closed form: `O(events)`
-/// work for a span of any length, versus `O(span/dt)` for stepping.
+/// Advances the board across an all-idle gap in closed form, one
+/// re-linearisation segment at a time, instead of stepping it at
+/// `DT_S`.
 ///
 /// During a gap the thermal network is a linear decay toward the
 /// steady state of the (nearly constant) idle power — exactly the
 /// regime where the spectral solution
 /// ([`cool_to`](crate::thermal::ThermalModel::cool_to)) is exact. The
 /// one nonlinearity left is leakage's exponential temperature
-/// dependence, so the span is split into segments sized such that no
-/// node is predicted to move more than [`GAP_SEGMENT_DELTA_C`] per
-/// segment, with the power vector re-evaluated at each segment start
-/// (frozen-power re-linearisation). Once the state is within one delta
-/// of the idle steady state the remainder of the span — hours, days —
-/// is a single segment. Segment count is therefore bounded by the
-/// cooling distance, not the span length.
+/// dependence, so the span is split into segments, with the power
+/// vector re-evaluated at each segment start (frozen-power
+/// re-linearisation). Each segment is the longest span over which the
+/// fastest mode's decay rate (`λ_max`,
+/// [`fastest_cooling_rate`](crate::thermal::ThermalModel::fastest_cooling_rate))
+/// would move the whole distance to the segment's steady state by at
+/// most [`GAP_SEGMENT_DELTA_C`]. Once the state is within one delta of
+/// the idle steady state the remainder of the span — hours, days — is
+/// a single segment.
+///
+/// The segment count is bounded by the cooling distance, not the span
+/// length, but the bound is loose: most of the distance sits in the
+/// slow board mode, which `λ_max` charges at the fast mode's rate. On
+/// the XU4 the segments come out 0.014–0.028 s long over a gap's
+/// first five minutes, so a gap that short costs more than stepping
+/// it; the `trace_campaign` benchmark averages about 1 320 segments
+/// per gap. Sizing each mode by its own rate would remove most of
+/// them.
 ///
 /// Energy is integrated exactly under the frozen-power approximation:
 /// each segment contributes `ΣᵢPᵢ · L` joules, accumulated per node
@@ -838,12 +875,14 @@ pub fn fast_forward_gap(
         model.eval_into(board.thermal.temps(), &mut scratch.power);
         // Distance to the steady state this frozen power decays toward.
         let seg = if lambda_max > 0.0 {
-            let ss = board.thermal.steady_state(&scratch.power);
+            board
+                .thermal
+                .steady_state_into(&scratch.power, &mut scratch.rhs, &mut scratch.steady);
             let dist = board
                 .thermal
                 .temps()
                 .iter()
-                .zip(&ss)
+                .zip(&scratch.steady)
                 .map(|(&t, &s)| (t - s).abs())
                 .fold(0.0_f64, f64::max);
             if dist <= GAP_SEGMENT_DELTA_C {

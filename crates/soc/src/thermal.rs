@@ -14,6 +14,7 @@
 //! and the baselines all react to *sensor readings of node temperatures*,
 //! not to intra-die gradients.
 
+use crate::fastexp::exp_exact;
 use crate::power::NodePowerModel;
 use crate::simd::{F64xN, LANES};
 use std::sync::OnceLock;
@@ -449,6 +450,27 @@ impl ThermalModel {
             .expect("dimensions match by construction")
     }
 
+    /// [`ThermalModel::steady_state`] into caller-owned buffers,
+    /// allocating nothing: the right-hand side is assembled in `rhs`
+    /// and the temperatures land in `out`, with the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any slice's length differs from the node count, or if
+    /// the conductance system is singular.
+    pub fn steady_state_into(&self, power_w: &[f64], rhs: &mut [f64], out: &mut [f64]) {
+        for len in [power_w.len(), rhs.len(), out.len()] {
+            assert_eq!(len, self.len());
+        }
+        for (b, (&p, &g_amb)) in rhs.iter_mut().zip(power_w.iter().zip(&self.to_ambient)) {
+            *b = p + g_amb * self.ambient_c;
+        }
+        self.steady
+            .get_or_init(|| self.factor_conductance())
+            .solve_into(rhs, out)
+            .expect("dimensions match by construction");
+    }
+
     /// LU factors of the steady-state system matrix `G + G_amb`.
     fn factor_conductance(&self) -> Lu {
         let n = self.len();
@@ -610,7 +632,7 @@ impl ThermalModel {
         for (yk, (&l, &bk)) in plan.y.iter_mut().zip(plan.lambda.iter().zip(&plan.b)) {
             if l > tiny {
                 let y_inf = bk / l;
-                *yk = y_inf + (*yk - y_inf) * (-l * horizon_s).exp();
+                *yk = y_inf + (*yk - y_inf) * exp_exact(-l * horizon_s);
             } else {
                 *yk += bk * horizon_s;
             }

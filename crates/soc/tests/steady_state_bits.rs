@@ -4,7 +4,9 @@
 //! by every later one. The digests below were recorded when each call
 //! assembled and eliminated the system afresh, so they pin that
 //! reusing the factors changes no bit: on the first call, after an
-//! ambient change, and on a clone that carries the factors over.
+//! ambient change, and on a clone that carries the factors over. The
+//! allocation-free `steady_state_into` is pinned against the
+//! allocating form on every board.
 
 use teem_soc::{Board, BoardSpec};
 
@@ -85,4 +87,32 @@ fn a_clone_solves_like_its_original() {
     board.thermal.set_ambient_c(40.0);
     let hotter = board.thermal.steady_state(&p);
     assert!(hotter.iter().zip(&first).all(|(h, f)| h > f));
+}
+
+#[test]
+fn steady_state_into_matches_the_allocating_form() {
+    for (spec, _) in PINNED {
+        let mut board = spec.build_ideal();
+        let n = board.thermal.len();
+        // Buffers reused across calls and pre-filled with junk, as the
+        // gap fast-forward's scratch is.
+        let (mut rhs, mut out) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+        for ambient in [None, Some(31.5), Some(18.25)] {
+            if let Some(a) = ambient {
+                board.thermal.set_ambient_c(a);
+            }
+            for seed in 1..=3 {
+                let p = powers(n, seed);
+                board.thermal.steady_state_into(&p, &mut rhs, &mut out);
+                let want = board.thermal.steady_state(&p);
+                assert!(
+                    out.iter()
+                        .zip(&want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{} ambient {ambient:?} seed {seed}",
+                    spec.label()
+                );
+            }
+        }
+    }
 }
