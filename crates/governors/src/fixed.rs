@@ -1,73 +1,10 @@
-//! The trivial cpufreq policies: `performance` (always max), `powersave`
-//! (always min) and `userspace` (caller-chosen fixed frequencies).
+//! The `userspace` cpufreq policy: caller-chosen fixed frequencies.
 //!
-//! `userspace` is the actuation primitive both EEMP-style static policies
-//! and the offline design-point evaluation use: pin a design point's
-//! frequencies and run.
+//! It is the actuation primitive both EEMP-style static policies and the
+//! offline design-point evaluation use: pin a design point's frequencies
+//! and run.
 
-use teem_soc::{ClusterFreqs, MHz, Manager, SocControl, SocView};
-
-/// `performance`: every cluster pinned at maximum.
-#[derive(Debug, Clone)]
-pub struct Performance {
-    max: ClusterFreqs,
-}
-
-impl Performance {
-    /// Performance governor with the XU4 maxima.
-    pub fn xu4() -> Self {
-        Performance {
-            max: ClusterFreqs {
-                big: MHz(2000),
-                little: MHz(1400),
-                gpu: MHz(600),
-            },
-        }
-    }
-}
-
-impl Manager for Performance {
-    fn name(&self) -> &str {
-        "performance"
-    }
-
-    fn control(&mut self, _view: &SocView, ctl: &mut SocControl) {
-        ctl.set_big_freq(self.max.big);
-        ctl.set_little_freq(self.max.little);
-        ctl.set_gpu_freq(self.max.gpu);
-    }
-}
-
-/// `powersave`: every cluster pinned at minimum.
-#[derive(Debug, Clone)]
-pub struct Powersave {
-    min: ClusterFreqs,
-}
-
-impl Powersave {
-    /// Powersave governor with the XU4 minima.
-    pub fn xu4() -> Self {
-        Powersave {
-            min: ClusterFreqs {
-                big: MHz(200),
-                little: MHz(200),
-                gpu: MHz(177),
-            },
-        }
-    }
-}
-
-impl Manager for Powersave {
-    fn name(&self) -> &str {
-        "powersave"
-    }
-
-    fn control(&mut self, _view: &SocView, ctl: &mut SocControl) {
-        ctl.set_big_freq(self.min.big);
-        ctl.set_little_freq(self.min.little);
-        ctl.set_gpu_freq(self.min.gpu);
-    }
-}
+use teem_soc::{ClusterFreqs, Manager, SocControl, SocView};
 
 /// `userspace`: pin caller-chosen frequencies (a design point's V/f).
 #[derive(Debug, Clone)]
@@ -114,7 +51,7 @@ impl Manager for Userspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teem_soc::{Board, CpuMapping, RunSpec, Simulation};
+    use teem_soc::{Board, CpuMapping, MHz, RunSpec, Simulation};
     use teem_workload::{App, Partition};
 
     fn spec() -> RunSpec {
@@ -128,25 +65,6 @@ mod tests {
                 gpu: MHz(480),
             },
         }
-    }
-
-    #[test]
-    fn performance_is_fastest_powersave_slowest() {
-        let run = |m: &mut dyn Manager| {
-            Simulation::new(Board::odroid_xu4_ideal(), spec())
-                .run(m)
-                .summary
-                .execution_time_s
-        };
-        let et_perf = run(&mut Performance::xu4());
-        let et_save = run(&mut Powersave::xu4());
-        let et_user = run(&mut Userspace::new(ClusterFreqs {
-            big: MHz(1000),
-            little: MHz(800),
-            gpu: MHz(420),
-        }));
-        assert!(et_perf < et_user, "{et_perf} !< {et_user}");
-        assert!(et_user < et_save, "{et_user} !< {et_save}");
     }
 
     #[test]
@@ -188,18 +106,6 @@ mod tests {
             mapping: CpuMapping::new(2, 2),
             partition: Partition::even(),
         };
-
-        let mut ctl = SocControl::default();
-        Performance::xu4().control(&view, &mut ctl);
-        assert_eq!(ctl.big_request(), Some(MHz(2000)));
-        assert_eq!(ctl.little_request(), Some(MHz(1400)));
-        assert_eq!(ctl.gpu_request(), Some(MHz(600)));
-
-        let mut ctl = SocControl::default();
-        Powersave::xu4().control(&view, &mut ctl);
-        assert_eq!(ctl.big_request(), Some(MHz(200)));
-        assert_eq!(ctl.little_request(), Some(MHz(200)));
-        assert_eq!(ctl.gpu_request(), Some(MHz(177)));
 
         let pinned = ClusterFreqs {
             big: MHz(1500),

@@ -7,11 +7,9 @@
 //!   load, so thermal protection falls entirely to the kernel's reactive
 //!   trip (95 °C → 900 MHz), producing the oscillation the paper
 //!   criticises.
-//! * [`Performance`] / [`Powersave`] — the trivial pinned policies.
 //! * [`Userspace`] — pin arbitrary per-cluster frequencies; the actuation
 //!   primitive used to hold a design point's V/f setting (EEMP-style
 //!   static management and offline design-point evaluation).
-//! * [`Conservative`] — gradual stepping governor, for ablations.
 //!
 //! # Examples
 //!
@@ -34,10 +32,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod conservative;
 mod fixed;
 mod ondemand;
 
-pub use conservative::Conservative;
-pub use fixed::{Performance, Powersave, Userspace};
+pub use fixed::Userspace;
 pub use ondemand::Ondemand;

@@ -10,37 +10,25 @@ use teem_soc::{ClusterFreqs, MHz, Manager, SocControl, SocView};
 /// own devfreq governor, modelled as pinned maximum — the paper observes
 /// that throttling affects only the A15 cluster).
 #[derive(Debug, Clone)]
-pub struct Ondemand {
-    /// Utilisation above which the governor jumps to maximum (Linux
-    /// default is 80%).
-    pub up_threshold: f64,
-    max: ClusterFreqs,
-    min_big: MHz,
-}
+pub struct Ondemand;
 
 impl Ondemand {
+    /// Utilisation above which the governor jumps to maximum (the Linux
+    /// default, 80 %).
+    const UP_THRESHOLD: f64 = 0.8;
+    /// The XU4's maximum frequencies.
+    const MAX: ClusterFreqs = ClusterFreqs {
+        big: MHz(2000),
+        little: MHz(1400),
+        gpu: MHz(600),
+    };
+    /// The big cluster's policy minimum.
+    const MIN_BIG: MHz = MHz(200);
+
     /// Ondemand with the XU4's frequency ranges and the Linux default
     /// 80 % up-threshold.
     pub fn xu4() -> Self {
-        Ondemand {
-            up_threshold: 0.8,
-            max: ClusterFreqs {
-                big: MHz(2000),
-                little: MHz(1400),
-                gpu: MHz(600),
-            },
-            min_big: MHz(200),
-        }
-    }
-
-    /// Ondemand with custom frequency bounds.
-    pub fn new(max: ClusterFreqs, min_big: MHz, up_threshold: f64) -> Self {
-        assert!((0.0..=1.0).contains(&up_threshold));
-        Ondemand {
-            up_threshold,
-            max,
-            min_big,
-        }
+        Ondemand
     }
 }
 
@@ -50,18 +38,19 @@ impl Manager for Ondemand {
     }
 
     fn control(&mut self, view: &SocView, ctl: &mut SocControl) {
-        if view.big_util >= self.up_threshold {
-            ctl.set_big_freq(self.max.big);
+        if view.big_util >= Self::UP_THRESHOLD {
+            ctl.set_big_freq(Self::MAX.big);
         } else {
             // Proportional scaling: f = max * util / up_threshold,
             // clamped to the policy minimum (Linux's non-jump path).
-            let scaled = (self.max.big.0 as f64 * view.big_util / self.up_threshold).round() as u32;
-            ctl.set_big_freq(MHz(scaled.max(self.min_big.0)));
+            let scaled =
+                (Self::MAX.big.0 as f64 * view.big_util / Self::UP_THRESHOLD).round() as u32;
+            ctl.set_big_freq(MHz(scaled.max(Self::MIN_BIG.0)));
         }
         // LITTLE stays at max while anything runs (it hosts the OS), GPU
         // devfreq pinned at max while its share runs.
-        ctl.set_little_freq(self.max.little);
-        ctl.set_gpu_freq(self.max.gpu);
+        ctl.set_little_freq(Self::MAX.little);
+        ctl.set_gpu_freq(Self::MAX.gpu);
     }
 }
 

@@ -689,14 +689,11 @@ impl ScenarioRunner {
                     sim.next_sample += n as f64 * SAMPLE_PERIOD_S;
                 }
                 // Step-wise zone release across the gap, replayed at
-                // the zone's own poll cadence with the cooled
-                // temperatures — O(release ladder), not O(gap).
-                catch_up_zone(
-                    &mut sim.zone,
-                    sim.t - span_s,
-                    sim.t,
-                    gap_max_temp_estimate(&sim.board),
-                );
+                // the zone's own poll cadence from the gap start with
+                // the cooled temperatures — O(release ladder), not
+                // O(gap).
+                sim.zone
+                    .catch_up(sim.t - span_s, sim.t, gap_max_temp_estimate(&sim.board));
                 return Ok(true);
             }
         }
@@ -955,22 +952,20 @@ impl CellSim {
     }
 
     /// The first tick after this one at which a phase before the step
-    /// tail can act: the next timeline event, sample, control tick or
-    /// the timeout, each found by its phase's own predicate. While the
-    /// thermal zone is releasing (its cap moves on its own clock), that
-    /// is the next tick.
+    /// tail can act: the next timeline event, sample, control tick,
+    /// step of a releasing zone's cap or the timeout, each found by its
+    /// phase's own predicate.
     ///
     /// Until then every other phase is a no-op: the launch loop's
     /// inputs are unchanged ([`MappingArbiter::admit`] takes `&self`, so
     /// a deferred queue stays deferred), the termination check's too,
     /// `arbitrate_freqs` reads the same requests and busy flags, and
-    /// the zone, idle below its trip or holding one, recomputes the
-    /// same cap from the same reading. With no app active the gap
+    /// the zone, polled with the same reading (it moves only at a
+    /// sample), recomputes the same cap: idle below its trip, holding
+    /// one, or releasing with its next step not yet due
+    /// ([`ThermalZone::release_due`]). With no app active the gap
     /// fast-forward, where it is on, has already taken the step.
     fn span_end_tick(&self) -> u64 {
-        if self.zone.is_capping() && !self.zone.is_tripped() {
-            return self.step_idx + 1;
-        }
         let mut end = first_tick_at_or_after(self.next_sample, 1e-12)
             .min(first_tick_at_or_after(self.timeout_s, 0.0));
         if let Some(ev) = self.events.get(self.next_ev) {
@@ -978,6 +973,11 @@ impl CellSim {
         }
         for j in &self.active {
             end = end.min(first_tick_at_or_after(j.next_control, 1e-12));
+        }
+        if let Some(due_s) = self.zone.next_release_s() {
+            end = end.min(first_tick_past((due_s / DT_S).ceil(), |t| {
+                !self.zone.release_due(t)
+            }));
         }
         end
     }
@@ -1316,20 +1316,28 @@ fn arbitrate_freqs(active: &[ActiveJob], idle: ClusterFreqs) -> ClusterFreqs {
 /// The first tick index `i` of the fixed-dt grid whose time `i·DT_S`
 /// satisfies the fixed-dt loop's own firing predicate `i·DT_S + slack >=
 /// target` — i.e. the step at which the fixed-dt loop would first act on
-/// `target`. Computed by a float estimate corrected against the exact
-/// predicate, so the event-driven jump lands on precisely the tick the
+/// `target`, so the event-driven jump lands on precisely the tick the
 /// stepped loop would have reached (bit-identical timing, no
 /// off-by-one from rounding). Total: a target past the last tick,
 /// infinity included, saturates at `u64::MAX`.
 fn first_tick_at_or_after(target: f64, slack: f64) -> u64 {
-    let mut i = ((target - slack) / DT_S).ceil().max(0.0) as u64;
-    while (i as f64) * DT_S + slack < target {
+    first_tick_past(((target - slack) / DT_S).ceil(), |t| t + slack < target)
+}
+
+/// The first tick index `i` whose time `i·DT_S` is no longer `before`
+/// an instant, for a `before` monotone in time (true, then false from
+/// some tick on): the float estimate `guess` corrected against the
+/// exact predicate in either direction. An instant past the last tick
+/// saturates at `u64::MAX`.
+fn first_tick_past(guess: f64, before: impl Fn(f64) -> bool) -> u64 {
+    let mut i = guess.max(0.0) as u64;
+    while before((i as f64) * DT_S) {
         if i == u64::MAX {
             return i;
         }
         i += 1;
     }
-    while i > 0 && ((i - 1) as f64) * DT_S + slack >= target {
+    while i > 0 && !before(((i - 1) as f64) * DT_S) {
         i -= 1;
     }
     i
@@ -1348,28 +1356,6 @@ fn gap_max_temp_estimate(board: &Board) -> f64 {
         .copied()
         .fold(f64::NEG_INFINITY, f64::max);
     (temps[board.nodes.big] + offset).max(temps[board.nodes.gpu])
-}
-
-/// Replays the thermal zone's step-wise release across a fast-forwarded
-/// gap at the zone's own poll cadence, using the (cooled) gap-end
-/// temperature. The release ladder is finite — (release − throttle) /
-/// step — so this is O(ladder), not O(gap): once the zone is back to
-/// `Idle` there is nothing left to release and the walk stops.
-fn catch_up_zone(zone: &mut ThermalZone, from_s: f64, to_s: f64, temp_c: f64) {
-    if !zone.is_capping() {
-        return;
-    }
-    let ladder = u64::from(
-        zone.release_to.0.saturating_sub(zone.throttle_to.0) / zone.release_step_mhz.max(1),
-    ) + 2;
-    let mut zt = from_s + zone.release_period_s;
-    for _ in 0..ladder {
-        if zt > to_s || !zone.is_capping() {
-            break;
-        }
-        zone.update(zt, temp_c);
-        zt += zone.release_period_s;
-    }
 }
 
 /// An arrival that has been planned but not yet launched. The planning
@@ -1740,6 +1726,68 @@ mod tests {
         // Huge but inside the range: still the first tick at or after.
         let i = first_tick_at_or_after(1.0e17, 0.0);
         assert!(i < u64::MAX && (i as f64) * DT_S >= 1.0e17);
+    }
+
+    #[test]
+    fn first_tick_of_each_release_step_ends_the_span() {
+        // Nothing else is due in this cell (no events, no jobs, no
+        // sample, the timeout far off), so a releasing zone alone ends
+        // its spans.
+        let mut runner = ScenarioRunner::new(Approach::Ondemand);
+        let mut sim = runner
+            .prepare_cell(&Scenario::new("idle"))
+            .expect("prepares");
+        sim.next_sample = f64::INFINITY;
+        // A span starting at `tick` (where the zone is polled first, as
+        // in `step_cell`) must end at the first later tick at which
+        // polling the zone tick by tick steps its cap.
+        let mut check = |tick: u64, mut zone: ThermalZone| -> Option<u64> {
+            let t = tick as f64 * DT_S;
+            let cap = zone.update(t, 80.0);
+            zone.next_release_s()?;
+            sim.step_idx = tick;
+            sim.t = t;
+            sim.zone = zone;
+            let end = sim.span_end_tick();
+            let mut i = tick + 1;
+            while zone.update(i as f64 * DT_S, 80.0) == cap {
+                i += 1;
+            }
+            assert_eq!(
+                end, i,
+                "span from tick {tick} ends at {end}; the cap steps at {i}"
+            );
+            Some(end)
+        };
+        let entered_at = |t: f64| {
+            let mut zone = ThermalZone::stock_xu4();
+            zone.update(t, 96.0);
+            zone.update(t, 80.0);
+            zone
+        };
+        // Release entered on every tick of the grid.
+        for tick in 0..200_000 {
+            check(tick, entered_at(tick as f64 * DT_S));
+        }
+        // The float slack decides these two: without it the step lands a
+        // tick later.
+        assert_eq!(check(111, entered_at(111.0 * DT_S)), Some(361));
+        assert_eq!(check(164, entered_at(164.0 * DT_S)), Some(414));
+        // Catch-up instants: tripped as a gap starts, released across it
+        // at gap start + k·2.5 s (off the grid), resumed at its end.
+        for start in 0..5_000_u64 {
+            for polls in 1..=12 {
+                for extra in [0, 1, 125] {
+                    let end = start + 250 * polls + extra;
+                    let to_s = end as f64 * DT_S;
+                    let from_s = to_s - (end - start) as f64 * DT_S;
+                    let mut zone = ThermalZone::stock_xu4();
+                    zone.update(from_s, 96.0);
+                    zone.catch_up(from_s, to_s, 80.0);
+                    check(end, zone);
+                }
+            }
+        }
     }
 
     #[test]

@@ -61,20 +61,21 @@ use crate::exec::{combined_mapping, CellSim, ScenarioRunner};
 
 /// `true` when `sim` is in the regime the lockstep fast path models
 /// exactly: one active app, nothing queued, no timeline events left,
-/// the reactive thermal zone idle with the latest sensor reading below
-/// its trip point, and the executor timeout not yet reached.
+/// the reactive thermal zone idle and not tripped by the latest sensor
+/// reading ([`teem_soc::ThermalZone::trips_at`]), and the executor
+/// timeout not yet reached.
 ///
 /// Under these invariants the scalar phases the fast path skips are
 /// all provably no-ops: the event loop's cursor is exhausted, the
 /// launch loop breaks on the empty queue, the gap fast-forward needs an
-/// empty active set, and the zone's `update` below trip returns `None`
-/// without mutating state.
+/// empty active set, and an idle zone's `update` at a reading that
+/// does not trip it returns `None` without mutating state.
 pub(crate) fn eligible_for_lockstep(sim: &CellSim) -> bool {
     sim.active.len() == 1
         && sim.queue.is_empty()
         && sim.next_ev >= sim.events.len()
         && !sim.zone.is_capping()
-        && sim.readings.max_c() < sim.zone.trip_c
+        && !sim.zone.trips_at(sim.readings.max_c())
         && !sim.timed_out
         && sim.t < sim.timeout_s
 }
@@ -783,7 +784,7 @@ fn event_step(
         // At or above trip: hand off before the control phase — the
         // scalar loop resumes with control, then trips in actuation,
         // exactly as it would have.
-        if sim.readings.max_c() >= sim.zone.trip_c {
+        if sim.zone.trips_at(sim.readings.max_c()) {
             p.flush(slot, sim, subs);
             return LaneExit::Handoff;
         }

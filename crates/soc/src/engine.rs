@@ -243,13 +243,13 @@ pub const WARM_START_FRACTION: f64 = 0.93;
 
 /// A single-run simulation of the board executing a [`RunSpec`] under a
 /// [`Manager`], with the stock reactive [`ThermalZone`] armed underneath
-/// (as on the real kernel) unless disabled.
+/// (as on the real kernel).
 #[derive(Debug)]
 pub struct Simulation {
     board: Board,
     spec: RunSpec,
     timeout_s: f64,
-    zone: Option<ThermalZone>,
+    zone: ThermalZone,
 }
 
 impl Simulation {
@@ -260,14 +260,8 @@ impl Simulation {
             board,
             spec,
             timeout_s: 1_000.0,
-            zone: Some(ThermalZone::stock_xu4()),
+            zone: ThermalZone::stock_xu4(),
         }
-    }
-
-    /// Replaces or disables the reactive thermal zone.
-    pub fn with_thermal_zone(mut self, zone: Option<ThermalZone>) -> Self {
-        self.zone = zone;
-        self
     }
 
     /// Runs the spec to completion under `manager` and reports.
@@ -378,15 +372,13 @@ impl Simulation {
 
             // --- Reactive thermal zone (kernel layer) ---
             effective = desired;
-            if let Some(zone) = &mut self.zone {
-                if zone.actuate(
-                    t,
-                    readings.max_c(),
-                    &self.board.big_opps,
-                    &mut effective.big,
-                ) {
-                    zone_trips += 1;
-                }
+            if self.zone.actuate(
+                t,
+                readings.max_c(),
+                &self.board.big_opps,
+                &mut effective.big,
+            ) {
+                zone_trips += 1;
             }
 
             let key = (effective, cpu_done, gpu_done);
@@ -562,10 +554,12 @@ impl StepScratch {
 /// The scenario executor's scalar loop runs in *spans*: one step with
 /// every phase, then the step tail alone (progress, power, thermal,
 /// energy, completions) through each following step at which no other
-/// phase can act. The counters and the power and thermal laps cover
-/// every step alike; the control lap covers only the steps that begin
-/// a span, and the sample and trace laps only the steps a sample falls
-/// on, which always begin one.
+/// phase can act — including a thermal zone releasing its cap, whose
+/// next step ends the span. The counters and the power and thermal
+/// laps cover every step alike; the control lap (control and the zone
+/// poll) covers only the steps that begin a span, and the sample and
+/// trace laps only the steps a sample falls on, which always begin
+/// one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepObs {
     /// `true` ⇒ the step loop samples `Instant::now` around each phase.
@@ -1160,12 +1154,14 @@ mod tests {
 
     #[test]
     fn lower_frequency_is_slower() {
-        let mut fast =
-            Simulation::new(Board::odroid_xu4_ideal(), cv_spec()).with_thermal_zone(None);
-        let et_fast = fast.run(&mut PinBig(MHz(2000))).summary.execution_time_s;
-        let mut slow =
-            Simulation::new(Board::odroid_xu4_ideal(), cv_spec()).with_thermal_zone(None);
-        let et_slow = slow.run(&mut PinBig(MHz(1000))).summary.execution_time_s;
+        // Both stay below the trip (see mid_frequency_run_stays_below_trip),
+        // so the zone never caps either run.
+        let run = |f| {
+            let r = Simulation::new(Board::odroid_xu4_ideal(), cv_spec()).run(&mut PinBig(f));
+            assert_eq!(r.zone_trips, 0, "trip at {f}");
+            r.summary.execution_time_s
+        };
+        let (et_fast, et_slow) = (run(MHz(1400)), run(MHz(1000)));
         assert!(et_slow > et_fast, "{et_slow} <= {et_fast}");
     }
 

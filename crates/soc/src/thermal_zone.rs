@@ -17,68 +17,51 @@ use crate::freq::{MHz, OppTable};
 enum ZoneState {
     /// Not throttling.
     Idle,
-    /// Hard-capped at `throttle_to`.
+    /// Hard-capped at `THROTTLE_TO`.
     Throttled,
     /// Unwinding the cap step-by-step.
     Releasing { cap: MHz, last_step_t: f64 },
 }
 
-/// A trip-point thermal zone with step-wise release, acting on the big
-/// cluster.
+/// The stock XU4 trip-point thermal zone with step-wise release, acting
+/// on the big cluster: trip at 95 °C, cap to 900 MHz, falling threshold
+/// 7.5 °C below the trip, and `step_wise` release of one 100 MHz cooling
+/// state per 2.5 s passive-polling interval. The slow ladder back to
+/// 2000 MHz is what makes reactive throttling so costly in Fig. 1(a):
+/// every trip buys many seconds of reduced frequency, yet the next trip
+/// comes as soon as the cap fully releases.
+///
+/// The zone owns its whole ladder: executors poll it
+/// ([`ThermalZone::actuate`]), replay it across a skipped idle gap
+/// ([`ThermalZone::catch_up`]) and ask it when the cap next moves on
+/// its own ([`ThermalZone::next_release_s`],
+/// [`ThermalZone::release_due`]), never its parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalZone {
-    /// Trip temperature, °C.
-    pub trip_c: f64,
-    /// Release begins once below `trip_c - hysteresis_c`.
-    pub hysteresis_c: f64,
-    /// Frequency cap applied on trip.
-    pub throttle_to: MHz,
-    /// Cap fully removed at this frequency.
-    pub release_to: MHz,
-    /// Cap raise per release step, MHz.
-    pub release_step_mhz: u32,
-    /// Polling interval between release steps, seconds.
-    pub release_period_s: f64,
     state: ZoneState,
 }
 
 impl ThermalZone {
-    /// The stock XU4 configuration: trip 95 °C, cap to 900 MHz, falling
-    /// threshold 7.5 °C below the trip, and `step_wise` release of one
-    /// 100 MHz cooling state per 2.5 s passive-polling interval. The slow
-    /// ladder back to 2000 MHz is what makes reactive throttling so
-    /// costly in Fig. 1(a): every trip buys many seconds of reduced
-    /// frequency, yet the next trip comes as soon as the cap fully
-    /// releases. Faster/instant-release variants are available through
-    /// [`ThermalZone::new`] for ablation studies.
-    pub fn stock_xu4() -> Self {
-        ThermalZone::new(95.0, 7.5, MHz(900), MHz(2000), 100, 2.5)
-    }
+    /// Trip temperature, °C.
+    const TRIP_C: f64 = 95.0;
+    /// Release begins once below `TRIP_C - HYSTERESIS_C`.
+    const HYSTERESIS_C: f64 = 7.5;
+    /// Frequency cap applied on trip.
+    const THROTTLE_TO: MHz = MHz(900);
+    /// Cap fully removed at this frequency.
+    const RELEASE_TO: MHz = MHz(2000);
+    /// Cap raise per release step, MHz.
+    const RELEASE_STEP_MHZ: u32 = 100;
+    /// Polling interval between release steps, seconds.
+    const RELEASE_PERIOD_S: f64 = 2.5;
+    /// Polls that take a trip through the whole ladder: one to start
+    /// the release, one per step, and one spare.
+    const LADDER_POLLS: u32 =
+        (Self::RELEASE_TO.0 - Self::THROTTLE_TO.0) / Self::RELEASE_STEP_MHZ + 2;
 
-    /// Creates a zone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hysteresis_c` is negative, `release_step_mhz` is zero,
-    /// or `release_period_s` is not positive.
-    pub fn new(
-        trip_c: f64,
-        hysteresis_c: f64,
-        throttle_to: MHz,
-        release_to: MHz,
-        release_step_mhz: u32,
-        release_period_s: f64,
-    ) -> Self {
-        assert!(hysteresis_c >= 0.0, "hysteresis must be non-negative");
-        assert!(release_step_mhz > 0, "release step must be positive");
-        assert!(release_period_s > 0.0, "release period must be positive");
+    /// The stock XU4 zone, idle.
+    pub fn stock_xu4() -> Self {
         ThermalZone {
-            trip_c,
-            hysteresis_c,
-            throttle_to,
-            release_to,
-            release_step_mhz,
-            release_period_s,
             state: ZoneState::Idle,
         }
     }
@@ -88,36 +71,35 @@ impl ThermalZone {
     pub fn update(&mut self, t_s: f64, max_temp_c: f64) -> Option<MHz> {
         match self.state {
             ZoneState::Idle => {
-                if max_temp_c >= self.trip_c {
+                if self.trips_at(max_temp_c) {
                     self.state = ZoneState::Throttled;
-                    Some(self.throttle_to)
+                    Some(Self::THROTTLE_TO)
                 } else {
                     None
                 }
             }
             ZoneState::Throttled => {
-                if max_temp_c < self.trip_c - self.hysteresis_c {
+                if max_temp_c < Self::TRIP_C - Self::HYSTERESIS_C {
                     self.state = ZoneState::Releasing {
-                        cap: self.throttle_to,
+                        cap: Self::THROTTLE_TO,
                         last_step_t: t_s,
                     };
                 }
-                Some(self.throttle_to)
+                Some(Self::THROTTLE_TO)
             }
             ZoneState::Releasing { cap, last_step_t } => {
-                if max_temp_c >= self.trip_c {
+                if self.trips_at(max_temp_c) {
                     // Re-trip: slam back down.
                     self.state = ZoneState::Throttled;
-                    return Some(self.throttle_to);
+                    return Some(Self::THROTTLE_TO);
                 }
                 let mut cap = cap;
                 let mut last = last_step_t;
-                // Epsilon guards against float accumulation in t_s.
-                if t_s - last >= self.release_period_s - 1e-9 {
-                    cap = MHz(cap.0 + self.release_step_mhz);
+                if self.release_due(t_s) {
+                    cap = MHz(cap.0 + Self::RELEASE_STEP_MHZ);
                     last = t_s;
                 }
-                if cap >= self.release_to {
+                if cap >= Self::RELEASE_TO {
                     self.state = ZoneState::Idle;
                     None
                 } else {
@@ -147,6 +129,57 @@ impl ThermalZone {
         self.is_tripped() && !was_tripped
     }
 
+    /// Replays the step-wise release across a skipped stretch
+    /// `(from_s, to_s]` during which the hottest sensor reads `temp_c`:
+    /// polls at `from_s + k·2.5 s` (k = 1, 2, …) up to `to_s`, and
+    /// stops once the cap is gone. The ladder is finite, so this costs
+    /// O(ladder), not O(stretch).
+    pub fn catch_up(&mut self, from_s: f64, to_s: f64, temp_c: f64) {
+        if !self.is_capping() {
+            return;
+        }
+        let mut zt = from_s + Self::RELEASE_PERIOD_S;
+        for _ in 0..Self::LADDER_POLLS {
+            if zt > to_s || !self.is_capping() {
+                break;
+            }
+            self.update(zt, temp_c);
+            zt += Self::RELEASE_PERIOD_S;
+        }
+    }
+
+    /// `true` when a reading of `max_temp_c` trips the zone.
+    #[inline]
+    pub fn trips_at(&self, max_temp_c: f64) -> bool {
+        max_temp_c >= Self::TRIP_C
+    }
+
+    /// While the cap is releasing, about when it next rises on its own
+    /// (one polling interval after the last step); `None` otherwise.
+    /// The exact test is [`ThermalZone::release_due`].
+    #[inline]
+    pub fn next_release_s(&self) -> Option<f64> {
+        match self.state {
+            ZoneState::Releasing { last_step_t, .. } => Some(last_step_t + Self::RELEASE_PERIOD_S),
+            _ => None,
+        }
+    }
+
+    /// `true` when a poll at `t_s` with the reading below the trip
+    /// raises the releasing cap — the predicate [`ThermalZone::update`]
+    /// applies, so it is monotone in `t_s`. Always `false` unless the
+    /// cap is releasing.
+    #[inline]
+    pub fn release_due(&self, t_s: f64) -> bool {
+        match self.state {
+            // Epsilon guards against float accumulation in t_s.
+            ZoneState::Releasing { last_step_t, .. } => {
+                t_s - last_step_t >= Self::RELEASE_PERIOD_S - 1e-9
+            }
+            _ => false,
+        }
+    }
+
     /// `true` while hard-throttled at the trip cap (not during release).
     pub fn is_tripped(&self) -> bool {
         self.state == ZoneState::Throttled
@@ -170,9 +203,7 @@ mod tests {
 
     #[test]
     fn trips_at_limit_then_releases_stepwise() {
-        // Explicit parameters (1 s release polling) so the test reads in
-        // round numbers; stock_xu4 uses the same machinery.
-        let mut z = ThermalZone::new(95.0, 7.5, MHz(900), MHz(2000), 100, 1.0);
+        let mut z = ThermalZone::stock_xu4();
         assert_eq!(z.update(0.0, 90.0), None);
         // Trip.
         assert_eq!(z.update(0.1, 95.0), Some(MHz(900)));
@@ -180,26 +211,79 @@ mod tests {
         // Still hot (>= 87.5): hard cap persists.
         assert_eq!(z.update(0.2, 94.0), Some(MHz(900)));
         assert_eq!(z.update(0.25, 88.0), Some(MHz(900)));
-        // Below 87.5: release begins, stepping 100 MHz per 1 s.
+        // Below 87.5: release begins, stepping 100 MHz per 2.5 s.
         assert_eq!(z.update(0.3, 87.0), Some(MHz(900)));
         assert!(!z.is_tripped());
         assert!(z.is_capping());
-        assert_eq!(z.update(0.9, 92.0), Some(MHz(900))); // not yet 1s since 0.3
-        assert_eq!(z.update(1.3, 92.0), Some(MHz(1000))); // first step
-        assert_eq!(z.update(2.3, 92.0), Some(MHz(1100)));
+        assert_eq!(z.update(2.7, 92.0), Some(MHz(900))); // not yet 2.5 s since 0.3
+        assert_eq!(z.update(2.8, 92.0), Some(MHz(1000))); // first step
+        assert_eq!(z.update(5.3, 92.0), Some(MHz(1100)));
         // Re-trip slams back to 900.
-        assert_eq!(z.update(2.4, 95.5), Some(MHz(900)));
+        assert_eq!(z.update(5.4, 95.5), Some(MHz(900)));
         assert!(z.is_tripped());
     }
 
     #[test]
     fn full_release_disarms_the_cap() {
-        let mut z = ThermalZone::new(95.0, 3.0, MHz(1800), MHz(2000), 100, 0.1);
-        assert_eq!(z.update(0.0, 96.0), Some(MHz(1800)));
-        assert_eq!(z.update(0.1, 80.0), Some(MHz(1800))); // release starts
-        assert_eq!(z.update(0.3, 80.0), Some(MHz(1900)));
-        assert_eq!(z.update(0.5, 80.0), None); // 2000 reached -> idle
+        let mut z = ThermalZone::stock_xu4();
+        assert_eq!(z.update(0.0, 96.0), Some(MHz(900)));
+        assert_eq!(z.update(0.1, 80.0), Some(MHz(900))); // release starts
+        for k in 1..11 {
+            let cap = z.update(0.1 + 2.5 * f64::from(k), 80.0);
+            assert_eq!(cap, Some(MHz(900 + 100 * k)));
+        }
+        assert_eq!(z.update(0.1 + 2.5 * 11.0, 80.0), None); // 2000 reached -> idle
         assert!(!z.is_capping());
+    }
+
+    #[test]
+    fn release_due_keeps_the_float_slack() {
+        // Entered at tick 164 of the 0.01 s grid, the step falls due at
+        // tick 414: 414·0.01 − 164·0.01 rounds below 2.5, and only the
+        // slack admits it.
+        let at = |tick: u32| f64::from(tick) * crate::DT_S;
+        let mut z = ThermalZone::stock_xu4();
+        z.update(at(164), 96.0);
+        z.update(at(164), 80.0);
+        assert!(at(414) - at(164) < 2.5);
+        assert!(!z.release_due(at(413)));
+        assert!(z.release_due(at(414)));
+        assert_eq!(z.next_release_s(), Some(at(164) + 2.5));
+        assert_eq!(z.update(at(414), 80.0), Some(MHz(1000)));
+        // Idle or tripped, nothing is due.
+        assert!(!ThermalZone::stock_xu4().release_due(1e9));
+        z.update(at(415), 96.0);
+        assert!(!z.release_due(1e9));
+        assert_eq!(z.next_release_s(), None);
+    }
+
+    #[test]
+    fn catch_up_polls_from_the_gap_start() {
+        // Tripped as a gap starts at 10 s, then 80 °C across it: polls
+        // at 12.5 s (release starts), 15, 17.5 and 20 s (three steps).
+        let mut z = ThermalZone::stock_xu4();
+        z.update(10.0, 96.0);
+        z.catch_up(10.0, 20.0, 80.0);
+        assert_eq!(z.next_release_s(), Some(22.5));
+        assert_eq!(z.update(20.1, 80.0), Some(MHz(1200)));
+        // Already releasing when the gap starts (last step at 1 s): the
+        // polls still count from the gap start, 4.5, 7 and 9.5 s.
+        let mut z = ThermalZone::stock_xu4();
+        z.update(0.0, 96.0);
+        z.update(1.0, 80.0);
+        z.catch_up(2.0, 10.0, 80.0);
+        assert_eq!(z.next_release_s(), Some(12.0));
+        assert_eq!(z.update(10.0, 80.0), Some(MHz(1200)));
+        // A long enough stretch walks the whole ladder and disarms.
+        let mut z = ThermalZone::stock_xu4();
+        z.update(0.0, 96.0);
+        z.catch_up(0.0, 1e6, 80.0);
+        assert!(!z.is_capping());
+        // A stretch too hot to release keeps the hard cap.
+        let mut z = ThermalZone::stock_xu4();
+        z.update(0.0, 96.0);
+        z.catch_up(0.0, 100.0, 90.0);
+        assert!(z.is_tripped());
     }
 
     #[test]
@@ -213,7 +297,7 @@ mod tests {
     #[test]
     fn actuate_counts_one_trip_per_rising_edge() {
         let opps = crate::freq::a15_opp_table();
-        let mut z = ThermalZone::new(95.0, 7.5, MHz(900), MHz(2000), 100, 1.0);
+        let mut z = ThermalZone::stock_xu4();
         let mut big = MHz(2000);
         assert!(z.actuate(0.0, 95.0, &opps, &mut big), "the trip counts");
         assert_eq!(big, MHz(900));
@@ -232,12 +316,12 @@ mod tests {
 
     #[test]
     fn actuate_quantises_the_cap_at_or_below_on_the_table() {
-        let opps = crate::freq::a15_opp_table();
-        // 950 MHz is not an A15 OPP: the cap lands on 900.
-        let mut z = ThermalZone::new(95.0, 7.5, MHz(950), MHz(2000), 100, 1.0);
+        // No 900 MHz point on this table: the cap lands on 750.
+        let opps = crate::freq::linear_ramp(250, 2000, 250, 900, 1300);
+        let mut z = ThermalZone::stock_xu4();
         let mut big = MHz(2000);
         z.actuate(0.0, 97.0, &opps, &mut big);
-        assert_eq!(big, MHz(900));
+        assert_eq!(big, MHz(750));
         // A request already below the cap is left alone.
         let mut big = MHz(600);
         z.actuate(0.1, 97.0, &opps, &mut big);
@@ -254,17 +338,5 @@ mod tests {
             assert_eq!(big, MHz(2000));
         }
         assert!(!z.is_capping());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn rejects_negative_hysteresis() {
-        ThermalZone::new(95.0, -1.0, MHz(900), MHz(2000), 100, 0.4);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn rejects_zero_step() {
-        ThermalZone::new(95.0, 1.0, MHz(900), MHz(2000), 0, 0.4);
     }
 }

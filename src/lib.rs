@@ -9,7 +9,7 @@
 //! |-------|------|
 //! | [`soc`] | Behavioural Exynos 5422 / Odroid-XU4 simulator: DVFS, power, RC thermals, TMU sensors, wall meter |
 //! | [`workload`] | Polybench kernels, work-item partitioning, per-device characteristics |
-//! | [`governors`] | Linux-style cpufreq governors and the reactive thermal zone |
+//! | [`governors`] | Linux-style cpufreq governors: ondemand (the stock baseline) and userspace |
 //! | [`dse`] | Design-space enumeration (eq. 1/2), the 10 368-point sample, design-point evaluation |
 //! | [`linreg`] | OLS with R-style inference — the paper's R workflow (Tables I/II) |
 //! | [`core`] | TEEM itself: offline model fitting, online governor, EEMP/RMP baselines |
@@ -56,7 +56,7 @@ pub mod prelude {
         plan, AppProfile, MappingModel, ProfileStore, TeemGovernor, TeemPlan, TeemTunables,
         UserRequirement,
     };
-    pub use teem_governors::{Conservative, Ondemand, Performance, Powersave, Userspace};
+    pub use teem_governors::{Ondemand, Userspace};
     pub use teem_scenario::{
         AppRequest, ConfigPatch, ContentionPolicy, LoadedJournal, MappingArbiter, ProgressReporter,
         Scenario, ScenarioEvent, ScenarioResult, ScenarioRunner, SimConfig, SweepEvent,
