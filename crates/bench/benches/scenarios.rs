@@ -27,7 +27,8 @@ fn main() {
 
     let p = profiles.clone();
     r.bench_heavy("scenario_3apps_teem", 2, move || {
-        let mut runner = ScenarioRunner::with_profiles(Approach::Teem, p.clone());
+        let mut runner =
+            ScenarioRunner::with_shared_profiles(Approach::Teem, p.clone().into_shared());
         runner.run(black_box(&sc)).expect("runs")
     });
 
@@ -41,8 +42,9 @@ fn main() {
         .arrive(0.0, App::Gesummv, 0.9);
     let p = profiles.clone();
     r.bench_heavy("scenario_corun_shared_teem", 2, move || {
-        let mut runner = ScenarioRunner::with_profiles(Approach::Teem, p.clone())
-            .with_contention(ContentionPolicy::Shared { max_apps: 3 });
+        let mut runner =
+            ScenarioRunner::with_shared_profiles(Approach::Teem, p.clone().into_shared())
+                .with_contention(ContentionPolicy::Shared { max_apps: 3 });
         runner.run(black_box(&co)).expect("runs")
     });
 

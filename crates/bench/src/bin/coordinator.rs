@@ -141,18 +141,24 @@ impl Args {
         Args { args, used }
     }
 
+    /// The first unused occurrence of `name`, if any.
+    fn find(&self, name: &str) -> Option<usize> {
+        (0..self.args.len()).find(|&i| !self.used[i] && self.args[i] == name)
+    }
+
+    /// The value after the first unused `name`. A value is never a
+    /// flag: `--merged --verify` is a missing path, not a file named
+    /// `--verify`.
     fn flag_value(&mut self, name: &str) -> Option<String> {
-        let at = self
-            .args
-            .iter()
-            .enumerate()
-            .position(|(i, a)| !self.used[i] && a == name)?;
-        if at + 1 >= self.args.len() || self.used[at + 1] {
-            fail(format!("flag {name} needs a value"));
+        let at = self.find(name)?;
+        match self.args.get(at + 1) {
+            Some(value) if !self.used[at + 1] && !value.starts_with("--") => {
+                self.used[at] = true;
+                self.used[at + 1] = true;
+                Some(value.clone())
+            }
+            _ => fail(format!("flag {name} needs a value")),
         }
-        self.used[at] = true;
-        self.used[at + 1] = true;
-        Some(self.args[at + 1].clone())
     }
 
     fn flag_values(&mut self, name: &str) -> Vec<String> {
@@ -164,7 +170,7 @@ impl Args {
     }
 
     fn flag(&mut self, name: &str) -> bool {
-        match self.args.iter().position(|a| a == name) {
+        match self.find(name) {
             Some(at) => {
                 self.used[at] = true;
                 true
@@ -206,6 +212,25 @@ fn parse_at(text: &str, what: &str) -> (usize, usize) {
         .split_once('@')
         .unwrap_or_else(|| fail(format!("{what} must be I@R, got `{text}`")));
     (parse_usize(i, what), parse_usize(r, what))
+}
+
+/// Refuses an `I@R` injection that could never fire, so a fault run
+/// cannot pass without its fault: worker `I` must be one of the first
+/// generation's `workers`, and `R` a record that worker writes (from 1
+/// to the size of its shard of the `grid`-cell grid).
+fn check_injection(what: &str, (victim, records): (usize, usize), workers: usize, grid: usize) {
+    if victim >= workers {
+        fail(format!(
+            "{what} {victim}@{records}: worker {victim} does not exist (--workers {workers})"
+        ));
+    }
+    let shard = ShardSpec::plan(workers)[victim].count(grid);
+    if records == 0 || records > shard {
+        fail(format!(
+            "{what} {victim}@{records}: worker {victim}'s shard holds {shard} cells \
+             and its records count from 1, so record {records} never comes"
+        ));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -335,6 +360,11 @@ fn run(mut args: Args) -> ! {
     }
 
     let spec = grid(&grid_name);
+    for (what, at) in [("--kill", kill), ("--hang", hang)] {
+        if let Some(at) = at {
+            check_injection(what, at, workers, spec.cells());
+        }
+    }
     let exe = std::env::current_exe()
         .unwrap_or_else(|e| fail(format!("cannot locate own executable: {e}")));
 

@@ -212,3 +212,75 @@ fn worker_refuses_a_shard_past_the_grid() {
         "--shard range:0..99999 does not fit the grid: range shard 0..99999 ends past the 60-cell grid",
     );
 }
+
+/// Runs a campaign on the small grid with `extra` flags, which the
+/// command line must refuse before it creates the campaign directory or
+/// spawns a worker: exit code 1, `message` on stderr, no panic, and
+/// nothing left in the working directory (a flag taken as a path would
+/// leave a file named after it there).
+fn assert_run_refuses(tag: &str, extra: &[&str], message: &str) {
+    let dir = CampaignDir::new(tag);
+    let campaign = dir.path().join("campaign");
+    let Output { status, stderr, .. } = coordinator()
+        .current_dir(dir.path())
+        .args(["run", "--grid", "small", "--dir"])
+        .arg(&campaign)
+        .args(extra)
+        .output()
+        .expect("spawns");
+    let stderr = String::from_utf8_lossy(&stderr);
+    assert_eq!(status.code(), Some(1), "{extra:?}:\n{stderr}");
+    assert!(stderr.contains(message), "{extra:?}:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "{extra:?}:\n{stderr}");
+    let left: Vec<PathBuf> = std::fs::read_dir(dir.path())
+        .expect("working directory")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    assert!(left.is_empty(), "{extra:?} left {left:?} behind");
+}
+
+#[test]
+fn run_refuses_a_flag_as_the_merged_path() {
+    assert_run_refuses(
+        "merged_flag",
+        &["--workers", "1", "--merged", "--verify"],
+        "flag --merged needs a value",
+    );
+}
+
+#[test]
+fn run_refuses_a_kill_of_a_worker_past_the_fleet() {
+    assert_run_refuses(
+        "kill_ordinal",
+        &["--workers", "1", "--kill", "5@3"],
+        "--kill 5@3: worker 5 does not exist (--workers 1)",
+    );
+}
+
+#[test]
+fn run_refuses_a_kill_at_record_zero() {
+    assert_run_refuses(
+        "kill_zero",
+        &["--kill", "0@0"],
+        "--kill 0@0: worker 0's shard holds 20 cells and its records count from 1, \
+         so record 0 never comes",
+    );
+}
+
+#[test]
+fn run_refuses_a_kill_past_the_workers_shard() {
+    assert_run_refuses(
+        "kill_past",
+        &["--workers", "1", "--kill", "0@61"],
+        "--kill 0@61: worker 0's shard holds 60 cells",
+    );
+}
+
+#[test]
+fn run_refuses_a_hang_that_never_fires() {
+    assert_run_refuses(
+        "hang_past",
+        &["--workers", "2", "--hang", "1@31"],
+        "--hang 1@31: worker 1's shard holds 30 cells",
+    );
+}

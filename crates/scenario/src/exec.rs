@@ -13,10 +13,8 @@
 //!   ([`teem_workload::bandwidth_slowdown`]) and a time-shared GPU;
 //!   queueing delay and contention delay are reported separately.
 //! * **Idle-gap stepping** — between a completion and the next arrival
-//!   the board idles at minimum frequencies and *cools*; the thermal
-//!   state carries across runs instead of being re-warm-started. A
-//!   [`teem_soc::IdlePolicy`] can power-collapse the clusters after an
-//!   idle timeout.
+//!   the board races to its minimum OPPs, idles there and *cools*; the
+//!   thermal state carries across runs instead of being re-warm-started.
 //! * **Runtime environment changes** — ambient temperature, default
 //!   threshold and management approach can change mid-scenario.
 //!
@@ -54,9 +52,9 @@ use teem_soc::perf::{cpu_rate, gpu_rate};
 use teem_soc::sensors::BIG_CORE_OFFSETS_C;
 use teem_soc::{
     clamp_freqs, co_run_dynamic_weights, fast_forward_gap, read_sensors_for, Board, BoardSpec,
-    BoardTemplate, ClusterFreqs, CoRunShare, CpuMapping, GapAdvance, GapPower, IdlePolicy,
-    NodePowerModel, SensorBank, SensorReadings, SocControl, SocView, StepObs, StepScratch,
-    ThermalZone, TimeAdvance, CONTROL_PERIOD_S, DT_S, SAMPLE_PERIOD_S, WARM_START_FRACTION,
+    BoardTemplate, ClusterFreqs, CoRunShare, CpuMapping, NodePowerModel, SensorBank,
+    SensorReadings, SocControl, SocView, StepObs, StepScratch, ThermalZone, TimeAdvance,
+    CONTROL_PERIOD_S, DT_S, SAMPLE_PERIOD_S, WARM_START_FRACTION,
 };
 use teem_telemetry::{
     ChannelId, LogHistogram, RunSummary, SampleStage, ScenarioAppRun, ScenarioSummary, Trace,
@@ -74,10 +72,10 @@ pub struct ScenarioResult {
     /// `true` if the scenario hit the executor timeout before the
     /// timeline completed.
     pub timed_out: bool,
-    /// Step-loop observability: step/sub-step counts (always collected)
-    /// and the power-vs-thermal wall-time split (zero unless the runner
-    /// was built [`ScenarioRunner::with_step_timing`]). Never feeds the
-    /// summary, trace or digests.
+    /// Step-loop observability: step, sub-step and gap counts (always
+    /// collected) and the per-phase wall-time split (zero unless the
+    /// cell ran under [`SweepSpec::run_instrumented`](crate::SweepSpec::run_instrumented)).
+    /// Never feeds the summary, trace or digests.
     pub kernel: StepObs,
     /// Lengths (milliseconds) of the idle gaps the event-driven mode
     /// fast-forwarded — empty under [`TimeAdvance::FixedDt`]. Like
@@ -89,13 +87,12 @@ pub struct ScenarioResult {
 /// What scenario runs vary: the executor's options. The integration
 /// step, sampling and control periods and warm-start fraction are the
 /// same for every run ([`DT_S`], [`SAMPLE_PERIOD_S`],
-/// [`CONTROL_PERIOD_S`], [`WARM_START_FRACTION`]).
+/// [`CONTROL_PERIOD_S`], [`WARM_START_FRACTION`]), and so is the idle
+/// regime: every idle gap races to the minimum OPPs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Abort the scenario after this much simulated time, seconds.
     pub timeout_s: f64,
-    /// What the board does in idle gaps.
-    pub idle_policy: IdlePolicy,
     /// How the executor's clock advances across idle gaps.
     pub time_advance: TimeAdvance,
 }
@@ -114,12 +111,11 @@ pub(crate) fn check_timeout(timeout_s: f64) {
 }
 
 impl Default for SimConfig {
-    /// A 10 000 s timeout, wide enough for multi-app timelines,
-    /// [`IdlePolicy::RaceToIdle`] and [`TimeAdvance::FixedDt`].
+    /// A 10 000 s timeout, wide enough for multi-app timelines, and
+    /// [`TimeAdvance::FixedDt`].
     fn default() -> Self {
         SimConfig {
             timeout_s: 10_000.0,
-            idle_policy: IdlePolicy::RaceToIdle,
             time_advance: TimeAdvance::FixedDt,
         }
     }
@@ -156,13 +152,6 @@ impl ScenarioRunner {
     /// A runner for `approach` with an empty profile cache.
     pub fn new(approach: Approach) -> Self {
         ScenarioRunner::with_shared_profiles(approach, Arc::new(ProfileStore::new()))
-    }
-
-    /// A runner with a pre-built profile store (takes ownership; see
-    /// [`ScenarioRunner::with_shared_profiles`] to share one store
-    /// across runners without cloning it).
-    pub fn with_profiles(approach: Approach, profiles: ProfileStore) -> Self {
-        ScenarioRunner::with_shared_profiles(approach, Arc::new(profiles))
     }
 
     /// A runner borrowing a shared, read-only profile store — the batch
@@ -208,12 +197,12 @@ impl ScenarioRunner {
         self.template.board_spec()
     }
 
-    /// Enables wall-clock timing of the step loop's power-model and
-    /// thermal-integration phases (reported in
-    /// [`ScenarioResult::kernel`]). Off by default: the uninstrumented
+    /// Enables wall-clock timing of the step loop's phases (reported in
+    /// [`ScenarioResult::kernel`]); [`SweepSpec::run_instrumented`](crate::SweepSpec::run_instrumented)
+    /// turns it on for every cell. Off by default: the uninstrumented
     /// loop never reads the clock. This knob is runner state, not
     /// [`SimConfig`], so it can never perturb sweep fingerprints.
-    pub fn with_step_timing(mut self, enabled: bool) -> Self {
+    pub(crate) fn with_step_timing(mut self, enabled: bool) -> Self {
         self.step_timing = enabled;
         self
     }
@@ -416,18 +405,16 @@ impl ScenarioRunner {
             zone: ThermalZone::stock_xu4(),
             zone_trips: 0,
             timeout_s: self.config.timeout_s,
-            idle_timeout_s: self.config.idle_policy.timeout_s(),
             event_driven: self.config.time_advance == TimeAdvance::EventDriven,
             step_idx: 0,
             t: 0.0,
             next_sample: 0.0,
             effective,
-            idle_gap_start: 0.0,
             gap_hist: LogHistogram::new(),
             gap_energy_scratch,
             scratch,
             power,
-            power_key: (false, effective),
+            power_key: effective,
             power_shares: Vec::with_capacity(capacity),
             shares: Vec::with_capacity(capacity),
             claims: Vec::with_capacity(capacity),
@@ -622,44 +609,16 @@ impl ScenarioRunner {
                     sim.zone_trips += 1;
                 }
 
-                // `IdlePolicy::TimeoutCollapse` as an event, not a
-                // per-step check: the collapse instant splits the
-                // gap into an idle-floor span and a power-collapsed
-                // span, each advanced in closed form.
-                let collapse_tick = sim
-                    .idle_timeout_s
-                    .map(|to| first_tick_at_or_after(sim.idle_gap_start + to, 0.0));
-                let idle_end_tick =
-                    collapse_tick.map_or(end_tick, |c| c.clamp(sim.step_idx, end_tick));
-                let mut gap = GapAdvance::default();
-                let ambient = sim.board.thermal.ambient_c();
-                if idle_end_tick > sim.step_idx {
-                    let span = (idle_end_tick - sim.step_idx) as f64 * DT_S;
-                    let adv = fast_forward_gap(
-                        &mut sim.board,
-                        GapPower::Idle(sim.effective),
-                        span,
-                        ambient,
-                        &mut sim.scratch,
-                        &mut sim.gap_energy_scratch,
-                    );
-                    gap.energy_j += adv.energy_j;
-                    gap.segments += adv.segments;
-                }
-                if end_tick > idle_end_tick {
-                    let span = (end_tick - idle_end_tick) as f64 * DT_S;
-                    let adv = fast_forward_gap(
-                        &mut sim.board,
-                        GapPower::Collapsed,
-                        span,
-                        ambient,
-                        &mut sim.scratch,
-                        &mut sim.gap_energy_scratch,
-                    );
-                    gap.energy_j += adv.energy_j;
-                    gap.segments += adv.segments;
-                }
                 let span_s = (end_tick - sim.step_idx) as f64 * DT_S;
+                let ambient = sim.board.thermal.ambient_c();
+                let gap = fast_forward_gap(
+                    &mut sim.board,
+                    sim.effective,
+                    span_s,
+                    ambient,
+                    &mut sim.scratch,
+                    &mut sim.gap_energy_scratch,
+                );
                 sim.energy_j += gap.energy_j;
                 sim.idle_energy_j += gap.energy_j;
                 sim.idle_s += span_s;
@@ -698,8 +657,8 @@ impl ScenarioRunner {
             }
         }
 
-        // --- Manager control (per app; idle gaps are governed by
-        //     the race-to-idle minimum or the collapse policy) ---
+        // --- Manager control (per app; idle gaps race to the
+        //     minimum OPPs) ---
         let obs_t0 = sim.scratch.obs.clock();
         sim.phase_control();
 
@@ -881,26 +840,24 @@ pub(crate) struct CellSim {
     /// Copied out of [`SimConfig`] at prepare time so phase methods and
     /// the lockstep pool never need the runner.
     pub(crate) timeout_s: f64,
-    pub(crate) idle_timeout_s: Option<f64>,
     pub(crate) event_driven: bool,
     /// The clock is derived from the step index (`t = step_idx · DT_S`),
     /// never accumulated (`t += dt`), so week-long timelines cannot
-    /// smear event boundaries or `TimeoutCollapse` firing instants
-    /// with float-accumulation drift. Gap fast-forwards jump the
-    /// index, keeping both modes on the same tick grid.
+    /// smear event boundaries with float-accumulation drift. Gap
+    /// fast-forwards jump the index, keeping both modes on the same
+    /// tick grid.
     pub(crate) step_idx: u64,
     pub(crate) t: f64,
     pub(crate) next_sample: f64,
     pub(crate) effective: ClusterFreqs,
-    pub(crate) idle_gap_start: f64,
     pub(crate) gap_hist: LogHistogram,
     pub(crate) gap_energy_scratch: Vec<f64>,
     pub(crate) scratch: StepScratch,
-    /// The step loop's power model, valid while `power_key` (collapse
-    /// regime, effective frequencies) and `power_shares` match the
-    /// step's inputs; see [`CellSim::refresh_power`].
+    /// The step loop's power model, valid while `power_key` (the
+    /// effective frequencies) and `power_shares` match the step's
+    /// inputs; see [`CellSim::refresh_power`].
     pub(crate) power: NodePowerModel,
-    pub(crate) power_key: (bool, ClusterFreqs),
+    pub(crate) power_key: ClusterFreqs,
     pub(crate) power_shares: Vec<CoRunShare>,
     pub(crate) shares: Vec<CoRunShare>,
     pub(crate) claims: Vec<ResourceClaim>,
@@ -929,25 +886,20 @@ pub(crate) struct CellSim {
 
 impl CellSim {
     /// Brings the power model up to date with this step's inputs: the
-    /// collapse regime, the effective frequencies and `shares`. Between
-    /// control decisions none of them moves, so the model — and, with
-    /// two or more apps co-running, the dynamic-power attribution
-    /// weights derived from the same inputs — is rebuilt only when one
-    /// does, and the step pays only the leakage exponentials.
-    fn refresh_power(&mut self, collapsed: bool) {
-        let key = (collapsed, self.effective);
-        if key == self.power_key && self.shares == self.power_shares {
+    /// effective frequencies and `shares`. Between control decisions
+    /// neither moves, so the model — and, with two or more apps
+    /// co-running, the dynamic-power attribution weights derived from
+    /// the same inputs — is rebuilt only when one does, and the step
+    /// pays only the leakage exponentials.
+    fn refresh_power(&mut self) {
+        if self.effective == self.power_key && self.shares == self.power_shares {
             return;
         }
-        self.power = if collapsed {
-            NodePowerModel::collapsed(&self.board)
-        } else {
-            NodePowerModel::co_run(&self.board, &self.shares, self.effective)
-        };
+        self.power = NodePowerModel::co_run(&self.board, &self.shares, self.effective);
         if self.shares.len() >= 2 {
             co_run_dynamic_weights(&self.board, &self.shares, self.effective, &mut self.weights);
         }
-        self.power_key = key;
+        self.power_key = self.effective;
         self.power_shares.clone_from(&self.shares);
     }
 
@@ -1036,12 +988,7 @@ impl CellSim {
             gpu_busy: !j.gpu_done(),
             activity: j.chars.activity,
         }));
-        // Idle long enough: the clusters power-collapse.
-        let collapsed = self.shares.is_empty()
-            && self
-                .idle_timeout_s
-                .is_some_and(|timeout| self.t - self.idle_gap_start >= timeout);
-        self.refresh_power(collapsed);
+        self.refresh_power();
         self.scratch.obs.lap_power(obs_t0);
         let obs_t0 = self.scratch.obs.clock();
         let substeps = self
@@ -1205,8 +1152,7 @@ impl CellSim {
         }
     }
 
-    /// The completion phase: retires done jobs in completion order and
-    /// marks the start of an idle gap when the board empties.
+    /// The completion phase: retires done jobs in completion order.
     pub(crate) fn phase_completions(&mut self) {
         if self.active.iter().any(ActiveJob::done) {
             let mut i = 0;
@@ -1217,9 +1163,6 @@ impl CellSim {
                 } else {
                     i += 1;
                 }
-            }
-            if self.active.is_empty() {
-                self.idle_gap_start = self.t;
             }
         }
     }
@@ -1647,23 +1590,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_profile_store_matches_owned() {
-        let sc = Scenario::new("s").arrive(0.0, App::Mvt, 0.9);
-        let store = teem_core::offline::build_profile_store(&Board::odroid_xu4_ideal(), sc.apps())
-            .expect("profiles fit");
-        let mut owned = ScenarioRunner::with_profiles(Approach::Teem, store.clone());
-        let mut shared = ScenarioRunner::with_shared_profiles(Approach::Teem, store.into_shared());
-        let a = owned.run(&sc).expect("runs");
-        let b = shared.run(&sc).expect("runs");
-        assert_eq!(
-            a.trace.digest(),
-            b.trace.digest(),
-            "profile sharing is transparent"
-        );
-        assert_eq!(a.summary, b.summary);
-    }
-
-    #[test]
     fn missing_profiles_fall_back_to_local_cache() {
         // A shared store without the arriving app: the runner computes
         // the profile on demand into its local overflow cache and still
@@ -1683,7 +1609,6 @@ mod tests {
             SimConfig::default(),
             SimConfig {
                 timeout_s: 10_000.0,
-                idle_policy: IdlePolicy::RaceToIdle,
                 time_advance: TimeAdvance::FixedDt,
             }
         );

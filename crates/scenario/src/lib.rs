@@ -30,11 +30,10 @@
 //!   evaluation instead of synthetic generators;
 //! * a [`SweepSpec`] names cartesian axes — scenarios × approaches ×
 //!   [`ContentionPolicy`] × initial threshold × ambient ×
-//!   [`TeemTunables`](teem_core::TeemTunables) knob sets ×
-//!   [`IdlePolicy`](teem_soc::IdlePolicy) — and a work-stealing
-//!   executor streams every finished cell as a [`SweepEvent`], so
-//!   thousands-of-cell grids aggregate online in O(workers) memory
-//!   (pair it with
+//!   [`TeemTunables`](teem_core::TeemTunables) knob sets × board — and
+//!   a work-stealing executor streams every finished cell as a
+//!   [`SweepEvent`], so thousands-of-cell grids aggregate online in
+//!   O(workers) memory (pair it with
 //!   [`SweepAggregator`](teem_telemetry::SweepAggregator));
 //! * a [`SweepJournal`] spills the event stream to an append-only
 //!   JSONL journal (fsync-batched, torn-tail tolerant) so an

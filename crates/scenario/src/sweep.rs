@@ -4,7 +4,7 @@
 //!
 //! A [`SweepSpec`] names the axes — scenarios × approaches ×
 //! [`ContentionPolicy`] × initial threshold × ambient ×
-//! [`TeemTunables`] × [`IdlePolicy`] — and enumerates their cartesian
+//! [`TeemTunables`] × board — and enumerates their cartesian
 //! product *lazily*: a cell is materialised (scenario cloned, knobs
 //! applied) only on the worker that executes it, so a ten-thousand-cell
 //! grid costs ten-thousand-cell memory **never** — the engine's resident
@@ -44,9 +44,7 @@ use crate::scenario::Scenario;
 use teem_core::offline::build_profile_store;
 use teem_core::runner::Approach;
 use teem_core::{ProfileStore, TeemTunables};
-use teem_soc::{
-    Board, BoardSpec, IdlePolicy, TimeAdvance, DT_S, SAMPLE_PERIOD_S, WARM_START_FRACTION,
-};
+use teem_soc::{Board, BoardSpec, TimeAdvance, DT_S, SAMPLE_PERIOD_S, WARM_START_FRACTION};
 use teem_telemetry::Fnv;
 use teem_workload::App;
 
@@ -111,9 +109,6 @@ impl From<teem_linreg::LinregError> for SweepError {
 pub struct ConfigPatch {
     /// Timeout override, seconds.
     pub timeout_s: Option<f64>,
-    /// Idle-policy override (an explicit [`SweepSpec::idle_policies`]
-    /// axis wins over this).
-    pub idle_policy: Option<IdlePolicy>,
     /// Time-advance mode override ([`TimeAdvance::EventDriven`] turns
     /// on gap fast-forwarding).
     pub time_advance: Option<TimeAdvance>,
@@ -124,9 +119,6 @@ impl ConfigPatch {
     pub fn apply(self, mut base: SimConfig) -> SimConfig {
         if let Some(v) = self.timeout_s {
             base.timeout_s = v;
-        }
-        if let Some(v) = self.idle_policy {
-            base.idle_policy = v;
         }
         if let Some(v) = self.time_advance {
             base.time_advance = v;
@@ -162,8 +154,6 @@ pub struct SweepCell {
     pub ambient_c: Option<f64>,
     /// TEEM knob set (δ / floor / threshold override).
     pub tunables: TeemTunables,
-    /// Idle-policy override.
-    pub idle_policy: Option<IdlePolicy>,
     /// The thermal-network variant the cell simulates on
     /// ([`SweepSpec::boards`]; the XU4 unless the axis says otherwise).
     pub board: BoardSpec,
@@ -247,7 +237,7 @@ impl SweepRunStats {
 ///
 /// Axes not set stay at their single default value (the approaches
 /// default to TEEM alone, the contention to the paper's serial model,
-/// thresholds/ambients/tunables/idle policy to "whatever the scenario
+/// thresholds/ambients/tunables to "whatever the scenario
 /// and configuration already say"), so the smallest spec is exactly the
 /// old scenario × approach matrix — and with no extra axes the cell
 /// scenarios run *unrenamed and untouched*, which is how such a matrix
@@ -294,7 +284,6 @@ pub struct SweepSpec {
     thresholds_c: Option<FloatAxis>,
     ambients_c: Option<FloatAxis>,
     tunables: Option<Vec<TeemTunables>>,
-    idle_policies: Option<Vec<IdlePolicy>>,
     boards: Option<Vec<BoardSpec>>,
     patch: ConfigPatch,
     threads: usize,
@@ -315,7 +304,6 @@ impl SweepSpec {
             thresholds_c: None,
             ambients_c: None,
             tunables: None,
-            idle_policies: None,
             boards: None,
             patch: ConfigPatch::default(),
             threads: std::thread::available_parallelism()
@@ -413,13 +401,6 @@ impl SweepSpec {
                  names; drop one of the two threshold sources"
             );
         }
-    }
-
-    /// Adds an idle-policy axis (overrides the configuration's policy
-    /// per cell).
-    pub fn idle_policies(mut self, policies: &[IdlePolicy]) -> Self {
-        self.idle_policies = Some(policies.to_vec());
-        self
     }
 
     /// Adds a board axis: each cell simulates on the named thermal
@@ -606,7 +587,7 @@ impl SweepSpec {
     /// A stable 64-bit fingerprint of everything that determines the
     /// grid's *physics*: every axis (scenarios with their full event
     /// timelines, approaches, contention policies, thresholds,
-    /// ambients, tunables, idle policies) plus the resolved executor
+    /// ambients, tunables, boards) plus the resolved executor
     /// configuration. Scheduling knobs (worker count, chunk size) and
     /// the skip set are deliberately excluded — they change completion
     /// order, never results.
@@ -698,22 +679,9 @@ impl SweepSpec {
             }
             None => h.u64(0),
         }
-        let idle = |h: &mut Fnv, p: IdlePolicy| match p {
-            IdlePolicy::RaceToIdle => h.u64(0),
-            IdlePolicy::TimeoutCollapse { timeout_ms } => {
-                h.u64(1);
-                h.u64(u64::from(timeout_ms));
-            }
-        };
-        match &self.idle_policies {
-            Some(ps) => {
-                h.u64(1 + ps.len() as u64);
-                for &p in ps {
-                    idle(&mut h, p);
-                }
-            }
-            None => h.u64(0),
-        }
+        // Where the idle-policy axis sat (every grid idles one way), so
+        // journals written while it existed still resume.
+        h.u64(0);
         match &self.boards {
             Some(bs) => {
                 h.u64(1 + bs.len() as u64);
@@ -731,18 +699,18 @@ impl SweepSpec {
         }
         // Exhaustive destructuring: adding a physics field to SimConfig
         // breaks this line instead of silently escaping the fingerprint.
-        // The engine constants sit where the config fields they replaced
-        // did, so journals written before the move still resume.
+        // The engine constants, and `0` for the one idle regime, sit
+        // where the config fields they replaced did, so journals
+        // written before the move still resume.
         let SimConfig {
             timeout_s,
-            idle_policy,
             time_advance,
         } = self.resolved_config();
         h.f64(DT_S);
         h.f64(SAMPLE_PERIOD_S);
         h.f64(timeout_s);
         h.f64(WARM_START_FRACTION);
-        idle(&mut h, idle_policy);
+        h.u64(0);
         h.u64(match time_advance {
             TimeAdvance::FixedDt => 0,
             TimeAdvance::EventDriven => 1,
@@ -758,14 +726,13 @@ impl SweepSpec {
             * self.thresholds_c.as_ref().map_or(1, FloatAxis::len)
             * self.ambients_c.as_ref().map_or(1, FloatAxis::len)
             * self.tunables.as_ref().map_or(1, Vec::len)
-            * self.idle_policies.as_ref().map_or(1, Vec::len)
             * self.boards.as_ref().map_or(1, Vec::len)
     }
 
     /// Materialises the cell at `index` (lazy: nothing about a cell
     /// exists until this is called). Axis nesting, outermost to
     /// innermost: scenario, board, threshold, ambient, contention,
-    /// idle policy, tunables, approach — so a plain scenario ×
+    /// tunables, approach — so a plain scenario ×
     /// approach sweep is scenario-major with approaches adjacent,
     /// exactly the pre-refactor matrix order, and same-board cells
     /// stay contiguous for the lockstep pool.
@@ -786,10 +753,6 @@ impl SweepSpec {
             Some(ts) => ts[pick(&mut rest, ts.len())],
             None => TeemTunables::paper(),
         };
-        let idle_policy = self
-            .idle_policies
-            .as_ref()
-            .map(|ps| ps[pick(&mut rest, ps.len())]);
         let contention = self.contentions[pick(&mut rest, self.contentions.len())];
         let ambient = self
             .ambients_c
@@ -808,17 +771,12 @@ impl SweepSpec {
         // The name is the base name, then `@` and the set axes' tags
         // joined by `/`, written into one exactly sized string.
         let board_tag = self.boards.is_some().then(|| board.label());
-        let idle_tag = idle_policy.map(|p| match p {
-            IdlePolicy::RaceToIdle => "race".to_string(),
-            IdlePolicy::TimeoutCollapse { timeout_ms } => format!("collapse{timeout_ms}ms"),
-        });
         let tunables_tag = self.tunables.is_some().then(|| tunables.label());
         let tags = [
             board_tag.as_deref(),
             threshold.map(|(_, tag)| tag),
             ambient.map(|(_, tag)| tag),
             (self.contentions.len() > 1).then(|| contention.name()),
-            idle_tag.as_deref(),
             tunables_tag.as_deref(),
         ];
         let base = self.scenarios[scenario_index].name();
@@ -838,15 +796,13 @@ impl SweepSpec {
             threshold_c: threshold.map(|(t, _)| t),
             ambient_c: ambient.map(|(a, _)| a),
             tunables,
-            idle_policy,
             board,
             scenario_index,
         }
     }
 
-    /// The configuration every cell starts from: [`SimConfig::default`]
-    /// with the patch applied. A cell's idle-policy axis value overrides
-    /// this per cell.
+    /// The configuration every cell runs with: [`SimConfig::default`]
+    /// with the patch applied.
     pub fn resolved_config(&self) -> SimConfig {
         self.patch.onto_default()
     }
@@ -874,8 +830,8 @@ impl SweepSpec {
     /// [`SweepSpec::run_streaming`] with the observability plane on:
     /// every worker collects scheduler counters, a per-cell wall-time
     /// histogram, busy/idle time and a Chrome-trace track, and every
-    /// cell runs with step-loop timing enabled
-    /// ([`ScenarioRunner::with_step_timing`]). Returns the stats plus a
+    /// cell runs with step-loop timing enabled (reported in
+    /// [`ScenarioResult::kernel`]). Returns the stats plus a
     /// [`SweepObsReport`] (metrics registry + trace-event log).
     ///
     /// Instrumentation is observation-only: cell results, digests and
@@ -1125,10 +1081,6 @@ impl SweepSpec {
         if let Some(a) = cell.ambient_c {
             scenario = scenario.with_initial_ambient(a);
         }
-        let mut cfg = shared.config;
-        if let Some(p) = cell.idle_policy {
-            cfg.idle_policy = p;
-        }
         let template = shared
             .templates
             .iter()
@@ -1141,7 +1093,7 @@ impl SweepSpec {
         )
         .with_contention(cell.contention)
         .with_tunables(cell.tunables)
-        .with_config(cfg)
+        .with_config(shared.config)
         .with_step_timing(instrument);
         catch_cell(move || {
             let mut sim = runner.prepare_cell(&scenario)?;

@@ -293,10 +293,7 @@ fn oracle(
     if let Some(a) = cell.ambient_c {
         scenario = scenario.with_initial_ambient(a);
     }
-    let mut config = patch.onto_default();
-    if let Some(p) = cell.idle_policy {
-        config.idle_policy = p;
-    }
+    let config = patch.onto_default();
     let result = ScenarioRunner::with_shared_profiles(cell.approach, Arc::clone(profiles))
         .with_contention(cell.contention)
         .with_tunables(cell.tunables)

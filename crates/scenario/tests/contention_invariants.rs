@@ -15,8 +15,7 @@
 //!    deterministic.
 
 use teem_core::runner::Approach;
-use teem_scenario::{ContentionPolicy, Scenario, ScenarioRunner, SimConfig};
-use teem_soc::IdlePolicy;
+use teem_scenario::{ContentionPolicy, Scenario, ScenarioRunner};
 use teem_workload::App;
 
 /// Two simultaneous arrivals plus a straggler — enough pressure that
@@ -247,71 +246,4 @@ fn policies_produce_distinct_physics() {
     assert_ne!(digests[0], digests[1], "serial == cluster-exclusive");
     assert_ne!(digests[0], digests[2], "serial == shared");
     assert_ne!(digests[1], digests[2], "cluster-exclusive == shared");
-}
-
-#[test]
-fn timeout_collapse_saves_idle_energy() {
-    // The energy-aware idle governor: long periodic gaps, race-to-idle
-    // versus a 500 ms power-collapse timeout. Collapsing must cut the
-    // idle-gap energy without losing work.
-    let sc = Scenario::periodic("lulls", App::Covariance, 80.0, 2, 0.85);
-    let run_with = |idle_policy: IdlePolicy| {
-        let config = SimConfig {
-            idle_policy,
-            ..SimConfig::default()
-        };
-        ScenarioRunner::new(Approach::Teem)
-            .with_config(config)
-            .run(&sc)
-            .expect("profiles fit")
-    };
-    let race = run_with(IdlePolicy::RaceToIdle);
-    let collapse = run_with(IdlePolicy::TimeoutCollapse { timeout_ms: 500 });
-
-    assert_eq!(race.summary.apps_completed(), 2);
-    assert_eq!(collapse.summary.apps_completed(), 2);
-    assert!(race.summary.idle_s > 5.0, "scenario has no real idle gap");
-
-    // The collapse saves idle energy outright. The headroom is the
-    // LITTLE housekeeping core and the GPU's near-idle clocking — the
-    // big cluster is already fully gated when no app maps it — so the
-    // saving is a double-digit percentage, not a collapse to zero.
-    assert!(
-        collapse.summary.idle_energy_j < 0.9 * race.summary.idle_energy_j,
-        "collapse saved too little: {} J vs {} J idle",
-        collapse.summary.idle_energy_j,
-        race.summary.idle_energy_j
-    );
-    // ...and therefore total energy, since the busy phases are the same
-    // workload under the same governor.
-    assert!(collapse.summary.energy_j < race.summary.energy_j);
-
-    // Conservation holds under the collapsed power model too.
-    let attributed = collapse.summary.app_energy_j() + collapse.summary.idle_energy_j;
-    let rel = (attributed - collapse.summary.energy_j).abs() / collapse.summary.energy_j;
-    assert!(
-        rel < 1e-9,
-        "{attributed} J vs {} J",
-        collapse.summary.energy_j
-    );
-}
-
-#[test]
-fn race_to_idle_default_matches_explicit_config() {
-    // `IdlePolicy::RaceToIdle` is the default: configuring it
-    // explicitly must not perturb a single bit (the golden digests pin
-    // the default path; this pins the equivalence).
-    let sc = Scenario::periodic("gap", App::Syrk, 60.0, 2, 0.9);
-    let default = ScenarioRunner::new(Approach::Teem)
-        .run(&sc)
-        .expect("profiles fit");
-    let explicit = ScenarioRunner::new(Approach::Teem)
-        .with_config(SimConfig {
-            idle_policy: IdlePolicy::RaceToIdle,
-            ..SimConfig::default()
-        })
-        .run(&sc)
-        .expect("profiles fit");
-    assert_eq!(default.trace.digest(), explicit.trace.digest());
-    assert_eq!(default.summary, explicit.summary);
 }

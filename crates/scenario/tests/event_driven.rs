@@ -15,7 +15,7 @@
 
 use teem_core::runner::Approach;
 use teem_scenario::{ConfigPatch, Scenario, ScenarioRunner, SimConfig, SweepSpec};
-use teem_soc::{IdlePolicy, TimeAdvance};
+use teem_soc::TimeAdvance;
 use teem_workload::App;
 
 fn builtin(name: &str) -> Scenario {
@@ -157,47 +157,6 @@ fn staircase_gaps_end_at_ambient_events() {
     assert!((fixed.summary.peak_temp_c - event.summary.peak_temp_c).abs() <= 1.0);
 }
 
-/// `TimeoutCollapse` semantics survive the refactor: the collapse
-/// instant becomes an event splitting the gap, not a per-step check,
-/// and the collapsed spans still spend less idle energy than
-/// race-to-idle does.
-#[test]
-fn timeout_collapse_splits_gaps_as_events() {
-    let scenario = sparse_mvt();
-    let patch = |advance| ConfigPatch {
-        time_advance: Some(advance),
-        idle_policy: Some(IdlePolicy::TimeoutCollapse { timeout_ms: 2_000 }),
-        ..ConfigPatch::default()
-    };
-    let fixed = ScenarioRunner::new(Approach::Teem)
-        .with_config(patch(TimeAdvance::FixedDt).onto_default())
-        .run(&scenario)
-        .expect("fixed-dt runs");
-    let event = ScenarioRunner::new(Approach::Teem)
-        .with_config(patch(TimeAdvance::EventDriven).onto_default())
-        .run(&scenario)
-        .expect("event-driven runs");
-    assert!(event.kernel.gaps_skipped >= 2);
-    let de = (fixed.summary.idle_energy_j - event.summary.idle_energy_j).abs();
-    assert!(
-        de <= 0.02 * fixed.summary.idle_energy_j.max(1.0),
-        "collapsed idle energy diverged: fixed {} J vs event {} J",
-        fixed.summary.idle_energy_j,
-        event.summary.idle_energy_j
-    );
-
-    // Collapse really reduces idle spend vs race-to-idle, in both modes.
-    let race = runner(Approach::Teem, TimeAdvance::EventDriven)
-        .run(&scenario)
-        .expect("race-to-idle runs");
-    assert!(
-        event.summary.idle_energy_j < race.summary.idle_energy_j,
-        "collapse should beat race-to-idle: {} vs {}",
-        event.summary.idle_energy_j,
-        race.summary.idle_energy_j
-    );
-}
-
 /// The drift pin (satellite of the clock refactor): with the clock
 /// derived from the step index, every timestamp the executor emits is
 /// exactly `i · dt` for integer `i` — even hours into a timeline. An
@@ -245,7 +204,6 @@ fn far_future_arrival_runs_to_the_timeout_under_both_clocks() {
             .with_config(SimConfig {
                 timeout_s: 90.0,
                 time_advance: advance,
-                ..SimConfig::default()
             })
             .run(&scenario)
             .expect("runs");

@@ -9,8 +9,7 @@
 //! order, buffering or sensor-noise consumption changes the digest.
 //!
 //! A second set pins, by value, the paths the frozen power model
-//! rewrote that the builtin-suite digests do not reach: the
-//! `TimeoutCollapse` idle regime under both clocks, co-running apps
+//! rewrote that the builtin-suite digests do not reach: co-running apps
 //! under the `Shared` and `ClusterExclusive` policies (including an app
 //! whose CPU share finishes before its GPU share), a many-node board,
 //! and `Simulation::run` through `evaluate::simulate` and `runner::run`.
@@ -19,7 +18,10 @@
 //!
 //! A third pins a sweep grid over every axis a cell's set-up depends
 //! on (threshold, ambient, board, gappy event-driven cells), scalar and
-//! batched. It was recorded while every cell still built its own board.
+//! batched. It was recorded while every cell still built its own board,
+//! and re-recorded once, on the engine before the change, when its
+//! cells stopped power-collapsing their idle gaps: every idle gap now
+//! races to the minimum OPPs.
 //!
 //! A fourth pins the instants at which the scalar step loop's event
 //! phases act between the sample and control grids: timeline events
@@ -35,7 +37,7 @@ use teem_scenario::{
     ConfigPatch, ContentionPolicy, Scenario, ScenarioEvent, ScenarioResult, ScenarioRunner,
     SimConfig,
 };
-use teem_soc::{Board, BoardSpec, ClusterFreqs, CpuMapping, IdlePolicy, MHz, TimeAdvance};
+use teem_soc::{Board, BoardSpec, ClusterFreqs, CpuMapping, MHz, TimeAdvance};
 use teem_telemetry::{Fnv, RunSummary};
 use teem_workload::{App, Partition};
 
@@ -257,46 +259,6 @@ fn check(label: &str, got: u64, want: u64) {
     assert_eq!(got, want, "{label} changed bits (got {got:#018x})");
 }
 
-/// Two GESUMMV runs (about 47 s each) 60 s apart under a 500 ms
-/// collapse timeout: the fixed-dt loop steps the race-to-idle floor,
-/// then the collapsed board; the event-driven loop fast-forwards both
-/// spans in closed form.
-fn collapse_scenario() -> Scenario {
-    Scenario::new("collapse")
-        .arrive(0.0, App::Gesummv, 0.9)
-        .arrive(60.0, App::Gesummv, 0.9)
-}
-
-fn collapse_runner(advance: TimeAdvance) -> ScenarioRunner {
-    ScenarioRunner::new(Approach::Teem).with_config(
-        ConfigPatch {
-            idle_policy: Some(IdlePolicy::TimeoutCollapse { timeout_ms: 500 }),
-            time_advance: Some(advance),
-            ..ConfigPatch::default()
-        }
-        .onto_default(),
-    )
-}
-
-const GOLDEN_COLLAPSE_FIXED_DT: u64 = 0x8973_772d_7cb2_b0b3;
-const GOLDEN_COLLAPSE_EVENT_DRIVEN: u64 = 0xe79f_6c89_c6a8_55ec;
-
-#[test]
-fn timeout_collapse_timelines_are_pinned() {
-    for (advance, want) in [
-        (TimeAdvance::FixedDt, GOLDEN_COLLAPSE_FIXED_DT),
-        (TimeAdvance::EventDriven, GOLDEN_COLLAPSE_EVENT_DRIVEN),
-    ] {
-        let r = collapse_runner(advance)
-            .run(&collapse_scenario())
-            .expect("runs");
-        assert!(!r.timed_out);
-        assert_eq!(r.summary.apps_completed(), 2);
-        assert!(r.summary.idle_s > 1.0, "no idle gap to collapse in");
-        check(&format!("collapse/{advance:?}"), scenario_digest(&r), want);
-    }
-}
-
 /// Two simultaneous arrivals plus a straggler, so every co-running
 /// policy overlaps at least two apps.
 fn rush() -> Scenario {
@@ -408,10 +370,9 @@ fn simulation_run_results_are_pinned() {
 
 /// Two one-arrival scenarios plus a gappy two-arrival one, over every
 /// axis a cell's board depends on: threshold, ambient (non-dyadic
-/// values) and board. Event-driven under `TimeoutCollapse`, so each
-/// gappy cell fast-forwards its idle gap in closed form on its own
-/// board's cooling plan, collapses the clusters and records the gap
-/// length.
+/// values) and board. Event-driven, so each gappy cell fast-forwards
+/// its idle gap in closed form on its own board's cooling plan and
+/// records the gap length.
 fn axis_grid() -> teem_scenario::SweepSpec {
     teem_scenario::SweepSpec::over([
         Scenario::new("ax-mvt").arrive(0.0, App::Mvt, 0.9),
@@ -424,7 +385,6 @@ fn axis_grid() -> teem_scenario::SweepSpec {
     .ambients_c(&[17.35, 31.9])
     .boards(&[BoardSpec::OdroidXu4, BoardSpec::ManyNode { nodes: 16 }])
     .patch_config(ConfigPatch {
-        idle_policy: Some(IdlePolicy::TimeoutCollapse { timeout_ms: 500 }),
         time_advance: Some(TimeAdvance::EventDriven),
         ..ConfigPatch::default()
     })
@@ -457,8 +417,11 @@ fn axis_grid_digest(spec: &teem_scenario::SweepSpec) -> (u64, u64, u64) {
 }
 
 /// Recorded before sweep cells cloned their boards from a per-sweep
-/// template: every cell built its own board.
-const GOLDEN_AXIS_GRID: u64 = 0xa406_8db3_11fd_5eb4;
+/// template: every cell built its own board. Re-recorded once when the
+/// idle-collapse regime was deleted, on the engine before that change
+/// with only this grid's collapse timeout dropped, so the gappy cells
+/// idle at the minimum OPPs (the gap count and length did not move).
+const GOLDEN_AXIS_GRID: u64 = 0x420d_840d_64a6_2034;
 const GOLDEN_AXIS_GRID_GAPS: u64 = 8;
 const GOLDEN_AXIS_GRID_GAP_MS: u64 = 184_000;
 

@@ -28,7 +28,7 @@ use teem_scenario::{
     journal_digest, run_interrupted, ConfigPatch, JournalError, LoadedJournal, Scenario,
     SweepEvent, SweepJournal, SweepSpec,
 };
-use teem_soc::{IdlePolicy, TimeAdvance};
+use teem_soc::TimeAdvance;
 use teem_telemetry::{sweep_diff, CellRecord, SweepAggregator};
 use teem_workload::App;
 
@@ -521,8 +521,8 @@ fn stale_journal_from_a_different_grid_is_rejected() {
 /// Fingerprint values pinned across refactors of the configuration the
 /// hash reads: a journal written by an older build must still resume,
 /// so moving where a value lives (a config field, a constant) must not
-/// move the hash. Three shapes: the plain grid, an event-driven grid
-/// with a timeout patch, and a grid with an idle-policy axis.
+/// move the hash. Two shapes: the plain grid, and an event-driven grid
+/// with a timeout patch.
 #[test]
 fn sweep_fingerprints_are_pinned() {
     let plain = SweepSpec::over([
@@ -533,21 +533,12 @@ fn sweep_fingerprints_are_pinned() {
     let event_driven = plain.clone().patch_config(ConfigPatch {
         timeout_s: Some(2.0),
         time_advance: Some(TimeAdvance::EventDriven),
-        ..ConfigPatch::default()
     });
-    let idle_axis = plain.clone().idle_policies(&[
-        IdlePolicy::RaceToIdle,
-        IdlePolicy::TimeoutCollapse { timeout_ms: 500 },
-    ]);
-    let got = [
-        plain.fingerprint(),
-        event_driven.fingerprint(),
-        idle_axis.fingerprint(),
-    ];
+    let got = [plain.fingerprint(), event_driven.fingerprint()];
     assert_eq!(
         got.map(|f| format!("{f:016x}")),
-        ["6971103abbe55aee", "efcd1b3096962aa4", "7f04a833f0e718ff"],
-        "plain, event-driven + timeout, idle-policy axis"
+        ["6971103abbe55aee", "efcd1b3096962aa4"],
+        "plain, event-driven + timeout"
     );
 }
 

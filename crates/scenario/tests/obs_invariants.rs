@@ -44,7 +44,6 @@ fn spec_500() -> SweepSpec {
         .patch_config(ConfigPatch {
             timeout_s: Some(2.0),
             time_advance: Some(TimeAdvance::EventDriven),
-            ..ConfigPatch::default()
         })
         .threads(4)
 }

@@ -631,7 +631,16 @@ mod tests {
                 CpuMapping::new(4, 0)
             };
             models.push(match lane {
-                4 => NodePowerModel::collapsed(&board),
+                // A GPU-only app: no big core, so that domain draws its
+                // leakage alone.
+                4 => NodePowerModel::single_app(
+                    &board,
+                    CpuMapping::new(0, 0),
+                    freqs,
+                    false,
+                    true,
+                    0.75,
+                ),
                 5 => NodePowerModel::idle(&board, freqs),
                 _ => NodePowerModel::single_app(
                     &board,

@@ -167,37 +167,6 @@ pub struct RunResult {
     pub energy_breakdown_j: (f64, f64, f64, f64),
 }
 
-/// How a board spends its idle gaps (no application mapped): a knob of
-/// the multi-app scenario executor, since single runs never idle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IdlePolicy {
-    /// Race to the minimum OPPs and stay there — every cluster keeps its
-    /// clock (and leakage + uncore overhead) while idle. The measured
-    /// idle floor of the stock board, and the default.
-    #[default]
-    RaceToIdle,
-    /// Race to the minimum OPPs, then power-collapse the clusters after
-    /// a continuous-idle timeout: dynamic and uncore power drop to zero
-    /// and leakage falls to the gated floor
-    /// ([`NodePowerModel::collapsed`]). Models `cpuidle` deep states /
-    /// GPU runtime-PM with a governor-style promotion timeout.
-    TimeoutCollapse {
-        /// Continuous idle time before the collapse kicks in,
-        /// milliseconds.
-        timeout_ms: u32,
-    },
-}
-
-impl IdlePolicy {
-    /// The collapse timeout in seconds, if this policy has one.
-    pub fn timeout_s(self) -> Option<f64> {
-        match self {
-            IdlePolicy::RaceToIdle => None,
-            IdlePolicy::TimeoutCollapse { timeout_ms } => Some(f64::from(timeout_ms) * 1e-3),
-        }
-    }
-}
-
 /// How the scenario executor advances simulated time across idle gaps
 /// (single runs have none, so they are always dense).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -211,10 +180,11 @@ pub enum TimeAdvance {
     /// fixed [`DT_S`] **bit-identically** to [`TimeAdvance::FixedDt`],
     /// but whenever the active set and queue are empty the executor
     /// computes the next state-changing instant (arrival,
-    /// ambient/threshold/approach change, idle-collapse timeout,
-    /// simulation timeout) and fast-forwards the thermal network across
-    /// the whole gap in closed form ([`fast_forward_gap`]), with a small
-    /// documented temperature / energy tolerance on the gap itself.
+    /// ambient/threshold/approach change, simulation timeout) and
+    /// fast-forwards the thermal network across the whole gap in closed
+    /// form ([`fast_forward_gap`]) at the minimum OPPs the fixed-dt loop
+    /// races to, with a small documented temperature / energy tolerance
+    /// on the gap itself.
     ///
     /// A gap costs one closed-form segment per re-linearisation, not
     /// one step per [`DT_S`], but that is not `O(events)` yet: segments
@@ -765,17 +735,6 @@ pub fn co_run_dynamic_weights(
     }
 }
 
-/// What [`fast_forward_gap`] dissipates during the span it advances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GapPower {
-    /// Idle floor: every cluster at the given frequencies with no
-    /// application mapped ([`NodePowerModel::idle`]).
-    Idle(ClusterFreqs),
-    /// Power-collapsed clusters ([`NodePowerModel::collapsed`]) — the
-    /// regime after [`IdlePolicy::TimeoutCollapse`] fires.
-    Collapsed,
-}
-
 /// What one [`fast_forward_gap`] call covered.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GapAdvance {
@@ -825,10 +784,11 @@ pub const GAP_SEGMENT_DELTA_C: f64 = 0.5;
 /// each segment contributes `ΣᵢPᵢ · L` joules, accumulated per node
 /// into `energy_by_node_j` (same indexing as [`Board::nodes`]).
 ///
-/// The caller owns every other piece of gap semantics: choosing the
-/// horizon (next event), switching `power` from [`GapPower::Idle`] to
-/// [`GapPower::Collapsed`] at the collapse instant by calling this
-/// twice, sensor-noise stream catch-up, and trace sampling.
+/// The board dissipates its idle floor throughout: every cluster at
+/// `idle` with no application mapped ([`NodePowerModel::idle`]), which
+/// is what the fixed-dt loop races to between applications. The caller
+/// owns every other piece of gap semantics: choosing the horizon (next
+/// event), sensor-noise stream catch-up, and trace sampling.
 ///
 /// # Panics
 ///
@@ -836,7 +796,7 @@ pub const GAP_SEGMENT_DELTA_C: f64 = 0.5;
 /// `energy_by_node_j.len() != board.thermal.len()`.
 pub fn fast_forward_gap(
     board: &mut Board,
-    power: GapPower,
+    idle: ClusterFreqs,
     span_s: f64,
     ambient_c: f64,
     scratch: &mut StepScratch,
@@ -855,10 +815,7 @@ pub fn fast_forward_gap(
     }
     // The gap's operating point is fixed for the whole call; only the
     // leakage follows the segment-start temperatures.
-    let model = match power {
-        GapPower::Idle(freqs) => NodePowerModel::idle(board, freqs),
-        GapPower::Collapsed => NodePowerModel::collapsed(board),
-    };
+    let model = NodePowerModel::idle(board, idle);
     let lambda_max = board.thermal.fastest_cooling_rate();
     let mut remaining = span_s;
     // Relative epsilon, as ThermalModel::step: float residue from
@@ -1421,37 +1378,6 @@ mod tests {
             &mut w,
         );
         assert_eq!(w, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn collapsed_board_draws_less_than_race_to_idle() {
-        let board = Board::odroid_xu4_ideal();
-        let temps = vec![40.0; board.thermal.len()];
-        let idle = powers(
-            &NodePowerModel::idle(&board, ClusterFreqs::min_of(&board)),
-            &temps,
-        );
-        let collapsed = powers(&NodePowerModel::collapsed(&board), &temps);
-        let (pi, pc): (f64, f64) = (idle.iter().sum(), collapsed.iter().sum());
-        assert!(pc < pi, "collapse must save power: {pc} vs {pi}");
-        // Board overhead survives the collapse. The big cluster is
-        // already fully gated when idle (no app maps it), so the savings
-        // come from the LITTLE housekeeping core and the GPU's near-idle
-        // clocking.
-        assert_eq!(collapsed[board.nodes.board], board.board_base_w);
-        assert_eq!(collapsed[board.nodes.big], idle[board.nodes.big]);
-        assert!(collapsed[board.nodes.little] < idle[board.nodes.little]);
-        assert!(collapsed[board.nodes.gpu] < idle[board.nodes.gpu]);
-    }
-
-    #[test]
-    fn idle_policy_timeout_conversion() {
-        assert_eq!(IdlePolicy::RaceToIdle.timeout_s(), None);
-        assert_eq!(
-            IdlePolicy::TimeoutCollapse { timeout_ms: 2500 }.timeout_s(),
-            Some(2.5)
-        );
-        assert_eq!(IdlePolicy::default(), IdlePolicy::RaceToIdle);
     }
 
     #[test]

@@ -71,9 +71,9 @@ pub use batch::{BatchPowerModel, BatchScratch, ThermalBatch};
 pub use board::{Board, BoardSpec, BoardTemplate, ThermalNodes};
 pub use engine::{
     clamp_freqs, co_run_dynamic_weights, fast_forward_gap, read_sensors_for, warm_start,
-    ClusterFreqs, CoRunShare, GapAdvance, GapPower, HotspotSplit, IdlePolicy, Manager, RunResult,
-    RunSpec, Simulation, SocControl, SocView, StepObs, StepScratch, TimeAdvance, CONTROL_PERIOD_S,
-    DT_S, GAP_SEGMENT_DELTA_C, SAMPLE_PERIOD_S, WARM_START_FRACTION,
+    ClusterFreqs, CoRunShare, GapAdvance, HotspotSplit, Manager, RunResult, RunSpec, Simulation,
+    SocControl, SocView, StepObs, StepScratch, TimeAdvance, CONTROL_PERIOD_S, DT_S,
+    GAP_SEGMENT_DELTA_C, SAMPLE_PERIOD_S, WARM_START_FRACTION,
 };
 pub use fastexp::{exp_exact, exp_exact4, exp_exact_block};
 pub use freq::{MHz, Opp, OppTable};

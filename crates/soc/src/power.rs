@@ -286,11 +286,14 @@ impl DomainPower {
 /// evaluator's fixed point, tests) call
 /// [`eval_into`](NodePowerModel::eval_into).
 ///
-/// Each constructor reproduces its regime's summation order bit for
-/// bit: one app `(dyn + leak) + uncore` per domain, co-running apps
-/// `((leak + uncore) + dyn₁) + dyn₂ …` on the CPU clusters, a collapsed
-/// domain its leakage only. The oracle tests pin every constructor
-/// against the reference expressions on [`PowerParams`].
+/// The constructors are [`single_app`](NodePowerModel::single_app),
+/// [`idle`](NodePowerModel::idle) (no application mapped, the regime of
+/// every idle gap) and [`co_run`](NodePowerModel::co_run). Each
+/// reproduces its regime's summation order bit for bit: one app
+/// `(dyn + leak) + uncore` per domain, co-running apps
+/// `((leak + uncore) + dyn₁) + dyn₂ …` on the CPU clusters, a domain
+/// with no active core its leakage only. The oracle tests pin every
+/// constructor against the reference expressions on [`PowerParams`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodePowerModel {
     /// Thermal node count (`board.thermal.len()`).
@@ -454,23 +457,6 @@ impl NodePowerModel {
             tail,
             ..NodePowerModel::from_domains(board, [big, little, gpu])
         }
-    }
-
-    /// The power-collapsed board: every cluster gated (no dynamic or
-    /// uncore power, leakage at the fully-gated floor at the minimum-OPP
-    /// voltage), only the board overhead still drawn — what
-    /// [`IdlePolicy::TimeoutCollapse`](crate::IdlePolicy::TimeoutCollapse)
-    /// dissipates once its timeout fires.
-    pub fn collapsed(board: &Board) -> Self {
-        let f = ClusterFreqs::min_of(board);
-        NodePowerModel::from_domains(
-            board,
-            [
-                DomainPower::leakage(&board.big_power, board.big_opps.volts_at(f.big), 0),
-                DomainPower::leakage(&board.little_power, board.little_opps.volts_at(f.little), 0),
-                DomainPower::leakage(&board.gpu_power, board.gpu_opps.volts_at(f.gpu), 0),
-            ],
-        )
     }
 
     /// Writes the node power vector, watts, at node temperatures `temps`
@@ -640,12 +626,11 @@ mod oracle {
     use crate::board::BoardSpec;
     use crate::freq::MHz;
 
-    /// The per-step bodies of `node_powers_into`,
-    /// `co_run_node_powers_into` and `collapsed_node_powers_into` as
-    /// they were before [`NodePowerModel`] became the one derivation
-    /// (the two co-run CPU clusters share one helper): every OPP lookup,
-    /// dynamic term and `f64::exp` re-derived per call through
-    /// [`PowerParams`].
+    /// The per-step bodies of `node_powers_into` and
+    /// `co_run_node_powers_into` as they were before [`NodePowerModel`]
+    /// became the one derivation (the two co-run CPU clusters share one
+    /// helper): every OPP lookup, dynamic term and `f64::exp` re-derived
+    /// per call through [`PowerParams`].
     mod reference {
         use super::super::PowerParams;
         use crate::board::Board;
@@ -805,27 +790,6 @@ mod oracle {
                 gpu_util,
                 gpu_activity,
                 temps[board.nodes.gpu],
-            );
-            out[board.nodes.board] = board.board_base_w;
-        }
-
-        pub(super) fn collapsed_node_powers_into(board: &Board, temps: &[f64], out: &mut [f64]) {
-            out.fill(0.0);
-            let f = ClusterFreqs::min_of(board);
-            out[board.nodes.big] = board.big_power.leakage_w(
-                board.big_opps.volts_at(f.big),
-                temps[board.nodes.big],
-                0,
-            );
-            out[board.nodes.little] = board.little_power.leakage_w(
-                board.little_opps.volts_at(f.little),
-                temps[board.nodes.little],
-                0,
-            );
-            out[board.nodes.gpu] = board.gpu_power.leakage_w(
-                board.gpu_opps.volts_at(f.gpu),
-                temps[board.nodes.gpu],
-                0,
             );
             out[board.nodes.board] = board.board_base_w;
         }
@@ -998,20 +962,6 @@ mod oracle {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn collapsed_matches_reference_bitwise() {
-        for board in boards() {
-            for temps in temp_cases(&board) {
-                assert_bitwise(
-                    &format!("n{} collapsed", board.thermal.len()),
-                    &NodePowerModel::collapsed(&board),
-                    &temps,
-                    |t, out| reference::collapsed_node_powers_into(&board, t, out),
-                );
             }
         }
     }

@@ -187,7 +187,7 @@ proptest! {
         amb in 10.0..40.0f64,
         dt_big in 0.0..60.0f64,
     ) {
-        use teem_soc::{fast_forward_gap, ClusterFreqs, GapPower, StepScratch};
+        use teem_soc::{fast_forward_gap, ClusterFreqs, StepScratch};
 
         let mut board = Board::odroid_xu4_ideal();
         let hot = board.thermal.temp(board.nodes.big) + dt_big;
@@ -201,7 +201,7 @@ proptest! {
         };
         let adv = fast_forward_gap(
             &mut board,
-            GapPower::Idle(idle),
+            idle,
             gap_s,
             amb,
             &mut scratch,
@@ -392,7 +392,6 @@ proptest! {
                 ),
                 NodePowerModel::co_run(&board, &co_run, freqs),
                 NodePowerModel::idle(&board, freqs),
-                NodePowerModel::collapsed(&board),
             ];
             warm_start(&mut board, &models[0], warmth);
             let n = board.thermal.len();

@@ -30,7 +30,7 @@
 use std::time::Instant;
 
 use teem_core::runner::Approach;
-use teem_scenario::{ConfigPatch, Scenario, ScenarioResult, ScenarioRunner};
+use teem_scenario::{Scenario, ScenarioResult, ScenarioRunner, SimConfig};
 use teem_soc::TimeAdvance;
 
 /// The trace spans 7 simulated days; leave headroom over the last
@@ -41,14 +41,10 @@ fn run_week(advance: TimeAdvance) -> Result<(ScenarioResult, f64), Box<dyn std::
     let scenario = Scenario::from_csv("examples/traces/phone_week.csv")?;
     let t0 = Instant::now();
     let result = ScenarioRunner::new(Approach::Teem)
-        .with_config(
-            ConfigPatch {
-                timeout_s: Some(WEEK_TIMEOUT_S),
-                time_advance: Some(advance),
-                ..ConfigPatch::default()
-            }
-            .onto_default(),
-        )
+        .with_config(SimConfig {
+            timeout_s: WEEK_TIMEOUT_S,
+            time_advance: advance,
+        })
         .run(&scenario)?;
     Ok((result, t0.elapsed().as_secs_f64()))
 }

@@ -63,8 +63,8 @@ pub mod prelude {
         SweepJournal, SweepObsReport, SweepSpec,
     };
     pub use teem_soc::{
-        Board, ClusterFreqs, CpuMapping, IdlePolicy, MHz, Manager, NodePowerModel, RunResult,
-        RunSpec, Simulation, SocControl, SocView, StepScratch, ThermalZone, TimeAdvance,
+        Board, ClusterFreqs, CpuMapping, MHz, Manager, NodePowerModel, RunResult, RunSpec,
+        Simulation, SocControl, SocView, StepScratch, ThermalZone, TimeAdvance,
     };
     pub use teem_telemetry::{
         sweep_diff, CellRecord, LogHistogram, MetricsRegistry, MetricsSnapshot, RunSummary,
