@@ -365,6 +365,16 @@ fn run(mut args: Args) -> ! {
             check_injection(what, at, workers, spec.cells());
         }
     }
+    // One worker carrying both injections stops at the first of them
+    // (death or stall), so the other never fires.
+    if let (Some((victim, die)), Some((hung, stall))) = (kill, hang) {
+        if victim == hung {
+            fail(format!(
+                "--kill {victim}@{die} and --hang {hung}@{stall} name the same worker, \
+                 which stops at the first of them, so the other never fires"
+            ));
+        }
+    }
     let exe = std::env::current_exe()
         .unwrap_or_else(|e| fail(format!("cannot locate own executable: {e}")));
 

@@ -284,3 +284,12 @@ fn run_refuses_a_hang_that_never_fires() {
         "--hang 1@31: worker 1's shard holds 30 cells",
     );
 }
+
+#[test]
+fn run_refuses_a_kill_and_a_hang_on_one_worker() {
+    assert_run_refuses(
+        "kill_and_hang",
+        &["--workers", "2", "--kill", "0@5", "--hang", "0@10"],
+        "--kill 0@5 and --hang 0@10 name the same worker",
+    );
+}
