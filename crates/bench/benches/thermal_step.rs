@@ -1,12 +1,23 @@
 //! Thermal-network integration throughput — the engine's hottest loop —
 //! plus the in-place power model and the combined physics step kernel
 //! (power + integration), i.e. exactly what one `dt` of simulated time
-//! costs. The `it/s` column is the steps/sec throughput figure.
+//! costs. The `it/s` column is the steps/sec throughput figure. The
+//! `*_gap_*` rows time one idle gap both ways: the event-driven
+//! closed-form fast-forward and fixed-dt stepping.
 
 use std::hint::black_box;
 use teem_bench::microbench::Runner;
-use teem_soc::{Board, BoardSpec, ClusterFreqs, CpuMapping, MHz, NodePowerModel, StepScratch};
+use teem_soc::{
+    fast_forward_gap, Board, BoardSpec, ClusterFreqs, CpuMapping, MHz, NodePowerModel, StepScratch,
+    DT_S,
+};
 use teem_workload::App;
+
+/// The idle gap the `*_gap_*` rows cross, seconds.
+const GAP_S: f64 = 60.0;
+
+/// Where every node starts the gap, °C.
+const GAP_START_C: f64 = 80.0;
 
 fn main() {
     let mut r = Runner::from_args();
@@ -94,6 +105,67 @@ fn main() {
             .thermal
             .step_frozen(black_box(0.01), &model, &mut scratch.power)
     });
+
+    // One 60 s idle gap from 80 °C at the minimum OPPs, crossed by
+    // `fast_forward_gap` (re-linearised `cool_to` segments) and by
+    // fixed-dt stepping of the idle model; each iteration restarts
+    // from 80 °C. The line after the pair gives the cost per segment.
+    for (label, spec) in [
+        ("xu4", BoardSpec::OdroidXu4),
+        ("n16", BoardSpec::ManyNode { nodes: 16 }),
+    ] {
+        let mut board = spec.build_ideal();
+        let idle = ClusterFreqs::min_of(&board);
+        let ambient = board.thermal.ambient_c();
+        let n = board.thermal.len();
+        let mut scratch = StepScratch::for_board(&board);
+        let mut energy = vec![0.0; n];
+        let mut segments = 0;
+        let gap_name = format!("fast_forward_gap_{label}");
+        r.bench(&gap_name, || {
+            for i in 0..n {
+                board.thermal.set_temp(i, GAP_START_C);
+            }
+            let gap = fast_forward_gap(
+                &mut board,
+                idle,
+                black_box(GAP_S),
+                ambient,
+                &mut scratch,
+                &mut energy,
+            );
+            segments = gap.segments;
+            gap.energy_j
+        });
+        let model = NodePowerModel::idle(&board, idle);
+        let steps = (GAP_S / DT_S).round() as u32;
+        let stepped_name = format!("fixed_dt_gap_{label}");
+        r.bench(&stepped_name, || {
+            for i in 0..n {
+                board.thermal.set_temp(i, GAP_START_C);
+            }
+            for _ in 0..steps {
+                board
+                    .thermal
+                    .step_frozen(black_box(DT_S), &model, &mut scratch.power);
+            }
+        });
+        let best = |name: &str| {
+            r.results()
+                .iter()
+                .find(|b| b.name == name)
+                .map(|b| b.best_ns)
+        };
+        if let (Some(gap_ns), Some(stepped_ns)) = (best(&gap_name), best(&stepped_name)) {
+            println!(
+                "{gap_name}: {segments} segments, {:.1} ns per segment; \
+                 {:.3} ms per gap against {:.3} ms stepped ({steps} steps)",
+                gap_ns / f64::from(segments.max(1)),
+                gap_ns / 1e6,
+                stepped_ns / 1e6,
+            );
+        }
+    }
 
     r.finish();
 }

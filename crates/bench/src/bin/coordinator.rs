@@ -29,7 +29,8 @@
 //! (`--shard`, `--part`, `--exclude`) plus the failure-injection knobs
 //! `--die-after K` (sync the journal, then `abort()` after the K-th
 //! done record) and `--hang-after K` (stop making progress — exercises
-//! the coordinator's stall timeout).
+//! the coordinator's stall timeout). A worker takes at most one of the
+//! two, with K from 1 to the number of records it writes.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -284,6 +285,14 @@ fn worker(mut args: Args) -> ! {
     if fsync_every == 0 {
         fail("--fsync-every must be at least 1");
     }
+    // As `run`'s `check_injection`, an injection that can never fire is
+    // refused, so a fault run cannot pass without its fault.
+    if let (Some(die), Some(hang)) = (die_after, hang_after) {
+        fail(format!(
+            "--die-after {die} and --hang-after {hang} are both given; the worker \
+             stops at the first of them, so the other never fires"
+        ));
+    }
 
     let assignment = WorkerAssignment {
         shard,
@@ -293,6 +302,15 @@ fn worker(mut args: Args) -> ! {
     let restricted = assignment
         .apply(spec)
         .unwrap_or_else(|e| fail(format!("assignment does not apply: {e}")));
+    let writes = restricted.cells() - restricted.skipped_cells().count();
+    for (what, after) in [("--die-after", die_after), ("--hang-after", hang_after)] {
+        if let Some(k) = after.filter(|&k| k == 0 || k > writes) {
+            fail(format!(
+                "{what} {k}: this worker writes {writes} records and they count from 1, \
+                 so record {k} never comes"
+            ));
+        }
+    }
     let mut journal = SweepJournal::create(&journal_path, &restricted)
         .unwrap_or_else(|e| fail(format!("cannot create journal: {e}")))
         .with_fsync_every(fsync_every);

@@ -213,6 +213,37 @@ fn worker_refuses_a_shard_past_the_grid() {
     );
 }
 
+#[test]
+fn worker_refuses_an_injection_at_record_zero() {
+    assert_worker_refuses(
+        "die0",
+        "mod:0/1",
+        &["--die-after", "0"],
+        "--die-after 0: this worker writes 60 records and they count from 1, \
+         so record 0 never comes",
+    );
+}
+
+#[test]
+fn worker_refuses_an_injection_past_its_records() {
+    assert_worker_refuses(
+        "hang_past",
+        "mod:1/3",
+        &["--hang-after", "21"],
+        "--hang-after 21: this worker writes 20 records",
+    );
+}
+
+#[test]
+fn worker_refuses_a_kill_and_a_hang_together() {
+    assert_worker_refuses(
+        "die_and_hang",
+        "mod:0/1",
+        &["--die-after", "5", "--hang-after", "10"],
+        "--die-after 5 and --hang-after 10 are both given",
+    );
+}
+
 /// Runs a campaign on the small grid with `extra` flags, which the
 /// command line must refuse before it creates the campaign directory or
 /// spawns a worker: exit code 1, `message` on stderr, no panic, and

@@ -679,11 +679,13 @@ impl ScenarioRunner {
             sim.step_idx + 1
         };
         let co_running = sim.progress_terms();
+        let mut first = true;
         loop {
-            let flipped = sim.step_tail(co_running);
+            let flipped = sim.step_tail(co_running, first);
             if flipped || sim.step_idx >= end_tick {
                 break;
             }
+            first = false;
         }
 
         Ok(true)
@@ -958,7 +960,14 @@ impl CellSim {
     /// contention; the GPU is time-shared), the power model, the fused
     /// power and thermal step, energy accounting, the clock and
     /// completions. Returns `true` when progress flipped a busy flag.
-    fn step_tail(&mut self, co_running: bool) -> bool {
+    ///
+    /// The shares, the power model with its attribution weights, and
+    /// the completions are brought up to date only on a span's `first`
+    /// step and on a flip. Their inputs are the active set, its busy
+    /// flags and the effective frequencies, and within a span only a
+    /// flip moves any of them, so every other step would rebuild the
+    /// same shares, find the model current and retire no job.
+    fn step_tail(&mut self, co_running: bool, first: bool) -> bool {
         let mut flipped = false;
         for j in self.active.iter_mut() {
             let (cpu_busy, gpu_busy) = (!j.cpu_done(), !j.gpu_done());
@@ -980,16 +989,19 @@ impl CellSim {
         //     per domain; one fused step at the step-start
         //     temperatures, which also leaves the step's power vector
         //     in the reusable scratch for the accounting) ---
-        let obs_t0 = self.scratch.obs.clock();
-        self.shares.clear();
-        self.shares.extend(self.active.iter().map(|j| CoRunShare {
-            mapping: j.mapping,
-            cpu_busy: !j.cpu_done(),
-            gpu_busy: !j.gpu_done(),
-            activity: j.chars.activity,
-        }));
-        self.refresh_power();
-        self.scratch.obs.lap_power(obs_t0);
+        let refresh = first || flipped;
+        if refresh {
+            let obs_t0 = self.scratch.obs.clock();
+            self.shares.clear();
+            self.shares.extend(self.active.iter().map(|j| CoRunShare {
+                mapping: j.mapping,
+                cpu_busy: !j.cpu_done(),
+                gpu_busy: !j.gpu_done(),
+                activity: j.chars.activity,
+            }));
+            self.refresh_power();
+            self.scratch.obs.lap_power(obs_t0);
+        }
         let obs_t0 = self.scratch.obs.clock();
         let substeps = self
             .board
@@ -1034,7 +1046,9 @@ impl CellSim {
         self.t = self.step_idx as f64 * DT_S;
 
         // --- Completions: free the resources, in completion order ---
-        self.phase_completions();
+        if refresh {
+            self.phase_completions();
+        }
         flipped
     }
 

@@ -4,11 +4,12 @@
 //! A sweep grid multiplies a handful of scenarios by knob axes, so at
 //! any instant a worker holds many cells running the *same physics* at
 //! different operating points. The scalar loop steps them one at a
-//! time, one thermal network per kernel call, and even between events,
-//! where it runs only the step tail, that tail walks the cell's jobs
-//! and rebuilds its power shares through the full simulation state
-//! every 10 ms tick although a solo cell's inputs only change at
-//! control decisions. This module exploits both redundancies:
+//! time, one thermal network per kernel call. Even between events,
+//! where it runs only the step tail and rebuilds its power shares only
+//! on a span's first step or a busy-flag flip, that tail still walks
+//! the cell's jobs and its energy accounts through the full simulation
+//! state every 10 ms tick, although a solo cell's inputs only change
+//! at control decisions. This module exploits both redundancies:
 //!
 //! * **SoA thermal lockstep** — each admitted cell owns one lane of a
 //!   [`ThermalBatch`]; one [`ThermalBatch::step`] integrates all K RC

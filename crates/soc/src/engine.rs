@@ -525,11 +525,13 @@ impl StepScratch {
 /// every phase, then the step tail alone (progress, power, thermal,
 /// energy, completions) through each following step at which no other
 /// phase can act — including a thermal zone releasing its cap, whose
-/// next step ends the span. The counters and the power and thermal
-/// laps cover every step alike; the control lap (control and the zone
-/// poll) covers only the steps that begin a span, and the sample and
-/// trace laps only the steps a sample falls on, which always begin
-/// one.
+/// next step ends the span. The counters and the thermal lap cover
+/// every step alike. The power lap covers only a span's first step
+/// and the step whose progress flips a busy flag, the only steps that
+/// rebuild the power shares and refresh the model. The control lap
+/// (control and the zone poll) covers only the steps that begin a
+/// span, and the sample and trace laps only the steps a sample falls
+/// on, which always begin one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepObs {
     /// `true` ⇒ the step loop samples `Instant::now` around each phase.
@@ -542,9 +544,11 @@ pub struct StepObs {
     /// Euler sub-steps the thermal integrator actually took.
     pub substeps: u64,
     /// Nanoseconds keeping the power model current (0 unless
-    /// `enabled`). On the scalar step loop that is the model refresh
-    /// alone: the operating-point check and, when it moved, the
-    /// rebuild. On the batched path it is the SoA power evaluation.
+    /// `enabled`). On the scalar step loop that is the shares rebuild
+    /// and the model refresh (the operating-point check and, when it
+    /// moved, the rebuild), timed on the steps that run them: a span's
+    /// first step and a busy-flag flip. On the batched path it is the
+    /// SoA power evaluation.
     pub power_ns: u64,
     /// Nanoseconds in the thermal step (0 unless `enabled`). On the
     /// scalar step loop that is one fused

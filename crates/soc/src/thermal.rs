@@ -14,7 +14,7 @@
 //! and the baselines all react to *sensor readings of node temperatures*,
 //! not to intra-die gradients.
 
-use crate::fastexp::exp_exact;
+use crate::fastexp::{exp_exact, exp_exact_block};
 use crate::power::NodePowerModel;
 use crate::simd::{F64xN, LANES};
 use std::sync::OnceLock;
@@ -38,12 +38,22 @@ pub type NodeId = usize;
 /// `dy_k/dt = b_k − λ_k y_k` with exact exponential solutions. The
 /// decomposition depends only on the network topology (fixed at build
 /// time), so it is computed once on first use and reused for every gap.
+///
+/// The plan keeps the board-invariant products the transforms multiply
+/// by rather than `Q` and `C^{1/2}` themselves: `qᵢₖ·√Cᵢ` and
+/// `qᵢₖ/√Cᵢ` (stored as `qᵢₖ·(1/√Cᵢ)`) in `Q`'s row-major layout, so
+/// a block of [`LANES`] modes reads its row-`i` factors contiguously,
+/// and `Qᵀ`, so a block of nodes reads its mode-`k` column the same
+/// way. Rust evaluates `q * c * T` as `(q·c)·T`, so the precomputed
+/// products leave every bit of the scalar transform unchanged.
 #[derive(Debug, Clone)]
 struct CoolingPlan {
     lambda: Vec<f64>,     // eigenvalues of S, ascending, 1/s
-    q: Vec<f64>,          // eigenvectors of S, row-major n×n, columns are modes
-    c_sqrt: Vec<f64>,     // sqrt(C_i)
+    qc_sqrt: Vec<f64>,    // q_ik·sqrt(C_i), row-major n×n, columns are modes
+    qc_inv: Vec<f64>,     // q_ik·(1/sqrt(C_i)), same layout
+    qt: Vec<f64>,         // Qᵀ, row-major n×n, rows are modes
     c_inv_sqrt: Vec<f64>, // 1/sqrt(C_i)
+    forcing: Vec<f64>,    // per-node forcing scratch, P + G_amb·T_amb
     y: Vec<f64>,          // modal-state scratch
     b: Vec<f64>,          // modal-forcing scratch
 }
@@ -556,17 +566,24 @@ impl ThermalModel {
         // S is PSD by construction; clamp rounding-level negative
         // eigenvalues so the modal solution never grows exponentially.
         let lambda: Vec<f64> = e.values.iter().map(|&l| l.max(0.0)).collect();
-        let mut q = vec![0.0; n * n];
+        let mut qc_sqrt = vec![0.0; n * n];
+        let mut qc_inv = vec![0.0; n * n];
+        let mut qt = vec![0.0; n * n];
         for i in 0..n {
             for k in 0..n {
-                q[i * n + k] = e.vectors[(i, k)];
+                let q = e.vectors[(i, k)];
+                qc_sqrt[i * n + k] = q * c_sqrt[i];
+                qc_inv[i * n + k] = q * c_inv_sqrt[i];
+                qt[k * n + i] = q;
             }
         }
         self.plan = Some(CoolingPlan {
             lambda,
-            q,
-            c_sqrt,
+            qc_sqrt,
+            qc_inv,
+            qt,
             c_inv_sqrt,
+            forcing: vec![0.0; n],
             y: vec![0.0; n],
             b: vec![0.0; n],
         });
@@ -592,6 +609,13 @@ impl ThermalModel {
     /// network (Jacobi eigensolve, `O(n³)`); subsequent calls reuse it
     /// and allocate nothing.
     ///
+    /// The modal transform, the per-mode decay and the back-transform
+    /// each run [`LANES`] modes or nodes per block, with a scalar tail,
+    /// as the Euler kernel does: every lane evaluates the scalar
+    /// expression in the scalar summation order (the decay through
+    /// [`exp_exact_block`], which matches [`exp_exact`] per lane), so
+    /// the result is the same bits as one mode or node at a time.
+    ///
     /// # Panics
     ///
     /// Panics if `power_w.len() != self.len()`, `horizon_s < 0`, or
@@ -613,37 +637,91 @@ impl ThermalModel {
             plan,
             ..
         } = self;
-        let plan = plan.as_mut().expect("plan ensured above");
-        // Modal transform: y = Qᵀ C^{1/2} T, b = Qᵀ C^{-1/2} (P + G_amb·T_amb).
-        for k in 0..n {
-            let mut yk = 0.0;
-            let mut bk = 0.0;
-            for i in 0..n {
-                let qik = plan.q[i * n + k];
-                yk += qik * plan.c_sqrt[i] * temps[i];
-                bk += qik * plan.c_inv_sqrt[i] * (power_w[i] + to_ambient[i] * *ambient_c);
+        let CoolingPlan {
+            lambda,
+            qc_sqrt,
+            qc_inv,
+            qt,
+            c_inv_sqrt,
+            forcing,
+            y,
+            b,
+        } = plan.as_mut().expect("plan ensured above");
+        let full = n - n % LANES;
+        for (f, (&p, &g_amb)) in forcing.iter_mut().zip(power_w.iter().zip(&*to_ambient)) {
+            *f = p + g_amb * *ambient_c;
+        }
+        // Modal transform: y = Qᵀ C^{1/2} T, b = Qᵀ C^{-1/2} (P + G_amb·T_amb),
+        // summed over nodes i = 0..n in order for each mode.
+        for k in (0..full).step_by(LANES) {
+            let (mut yk, mut bk) = (F64xN::ZERO, F64xN::ZERO);
+            for ((qc, qi), (&t, &f)) in qc_sqrt
+                .chunks_exact(n)
+                .zip(qc_inv.chunks_exact(n))
+                .zip(temps.iter().zip(&*forcing))
+            {
+                yk = yk + F64xN::from_slice(&qc[k..]) * F64xN::splat(t);
+                bk = bk + F64xN::from_slice(&qi[k..]) * F64xN::splat(f);
             }
-            plan.y[k] = yk;
-            plan.b[k] = bk;
+            yk.write_to(&mut y[k..]);
+            bk.write_to(&mut b[k..]);
+        }
+        for k in full..n {
+            let (mut yk, mut bk) = (0.0, 0.0);
+            for ((qc, qi), (&t, &f)) in qc_sqrt
+                .chunks_exact(n)
+                .zip(qc_inv.chunks_exact(n))
+                .zip(temps.iter().zip(&*forcing))
+            {
+                yk += qc[k] * t;
+                bk += qi[k] * f;
+            }
+            y[k] = yk;
+            b[k] = bk;
         }
         // Per-mode exact solution. λ ≈ 0 modes (a network segment with
         // no path to ambient) integrate their forcing linearly.
-        let tiny = plan.lambda.last().copied().unwrap_or(0.0) * 1e-12;
-        for (yk, (&l, &bk)) in plan.y.iter_mut().zip(plan.lambda.iter().zip(&plan.b)) {
-            if l > tiny {
-                let y_inf = bk / l;
-                *yk = y_inf + (*yk - y_inf) * exp_exact(-l * horizon_s);
-            } else {
-                *yk += bk * horizon_s;
+        let tiny = lambda.last().copied().unwrap_or(0.0) * 1e-12;
+        for k in (0..full).step_by(LANES) {
+            let l = F64xN::from_slice(&lambda[k..]);
+            let bk = F64xN::from_slice(&b[k..]);
+            let yk = F64xN::from_slice(&y[k..]);
+            let decay = F64xN(exp_exact_block(l.0.map(|lk| -lk * horizon_s)));
+            let y_inf = bk / l;
+            let relaxed = y_inf + (yk - y_inf) * decay;
+            let drifted = yk + bk * F64xN::splat(horizon_s);
+            for (lane, out) in y[k..k + LANES].iter_mut().enumerate() {
+                *out = if l.0[lane] > tiny {
+                    relaxed.0[lane]
+                } else {
+                    drifted.0[lane]
+                };
             }
         }
-        // Back-transform: T = C^{-1/2} Q y.
-        for (i, t) in temps.iter_mut().enumerate() {
-            let mut u = 0.0;
-            for k in 0..n {
-                u += plan.q[i * n + k] * plan.y[k];
+        for k in full..n {
+            let (l, bk) = (lambda[k], b[k]);
+            if l > tiny {
+                let y_inf = bk / l;
+                y[k] = y_inf + (y[k] - y_inf) * exp_exact(-l * horizon_s);
+            } else {
+                y[k] += bk * horizon_s;
             }
-            *t = u * plan.c_inv_sqrt[i];
+        }
+        // Back-transform: T = C^{-1/2} Q y, summed over modes k = 0..n
+        // in order for each node.
+        for i in (0..full).step_by(LANES) {
+            let mut u = F64xN::ZERO;
+            for (q, &yk) in qt.chunks_exact(n).zip(&*y) {
+                u = u + F64xN::from_slice(&q[i..]) * F64xN::splat(yk);
+            }
+            (u * F64xN::from_slice(&c_inv_sqrt[i..])).write_to(&mut temps[i..]);
+        }
+        for i in full..n {
+            let mut u = 0.0;
+            for (q, &yk) in qt.chunks_exact(n).zip(&*y) {
+                u += q[i] * yk;
+            }
+            temps[i] = u * c_inv_sqrt[i];
         }
     }
 
@@ -1049,5 +1127,175 @@ mod tests {
         let m = b.build();
         assert_eq!(m.len(), 2);
         assert_eq!(m.names(), &["a".to_string(), "b".to_string()]);
+    }
+}
+
+/// Bitwise oracle for [`ThermalModel::cool_to`]: the blocked transforms
+/// against the one-mode-at-a-time scalar body they replaced, kept here
+/// as the reference.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::BoardSpec;
+
+    /// The spectral plan and `cool_to` body as they were before the
+    /// transforms ran in blocks: `Q`, `√C` and `1/√C` held apart, the
+    /// forcing re-derived per mode, each mode and each node summed one
+    /// at a time.
+    struct Reference {
+        lambda: Vec<f64>,
+        q: Vec<f64>,
+        c_sqrt: Vec<f64>,
+        c_inv_sqrt: Vec<f64>,
+    }
+
+    impl Reference {
+        fn of(m: &ThermalModel) -> Self {
+            let n = m.len();
+            let mut s = Matrix::zeros(n, n);
+            let c_sqrt: Vec<f64> = m.capacitance.iter().map(|&c| c.sqrt()).collect();
+            let c_inv_sqrt: Vec<f64> = c_sqrt.iter().map(|&c| 1.0 / c).collect();
+            for i in 0..n {
+                let mut diag = m.to_ambient[i];
+                for j in 0..n {
+                    if i != j {
+                        let g = m.conductance[i * n + j];
+                        diag += g;
+                        s[(i, j)] = -g * c_inv_sqrt[i] * c_inv_sqrt[j];
+                    }
+                }
+                s[(i, i)] = diag * c_inv_sqrt[i] * c_inv_sqrt[i];
+            }
+            let e = sym_eigen(&s);
+            let lambda: Vec<f64> = e.values.iter().map(|&l| l.max(0.0)).collect();
+            let mut q = vec![0.0; n * n];
+            for i in 0..n {
+                for k in 0..n {
+                    q[i * n + k] = e.vectors[(i, k)];
+                }
+            }
+            Reference {
+                lambda,
+                q,
+                c_sqrt,
+                c_inv_sqrt,
+            }
+        }
+
+        // The loops keep the replaced body's index form.
+        #[allow(clippy::needless_range_loop)]
+        fn cool_to(&self, m: &mut ThermalModel, horizon_s: f64, ambient_c: f64, power_w: &[f64]) {
+            m.set_ambient_c(ambient_c);
+            if horizon_s == 0.0 {
+                return;
+            }
+            let n = m.len();
+            let (mut y, mut b) = (vec![0.0; n], vec![0.0; n]);
+            for k in 0..n {
+                let mut yk = 0.0;
+                let mut bk = 0.0;
+                for i in 0..n {
+                    let qik = self.q[i * n + k];
+                    yk += qik * self.c_sqrt[i] * m.temps[i];
+                    bk += qik * self.c_inv_sqrt[i] * (power_w[i] + m.to_ambient[i] * m.ambient_c);
+                }
+                y[k] = yk;
+                b[k] = bk;
+            }
+            let tiny = self.lambda.last().copied().unwrap_or(0.0) * 1e-12;
+            for (yk, (&l, &bk)) in y.iter_mut().zip(self.lambda.iter().zip(&b)) {
+                if l > tiny {
+                    let y_inf = bk / l;
+                    *yk = y_inf + (*yk - y_inf) * exp_exact(-l * horizon_s);
+                } else {
+                    *yk += bk * horizon_s;
+                }
+            }
+            for (i, t) in m.temps.iter_mut().enumerate() {
+                let mut u = 0.0;
+                for k in 0..n {
+                    u += self.q[i * n + k] * y[k];
+                }
+                *t = u * self.c_inv_sqrt[i];
+            }
+        }
+    }
+
+    /// Six nodes in a chain with no path to ambient: one block and a
+    /// two-node tail, whose zero-eigenvalue mode sits in the block.
+    fn ambient_isolated() -> ThermalModel {
+        let mut b = ThermalModelBuilder::new(25.0);
+        let ids: Vec<NodeId> = [0.8, 2.5, 1.1, 40.0, 0.3, 6.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| b.node(format!("n{i}"), c, 0.0, 25.0))
+            .collect();
+        for (pair, g) in ids.windows(2).zip([0.4, 1.7, 0.05, 0.9, 0.2]) {
+            b.connect(pair[0], pair[1], g);
+        }
+        b.build()
+    }
+
+    /// Fixed-seed LCG draws in `[lo, hi)`.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            lo + (hi - lo) * ((self.0 >> 11) as f64 / (1u64 << 53) as f64)
+        }
+    }
+
+    #[test]
+    fn cool_to_matches_the_scalar_reference_bitwise() {
+        let mut networks: Vec<(String, ThermalModel)> = [
+            BoardSpec::OdroidXu4,
+            BoardSpec::ManyNode { nodes: 16 },
+            BoardSpec::ManyNode { nodes: 17 },
+            BoardSpec::ManyNode { nodes: 64 },
+        ]
+        .into_iter()
+        .map(|spec| (spec.label(), spec.build_ideal().thermal))
+        .collect();
+        networks.push(("isolated".to_string(), ambient_isolated()));
+        let horizons = [1e-3, 0.01, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6];
+        let mut rng = Lcg(0x7ee3);
+        for (label, mut fast) in networks {
+            let reference = Reference::of(&fast);
+            let mut slow = fast.clone();
+            let n = fast.len();
+            for &horizon in &horizons {
+                for _ in 0..3 {
+                    for i in 0..n {
+                        let t = rng.uniform(20.0, 95.0);
+                        fast.set_temp(i, t);
+                        slow.set_temp(i, t);
+                    }
+                    let power: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, 6.0)).collect();
+                    let ambient = rng.uniform(10.0, 45.0);
+                    fast.cool_to(horizon, ambient, &power);
+                    reference.cool_to(&mut slow, horizon, ambient, &power);
+                    for i in 0..n {
+                        assert_eq!(
+                            fast.temp(i).to_bits(),
+                            slow.temp(i).to_bits(),
+                            "{label} horizon {horizon} node {i}: {} vs {}",
+                            fast.temp(i),
+                            slow.temp(i)
+                        );
+                    }
+                    assert_eq!(fast.ambient_c().to_bits(), ambient.to_bits());
+                }
+            }
+            if label == "isolated" {
+                // The conserved mode must take the linear branch, or
+                // this network checks nothing the boards do not.
+                let lambda = &fast.plan.as_ref().expect("plan built").lambda;
+                assert!(lambda[0] <= lambda[n - 1] * 1e-12, "{lambda:?}");
+            }
+        }
     }
 }
