@@ -59,7 +59,7 @@ fn main() {
 
     // The scenario-scale shape: a thresholds × ambients parameter grid
     // over the whole builtin suite (2 × 2 × 5 = 20 cells) — expressed
-    // as sweep axes and executed by the streaming work-stealing engine,
+    // as sweep axes and executed by the streaming sweep engine,
     // aggregated online (nothing buffered). This is the workload the
     // per-step allocation removal targets; per-cell cost is this
     // time / 20.

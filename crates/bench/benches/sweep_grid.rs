@@ -5,7 +5,7 @@
 //!
 //! * `sweep_grid_500_cells_stream` — the acceptance-scale 3-axis grid:
 //!   5 one-arrival scenarios × 10 thresholds × 10 ambients = 500 cells,
-//!   streamed through the work-stealing executor and aggregated online
+//!   streamed through the sweep pool and aggregated online
 //!   (peak resident results O(workers)).
 //! * `sweep_grid_500_cells_batched` — the same grid through the batched
 //!   lockstep path ([`SweepSpec::batch`]): K cells per worker stepped

@@ -4,7 +4,7 @@
 //! 10 thresholds × 10 ambients shape the `sweep_grid` bench streams)
 //! through [`SweepSpec::run_instrumented`] and prints the campaign
 //! post-mortem: the full [`MetricsSnapshot`] table (per-worker cell
-//! counts, steal traffic, busy/idle split, per-cell wall-time
+//! counts, busy seconds and utilization, per-cell wall-time
 //! histogram) and the kernel time split between the power model, the
 //! thermal integration, sensor sampling, trace recording, the
 //! control/actuate phases and the rest of the step loop.

@@ -8,7 +8,7 @@
 //! `SweepSpec::resume_from` turns the journal back
 //! into a work list: load the completed cell indices, verify the spec
 //! fingerprint, and [skip](crate::SweepSpec::skip_cells) the finished
-//! cells in the work-stealing enumerator.
+//! cells in the enumerator.
 //!
 //! # File format (journal v1)
 //!
@@ -1154,7 +1154,7 @@ pub fn journal_digest(records: &[CellRecord]) -> u64 {
 static INTERRUPT_HOOK_LOCK: Mutex<()> = Mutex::new(());
 
 /// Demo/test harness: streams `spec` into `journal`, cancelling the
-/// work-stealing pool after `k` completed cells by panicking in the
+/// sweep pool after `k` completed cells by panicking in the
 /// event sink — the same cancellation path a ^C or crash takes through
 /// the engine. The injected panic is silenced by *payload*, so a
 /// genuine worker-cell panic still reports through the process panic

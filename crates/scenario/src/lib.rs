@@ -31,9 +31,9 @@
 //! * a [`SweepSpec`] names cartesian axes — scenarios × approaches ×
 //!   [`ContentionPolicy`] × initial threshold × ambient ×
 //!   [`TeemTunables`](teem_core::TeemTunables) knob sets × board — and
-//!   a work-stealing executor streams every finished cell as a
-//!   [`SweepEvent`], so thousands-of-cell grids aggregate online in
-//!   O(workers) memory (pair it with
+//!   a thread pool claiming cells from one shared cursor streams every
+//!   finished cell as a [`SweepEvent`], so thousands-of-cell grids
+//!   aggregate online in O(workers) memory (pair it with
 //!   [`SweepAggregator`](teem_telemetry::SweepAggregator));
 //! * a [`SweepJournal`] spills the event stream to an append-only
 //!   JSONL journal (fsync-batched, torn-tail tolerant) so an
@@ -107,7 +107,7 @@ pub use journal::{
     journal_digest, run_interrupted, FailedCell, JournalError, JournalIoStats, LoadedJournal,
     SweepJournal, JOURNAL_VERSION,
 };
-pub use obs::{CampaignProgress, PoolObs, ProgressReporter, SweepObsReport, WorkerObs};
+pub use obs::{ProgressReporter, SweepObsReport};
 pub use scenario::{Scenario, DEFAULT_THRESHOLD_C};
 pub use shard::{
     metrics_sidecar, run_campaign, CampaignError, CampaignOpts, CampaignOutcome, ShardSpec,

@@ -1,10 +1,9 @@
-//! Sweep-side observability: the per-worker collectors the
-//! work-stealing pool fills during an instrumented run, the
-//! [`SweepObsReport`] they fold into, and the [`ProgressReporter`] sink
-//! that turns the [`SweepEvent`] stream into a throttled live line.
+//! Sweep-side observability: the per-worker collectors the sweep pool
+//! fills during an instrumented run, the [`SweepObsReport`] they fold
+//! into, and the [`ProgressReporter`] sink that turns the
+//! [`SweepEvent`] stream into a throttled live line.
 //!
-//! The split of responsibilities mirrors the pool's lock discipline:
-//! every worker owns its [`WorkerObs`] privately for the whole run (no
+//! Every worker owns its [`WorkerObs`] privately for the whole run (no
 //! lock, no atomic, no false sharing on the hot path) and pushes it
 //! into the shared collection vector exactly once, at exit. Assembly —
 //! merging histograms, naming tracks, computing utilization — happens
@@ -28,30 +27,12 @@ fn ns_since(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Work-stealing scheduler counters one worker accumulates inside the
-/// pool's `next_cell` claim loop: claim refills, steal traffic, and the
-/// injector depth / stolen-range-size distributions.
-#[derive(Debug, Default)]
-pub struct PoolObs {
-    /// Times the worker entered the steal scan (own claim and injector
-    /// both empty).
-    pub steal_attempts: u64,
-    /// Steals that actually took a range from a sibling.
-    pub steal_successes: u64,
-    /// Fresh chunks popped from the shared injector.
-    pub injector_refills: u64,
-    /// Size (cells) of each stolen back-half.
-    pub steal_sizes: LogHistogram,
-    /// Injector queue depth sampled at every refill attempt.
-    pub queue_depth: LogHistogram,
-}
-
 /// Everything one pool worker observes during an instrumented sweep:
-/// cell counts and wall-time histogram, busy/idle split, scheduler
-/// counters, the merged step-loop accumulator of every cell it ran, and
-/// its own Chrome-trace track.
+/// cell counts and wall-time histogram, busy and backpressure time, the
+/// merged step-loop accumulator of every cell it ran, and its own
+/// Chrome-trace track.
 #[derive(Debug)]
-pub struct WorkerObs {
+pub(crate) struct WorkerObs {
     /// Worker index (also the trace track id).
     pub worker: usize,
     /// The run's shared trace epoch (trace timestamps are relative to
@@ -63,16 +44,12 @@ pub struct WorkerObs {
     pub failed: u64,
     /// Nanoseconds spent executing cells.
     pub busy_ns: u64,
-    /// Nanoseconds spent claiming/stealing/waiting for work.
-    pub idle_ns: u64,
     /// Nanoseconds spent blocked sending events into the pool's
     /// bounded channel because the sink lagged (zero on a sequential
     /// run, whose sink runs inline).
     pub backpressure_ns: u64,
     /// Per-cell wall time, nanoseconds.
     pub cell_wall: LogHistogram,
-    /// Scheduler counters (filled by `next_cell`).
-    pub pool: PoolObs,
     /// Step-loop accumulator merged across every cell this worker ran.
     pub kernel: StepObs,
     /// Fast-forwarded idle-gap lengths (milliseconds) merged across
@@ -109,10 +86,8 @@ impl WorkerObs {
             cells: 0,
             failed: 0,
             busy_ns: 0,
-            idle_ns: 0,
             backpressure_ns: 0,
             cell_wall: LogHistogram::new(),
-            pool: PoolObs::default(),
             kernel: StepObs::default(),
             gap_len_ms: LogHistogram::new(),
             lanes_entered: 0,
@@ -123,11 +98,6 @@ impl WorkerObs {
             batch_lane_slots: 0,
             trace: TraceEventLog::new(),
         }
-    }
-
-    /// Banks time spent looking for work (the `next_cell` call).
-    pub fn bank_idle(&mut self, t0: Instant) {
-        self.idle_ns = self.idle_ns.saturating_add(ns_since(t0));
     }
 
     /// Banks time spent executing: one execution segment (a cell's
@@ -272,32 +242,15 @@ impl SweepObsReport {
             let id = w.worker;
             registry.add_named(&format!("worker.{id:02}.cells"), w.cells);
             registry.add_named(&format!("worker.{id:02}.failed"), w.failed);
-            registry.add_named(
-                &format!("worker.{id:02}.steal_attempts"),
-                w.pool.steal_attempts,
-            );
-            registry.add_named(
-                &format!("worker.{id:02}.steal_successes"),
-                w.pool.steal_successes,
-            );
-            registry.add_named(
-                &format!("worker.{id:02}.injector_refills"),
-                w.pool.injector_refills,
-            );
             let busy_s = w.busy_ns as f64 / 1e9;
-            let idle_s = w.idle_ns as f64 / 1e9;
             registry.set_named(&format!("worker.{id:02}.busy_s"), busy_s);
-            registry.set_named(&format!("worker.{id:02}.idle_s"), idle_s);
-            // Over the sweep's whole wall clock: idle only counts time
-            // inside the claim path, so busy + idle misses spawn, start-up
-            // and every wait outside it.
+            // Over the sweep's whole wall clock, so spawn, start-up and
+            // every wait count against the worker.
             registry.set_named(
                 &format!("worker.{id:02}.utilization"),
                 if wall_s > 0.0 { busy_s / wall_s } else { 0.0 },
             );
             registry.merge_histogram("cell.wall_ns", &w.cell_wall);
-            registry.merge_histogram("pool.steal_size", &w.pool.steal_sizes);
-            registry.merge_histogram("pool.queue_depth", &w.pool.queue_depth);
             registry.merge_histogram("engine.gap_len_ms", &w.gap_len_ms);
             registry.merge_histogram("batch.lane_occupancy", &w.lane_occupancy);
             kernel.merge(&w.kernel);
@@ -525,7 +478,7 @@ impl ProgressReporter {
 /// `ProgressModel` in `teem-telemetry`): until wall time *and* at least
 /// one completed cell exist they render as `--`, never `inf`/`NaN`.
 #[derive(Debug)]
-pub struct CampaignProgress {
+pub(crate) struct CampaignProgress {
     total: usize,
     workers: usize,
     epoch: Instant,
@@ -544,13 +497,6 @@ impl CampaignProgress {
             last_emit: None,
             min_interval: std::time::Duration::from_millis(100),
         }
-    }
-
-    /// Overrides the line throttle (default 100 ms; zero emits on every
-    /// update).
-    pub fn with_min_interval(mut self, min_interval: std::time::Duration) -> Self {
-        self.min_interval = min_interval;
-        self
     }
 
     /// Folds the latest journal tallies; returns a line when one is due
@@ -605,7 +551,10 @@ mod tests {
 
     #[test]
     fn campaign_progress_first_tick_shows_dashes_and_throttles() {
-        let mut p = CampaignProgress::new(500, 3).with_min_interval(std::time::Duration::ZERO);
+        let mut p = CampaignProgress {
+            min_interval: std::time::Duration::ZERO,
+            ..CampaignProgress::new(500, 3)
+        };
         let line = p.update(0, 0, 3).expect("zero throttle always emits");
         assert!(line.contains("campaign 0/500"), "{line}");
         assert!(line.contains("3/3 workers live"), "{line}");

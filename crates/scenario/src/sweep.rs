@@ -1,6 +1,6 @@
 //! The streaming sweep engine: cartesian scenario × knob grids executed
-//! by a work-stealing thread pool that **streams** results as cells
-//! finish, instead of buffering a whole matrix.
+//! by a thread pool that **streams** results as cells finish, instead
+//! of buffering a whole matrix.
 //!
 //! A [`SweepSpec`] names the axes — scenarios × approaches ×
 //! [`ContentionPolicy`] × initial threshold × ambient ×
@@ -11,12 +11,11 @@
 //! state is O(workers), and whoever consumes the [`SweepEvent`] stream
 //! decides what to keep.
 //!
-//! Execution is a work-stealing pool over [`std::thread::scope`]: cells
-//! are split into chunks on a shared injector queue; each worker drains
-//! its claimed chunk cell by cell, refills from the injector, and when
-//! that runs dry steals the back half of the fullest sibling's claim —
-//! so one pathologically slow scenario cannot strand the rest of its
-//! chunk behind it. Every finished cell is sent through an
+//! Execution is a pool over [`std::thread::scope`] sharing one claim
+//! cursor over the work list: each worker takes the next cell with one
+//! atomic add, so cells start in work-list order and one pathologically
+//! slow scenario holds up only its own worker, never a queue of cells
+//! behind it. Every finished cell is sent through a bounded
 //! [`mpsc`](std::sync::mpsc) channel and handed to the caller's event
 //! sink *on the calling thread*, in completion order.
 //!
@@ -25,13 +24,14 @@
 //! the cell, and the sweep **keeps draining** the remaining cells —
 //! one bad cell costs one cell, not the grid.
 //!
-//! Sequential and pooled runs, batched or not, drive one worker loop;
-//! they differ only in where a worker claims its cells and where it
-//! sends their events. [`SweepSpec::run_collect`] buffers the stream
+//! Sequential and pooled runs, batched or not, drive one worker loop
+//! and claim from the same cursor; they differ only in where a worker
+//! sends its events. [`SweepSpec::run_collect`] buffers the stream
 //! back into deterministic cell-index order for small grids.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use crate::arbiter::ContentionPolicy;
 use crate::exec::{CellTemplate, ScenarioResult, ScenarioRunner, SimConfig};
 use crate::lockstep::LockstepPool;
-use crate::obs::{PoolObs, RunObs, SweepObsReport, WorkerObs};
+use crate::obs::{RunObs, SweepObsReport, WorkerObs};
 use crate::scenario::Scenario;
 use teem_core::offline::build_profile_store;
 use teem_core::runner::Approach;
@@ -287,7 +287,6 @@ pub struct SweepSpec {
     boards: Option<Vec<BoardSpec>>,
     patch: ConfigPatch,
     threads: usize,
-    chunk: Option<usize>,
     batch: Option<usize>,
     skip: BTreeSet<usize>,
     shard: Option<crate::shard::ShardSpec>,
@@ -309,7 +308,6 @@ impl SweepSpec {
             threads: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
-            chunk: None,
             batch: None,
             skip: BTreeSet::new(),
             shard: None,
@@ -317,16 +315,40 @@ impl SweepSpec {
     }
 
     /// Sets the approach axis (empty ⇒ zero cells).
+    ///
+    /// # Panics
+    ///
+    /// Panics once a skip set or a shard is in place, as every axis
+    /// setter does: both name cells by their index in the grid as it
+    /// stood, and a new axis would move those indices onto other cells.
+    /// Set every axis first.
     pub fn approaches(mut self, approaches: &[Approach]) -> Self {
+        self.assert_axes_open("approaches");
         self.approaches = approaches.to_vec();
         self
     }
 
     /// Sets the contention-policy axis. With more than one policy the
     /// cell names carry a policy tag.
+    ///
+    /// # Panics
+    ///
+    /// Panics once a skip set or a shard is in place (see
+    /// [`SweepSpec::approaches`]).
     pub fn contentions(mut self, policies: &[ContentionPolicy]) -> Self {
+        self.assert_axes_open("contentions");
         self.contentions = policies.to_vec();
         self
+    }
+
+    /// Rejects an axis change once skips or a shard have named cells by
+    /// index (see [`SweepSpec::approaches`]).
+    fn assert_axes_open(&self, axis: &str) {
+        assert!(
+            self.skip.is_empty() && self.shard.is_none(),
+            "the {axis} axis is set after skip_cells, resume_from or shard, which would \
+             move the skipped cells onto others; set every axis first"
+        );
     }
 
     /// Adds an initial-threshold axis: every cell scenario is re-based
@@ -342,8 +364,10 @@ impl SweepSpec {
     /// (40 to 120 °C) — validated here, on the caller's thread, rather
     /// than as a worker panic mid-sweep — or if the combination with an
     /// already-set knob axis makes this axis dead (see
-    /// [`SweepSpec::tunables`]).
+    /// [`SweepSpec::tunables`]), or once a skip set or a shard is in
+    /// place (see [`SweepSpec::approaches`]).
     pub fn thresholds_c(mut self, thresholds_c: &[f64]) -> Self {
+        self.assert_axes_open("thresholds_c");
         for &t in thresholds_c {
             assert!(
                 t.is_finite() && (40.0..=120.0).contains(&t),
@@ -359,8 +383,10 @@ impl SweepSpec {
     ///
     /// # Panics
     ///
-    /// Panics if an ambient is outside −40 to 120 °C.
+    /// Panics if an ambient is outside −40 to 120 °C, or once a skip
+    /// set or a shard is in place (see [`SweepSpec::approaches`]).
     pub fn ambients_c(mut self, ambients_c: &[f64]) -> Self {
+        self.assert_axes_open("ambients_c");
         for &a in ambients_c {
             assert!(
                 a.is_finite() && (-40.0..=120.0).contains(&a),
@@ -380,8 +406,10 @@ impl SweepSpec {
     /// Panics if combined with a [`SweepSpec::thresholds_c`] axis while
     /// *every* knob set overrides the threshold: the threshold axis
     /// would then only multiply the grid with duplicate-physics cells
-    /// under different names.
+    /// under different names. Panics, too, once a skip set or a shard
+    /// is in place (see [`SweepSpec::approaches`]).
     pub fn tunables(mut self, tunables: &[TeemTunables]) -> Self {
+        self.assert_axes_open("tunables");
         self.tunables = Some(tunables.to_vec());
         self.assert_threshold_axis_alive();
         self
@@ -415,8 +443,10 @@ impl SweepSpec {
     ///
     /// Panics if `boards` is empty, or a [`BoardSpec::ManyNode`] node
     /// count is outside 16..=64 (validated here, on the caller's
-    /// thread, not as a worker panic mid-sweep).
+    /// thread, not as a worker panic mid-sweep), or once a skip set or
+    /// a shard is in place (see [`SweepSpec::approaches`]).
     pub fn boards(mut self, boards: &[BoardSpec]) -> Self {
+        self.assert_axes_open("boards");
         assert!(!boards.is_empty(), "boards axis needs at least one entry");
         for b in boards {
             if let BoardSpec::ManyNode { nodes } = *b {
@@ -463,37 +493,20 @@ impl SweepSpec {
         self
     }
 
-    /// Sets the injector chunk size (cells claimed per grab). Defaults
-    /// to a size that gives every worker several claims, capped so the
-    /// tail stays stealable — and, in batch mode
-    /// ([`SweepSpec::batch`]), rounded **up** to a multiple of the lane
-    /// count K, so a freshly claimed chunk fills a worker's lockstep
-    /// pool completely instead of leaving lanes idle at every chunk
-    /// boundary. An explicit chunk is taken as given in both modes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk must be at least one cell");
-        self.chunk = Some(chunk);
-        self
-    }
-
     /// Turns on the batched execution path: each worker steps up to `k`
     /// topology-compatible cells in SIMD lockstep through one shared
     /// [`ThermalBatch`](teem_soc::ThermalBatch), refilling lanes from
-    /// its claim as cells retire. Cells outside the lockstep-eligible
-    /// regime (multi-app phases, pending timeline events, thermal-zone
-    /// trips) run scalar for exactly those phases and batch for the
-    /// rest, so **results are bit-identical to scalar mode** — the
-    /// parity suite pins summaries and trace digests across K.
+    /// the shared claim cursor as cells retire. Cells outside the
+    /// lockstep-eligible regime (multi-app phases, pending timeline
+    /// events, thermal-zone trips) run scalar for exactly those phases
+    /// and batch for the rest, so **results are bit-identical to scalar
+    /// mode** — the parity suite pins summaries and trace digests
+    /// across K.
     ///
-    /// This is a scheduling knob like [`SweepSpec::threads`] and
-    /// [`SweepSpec::chunk`]: it changes throughput, never results, and
-    /// is therefore deliberately **excluded from
-    /// [`SweepSpec::fingerprint`]** — a journal recorded scalar resumes
-    /// fine under batch and vice versa.
+    /// This is a scheduling knob like [`SweepSpec::threads`]: it
+    /// changes throughput, never results, and is therefore deliberately
+    /// **excluded from [`SweepSpec::fingerprint`]** — a journal
+    /// recorded scalar resumes fine under batch and vice versa.
     ///
     /// `k = 1` degenerates to stepping single cells through the batch
     /// kernel (still bit-identical; useful for A/B tests). Sequential
@@ -543,8 +556,7 @@ impl SweepSpec {
     /// The skipped cell indices (what [`SweepSpec::skip_cells`] and
     /// `resume_from` accumulated), in ascending order.
     pub fn skipped_cells(&self) -> impl Iterator<Item = usize> + '_ {
-        let grid = self.cells();
-        self.skip.iter().copied().filter(move |&i| i < grid)
+        self.skip.iter().copied()
     }
 
     /// Restricts this spec to one shard of the grid: every cell the
@@ -588,7 +600,7 @@ impl SweepSpec {
     /// grid's *physics*: every axis (scenarios with their full event
     /// timelines, approaches, contention policies, thresholds,
     /// ambients, tunables, boards) plus the resolved executor
-    /// configuration. Scheduling knobs (worker count, chunk size) and
+    /// configuration. Scheduling knobs (worker and lane counts) and
     /// the skip set are deliberately excluded — they change completion
     /// order, never results.
     ///
@@ -828,9 +840,9 @@ impl SweepSpec {
     }
 
     /// [`SweepSpec::run_streaming`] with the observability plane on:
-    /// every worker collects scheduler counters, a per-cell wall-time
-    /// histogram, busy/idle time and a Chrome-trace track, and every
-    /// cell runs with step-loop timing enabled (reported in
+    /// every worker collects cell counts, a per-cell wall-time
+    /// histogram, busy and backpressure time and a Chrome-trace track,
+    /// and every cell runs with step-loop timing enabled (reported in
     /// [`ScenarioResult::kernel`]). Returns the stats plus a
     /// [`SweepObsReport`] (metrics registry + trace-event log).
     ///
@@ -911,39 +923,28 @@ impl SweepSpec {
             sink(event);
         };
 
+        // One claim cursor over the work list, shared by every worker:
+        // a claim is one atomic add, so cells start in work-list order
+        // and no cell waits behind a slow sibling. The cursor schedules
+        // work-list *positions*; `to_index` maps a position to its grid
+        // index (the identity unless cells are skipped for a resume).
+        // `Relaxed` suffices: every add still returns a distinct
+        // position, and the cursor publishes no data — the work list it
+        // indexes is built before any worker spawns.
+        let cursor = AtomicUsize::new(0);
+        let next = || {
+            let pos = cursor.fetch_add(1, Ordering::Relaxed);
+            (pos < total).then(|| to_index(pos))
+        };
+
         if workers <= 1 {
-            // Sequential: one worker on this thread, claiming in
-            // cell-index order and handing events straight to the sink.
-            let mut order = (0..total).map(&to_index);
-            self.worker_loop(0, obs, &shared, &mut |_| order.next(), &mut |_, event| {
+            // Sequential: one worker on this thread, handing events
+            // straight to the sink.
+            self.worker_loop(0, obs, &shared, &next, &mut |_, event| {
                 deliver(event);
                 true
             });
         } else {
-            // Work-stealing pool: a shared injector of chunks, one
-            // claimed (start, end) range per worker, thieves take the
-            // back half of the fullest claim. No lock is ever held
-            // while a cell runs, and no two range locks are held at
-            // once, so a panicking cell cannot poison shared state.
-            let chunk = self.chunk.unwrap_or_else(|| {
-                let base = total.div_ceil(workers * 4).clamp(1, 32);
-                // In batch mode, round up to a multiple of the lane
-                // count so a fresh chunk fills a whole lockstep pool
-                // (see the `chunk()` doc).
-                match self.batch {
-                    Some(k) if k > 1 => base.div_ceil(k) * k,
-                    _ => base,
-                }
-            });
-            let injector: Mutex<VecDeque<(usize, usize)>> = Mutex::new(
-                (0..total)
-                    .step_by(chunk)
-                    .map(|s| (s, (s + chunk).min(total)))
-                    .collect(),
-            );
-            let claims: Vec<Mutex<(usize, usize)>> =
-                (0..workers).map(|_| Mutex::new((0, 0))).collect();
-            let claimed = std::sync::atomic::AtomicUsize::new(0);
             // Bounded channel = backpressure: when the sink is slower
             // than the workers, producers block on `send` instead of
             // queueing results, so the O(workers) resident-result
@@ -956,31 +957,9 @@ impl SweepSpec {
             std::thread::scope(|scope| {
                 for me in 0..workers {
                     let tx = tx.clone();
-                    let injector = &injector;
-                    let claims = &claims;
-                    let claimed = &claimed;
                     let shared = &shared;
-                    let to_index = &to_index;
+                    let next = &next;
                     scope.spawn(move || {
-                        // The claim structure schedules work-list
-                        // *positions*; `to_index` maps a position to
-                        // its grid index (the identity unless cells
-                        // are skipped for a resume).
-                        let mut next = |w: &mut Option<WorkerObs>| {
-                            let idle_t0 = clock(w);
-                            let pos = next_cell(
-                                me,
-                                injector,
-                                claims,
-                                claimed,
-                                total,
-                                w.as_mut().map(|x| &mut x.pool),
-                            );
-                            if let (Some(x), Some(t0)) = (w.as_mut(), idle_t0) {
-                                x.bank_idle(t0);
-                            }
-                            pos.map(to_index)
-                        };
                         // A failed send means the receiver is gone (the
                         // sink panicked mid-sweep); the loop then stops
                         // claiming cells. Only a send that finds the
@@ -998,7 +977,7 @@ impl SweepSpec {
                                 sent
                             }
                         };
-                        self.worker_loop(me, obs, shared, &mut next, &mut emit);
+                        self.worker_loop(me, obs, shared, next, &mut emit);
                     });
                 }
                 drop(tx); // the receiver loop ends when every worker has
@@ -1113,7 +1092,7 @@ impl SweepSpec {
     /// or not: claim cells through `next`, start each one, and hand its
     /// events to `emit`, which returns `false` once the consumer is
     /// gone and so stops the loop. The two call sites differ only in
-    /// those closures.
+    /// `emit`.
     ///
     /// Unbatched, each claimed cell runs to completion as it starts. In
     /// batch mode ([`SweepSpec::batch`]) a started cell that reaches
@@ -1126,7 +1105,7 @@ impl SweepSpec {
         worker: usize,
         obs: Option<&RunObs>,
         shared: &SweepShared,
-        next: &mut dyn FnMut(&mut Option<WorkerObs>) -> Option<usize>,
+        next: &dyn Fn() -> Option<usize>,
         emit: &mut dyn FnMut(&mut Option<WorkerObs>, SweepEvent) -> bool,
     ) {
         let mut wobs = obs.map(|o| WorkerObs::new(worker, o.epoch));
@@ -1145,7 +1124,7 @@ impl SweepSpec {
             // Claim and start cells while a lane is free (always,
             // unbatched: every cell finishes as it starts).
             while !dry && !dead && lockstep.as_ref().is_none_or(LockstepPool::has_free_lane) {
-                let Some(index) = next(&mut wobs) else {
+                let Some(index) = next() else {
                     dry = true;
                     break;
                 };
@@ -1421,104 +1400,6 @@ fn report_cell(
     emit(wobs, event)
 }
 
-/// Claims the next cell for worker `me`: own range first, then a fresh
-/// injector chunk, then steal the back half of the fullest sibling
-/// claim. Returns `None` only once every cell has been claimed
-/// (`claimed == total`), so a worker can never exit while a sibling
-/// still holds unclaimed cells in a transient unpublished window — it
-/// yields and rescans instead.
-///
-/// Lock discipline: the injector is only ever locked *under* the
-/// worker's own claim lock (so a popped chunk is never invisible to
-/// thieves), the steal path locks the victim and the thief's own claim
-/// strictly one after the other, and no lock is held while a cell
-/// runs — deadlock-free, and a cell panic cannot poison the claim
-/// structure.
-fn next_cell(
-    me: usize,
-    injector: &Mutex<VecDeque<(usize, usize)>>,
-    claims: &[Mutex<(usize, usize)>],
-    claimed: &std::sync::atomic::AtomicUsize,
-    total: usize,
-    mut obs: Option<&mut PoolObs>,
-) -> Option<usize> {
-    use std::sync::atomic::Ordering;
-    let take = || claimed.fetch_add(1, Ordering::Relaxed);
-    loop {
-        // 1. Own claim, refilled from the injector while still held:
-        //    a chunk moves atomically (to observers) from the injector
-        //    into this claim, so thieves scanning claims after finding
-        //    the injector empty cannot miss it.
-        {
-            let mut own = claims[me].lock().expect("no cell runs under this lock");
-            if own.0 < own.1 {
-                let i = own.0;
-                own.0 += 1;
-                take();
-                return Some(i);
-            }
-            let mut queue = injector.lock().expect("no cell runs under this lock");
-            if let Some(o) = obs.as_deref_mut() {
-                o.queue_depth.record(queue.len() as u64);
-            }
-            let fresh = queue.pop_front();
-            drop(queue);
-            if let Some((start, end)) = fresh {
-                if let Some(o) = obs.as_deref_mut() {
-                    o.injector_refills += 1;
-                }
-                *own = (start + 1, end);
-                take();
-                return Some(start);
-            }
-        }
-        // 2. Steal: scan for the fullest sibling claim, take its back
-        //    half.
-        if let Some(o) = obs.as_deref_mut() {
-            o.steal_attempts += 1;
-        }
-        let mut victim: Option<(usize, usize)> = None; // (worker, len)
-        for (w, claim) in claims.iter().enumerate() {
-            if w == me {
-                continue;
-            }
-            let r = claim.lock().expect("no cell runs under this lock");
-            let len = r.1 - r.0;
-            if len > victim.map_or(0, |(_, l)| l) {
-                victim = Some((w, len));
-            }
-        }
-        if let Some((w, _)) = victim {
-            let stolen = {
-                let mut r = claims[w].lock().expect("no cell runs under this lock");
-                let len = r.1 - r.0;
-                if len == 0 {
-                    continue; // raced with the victim; rescan
-                }
-                let keep = len / 2;
-                let stolen = (r.0 + keep, r.1);
-                r.1 = stolen.0;
-                stolen
-            };
-            if let Some(o) = obs.as_deref_mut() {
-                o.steal_successes += 1;
-                o.steal_sizes.record((stolen.1 - stolen.0) as u64);
-            }
-            let mut own = claims[me].lock().expect("no cell runs under this lock");
-            *own = (stolen.0 + 1, stolen.1);
-            take();
-            return Some(stolen.0);
-        }
-        // 3. Nothing visible. Exit only when every cell has been
-        //    claimed; otherwise a thief is mid-publish — yield and
-        //    rescan.
-        if claimed.load(Ordering::Relaxed) >= total {
-            return None;
-        }
-        std::thread::yield_now();
-    }
-}
-
 /// Best-effort human-readable panic payload. `panic!` and most code
 /// produce `&'static str` or `String`; `panic_any` callers also throw
 /// `Box<str>` and `Cow<'static, str>`, so those are unwrapped too —
@@ -1635,8 +1516,7 @@ mod tests {
         let spec = SweepSpec::over(two_scenarios())
             .approaches(&[Approach::Teem, Approach::Ondemand])
             .thresholds_c(&[80.0, 82.0, 84.0, 86.0])
-            .threads(2)
-            .chunk(1);
+            .threads(2);
         let spec_ref = &spec;
         let ran = std::sync::Mutex::new(0usize);
         let ran_ref = &ran;
@@ -1793,78 +1673,81 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_claims_cover_every_cell_exactly_once() {
-        // Pure scheduling check on the claim structure, no simulations:
-        // tiny chunks + more workers than chunks forces refills and
-        // steals, and every worker stays live until the last cell is
-        // claimed (the claimed-counter termination rule).
-        let total = 103;
-        let chunk = 4;
-        let workers = 8;
-        let injector: Mutex<VecDeque<(usize, usize)>> = Mutex::new(
-            (0..total)
-                .step_by(chunk)
-                .map(|s| (s, (s + chunk).min(total)))
-                .collect(),
-        );
-        let claims: Vec<Mutex<(usize, usize)>> = (0..workers).map(|_| Mutex::new((0, 0))).collect();
-        let claimed = std::sync::atomic::AtomicUsize::new(0);
-        let seen = Mutex::new(vec![0u32; total]);
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let injector = &injector;
-                let claims = &claims;
-                let claimed = &claimed;
-                let seen = &seen;
-                scope.spawn(move || {
-                    while let Some(i) = next_cell(me, injector, claims, claimed, total, None) {
-                        seen.lock().unwrap()[i] += 1;
-                        std::thread::yield_now();
-                    }
-                });
-            }
-        });
-        assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
-        assert_eq!(claimed.load(std::sync::atomic::Ordering::Relaxed), total);
+    #[should_panic(expected = "set every axis first")]
+    fn an_axis_set_after_a_shard_or_skips_panics() {
+        let three = || {
+            vec![
+                Scenario::new("a").arrive(0.0, App::Mvt, 0.9),
+                Scenario::new("b").arrive(0.0, App::Gesummv, 0.9),
+                Scenario::new("c").arrive(0.0, App::Syrk, 0.9),
+            ]
+        };
+        let both = [Approach::Teem, Approach::Ondemand];
+        // `mod:0/2` of the 3-cell grid skips cell 1: doubling the grid
+        // afterwards would run cells [0, 2, 3, 4, 5] under a journal
+        // header whose shard owns only [0, 2, 4]. `range:0..3` skips
+        // nothing, yet its header would name three of the six cells.
+        for label in ["mod:0/2", "range:0..3"] {
+            let payload = std::panic::catch_unwind(|| {
+                SweepSpec::over(three())
+                    .shard(label.parse().expect("valid shard label"))
+                    .approaches(&both)
+            })
+            .expect_err("an axis after a shard panics");
+            let message = panic_message(&*payload);
+            assert!(
+                message.contains("set every axis first"),
+                "{label}: {message}"
+            );
+        }
+        // After plain skips the same call would move them onto other
+        // cells.
+        let _ = SweepSpec::over(three()).skip_cells([1]).approaches(&both);
     }
 
     #[test]
-    fn single_big_chunk_still_feeds_every_worker() {
-        // Review finding: with one giant injector chunk, thieves used
-        // to race the popping worker, see an empty world, and exit —
-        // leaving the whole chunk single-threaded. The claimed-counter
-        // termination keeps them alive until every cell is claimed, so
-        // steals must now spread the chunk.
-        let total = 64;
-        let workers = 4;
-        let injector: Mutex<VecDeque<(usize, usize)>> =
-            Mutex::new(std::iter::once((0, total)).collect());
-        let claims: Vec<Mutex<(usize, usize)>> = (0..workers).map(|_| Mutex::new((0, 0))).collect();
-        let claimed = std::sync::atomic::AtomicUsize::new(0);
-        let per_worker = Mutex::new(vec![0usize; workers]);
-        let seen = Mutex::new(vec![0u32; total]);
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let injector = &injector;
-                let claims = &claims;
-                let claimed = &claimed;
-                let per_worker = &per_worker;
-                let seen = &seen;
-                scope.spawn(move || {
-                    while let Some(i) = next_cell(me, injector, claims, claimed, total, None) {
-                        per_worker.lock().unwrap()[me] += 1;
-                        seen.lock().unwrap()[i] += 1;
-                        // Simulate a cell long enough for thieves to act.
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                });
-            }
-        });
-        assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
-        let shares = per_worker.lock().unwrap();
-        assert!(
-            shares.iter().filter(|&&n| n > 0).count() >= 2,
-            "steals must spread a single chunk across workers: {shares:?}"
-        );
+    fn the_claim_cursor_starts_every_remaining_cell_once() {
+        let skipped = [0, 3, 7, 8, 15];
+        let spec = SweepSpec::over(two_scenarios())
+            .approaches(&[Approach::Teem, Approach::Ondemand])
+            .thresholds_c(&[80.0, 82.0, 84.0, 86.0])
+            .patch_config(ConfigPatch {
+                timeout_s: Some(2.0),
+                ..ConfigPatch::default()
+            })
+            .skip_cells(skipped);
+        let remaining: Vec<usize> = (0..spec.cells()).filter(|i| !skipped.contains(i)).collect();
+
+        // One worker claims the work list front to back.
+        let mut started = Vec::new();
+        spec.clone()
+            .threads(1)
+            .run_streaming(|ev| {
+                if let SweepEvent::CellStarted { index, .. } = ev {
+                    started.push(index);
+                }
+            })
+            .expect("runs");
+        assert_eq!(started, remaining, "threads(1) starts cells in order");
+
+        // Four workers share the cursor: every remaining cell starts
+        // exactly once, and the per-worker counts add up to the run.
+        let mut started = Vec::new();
+        let (stats, report) = spec
+            .threads(4)
+            .run_instrumented(|ev| {
+                if let SweepEvent::CellStarted { index, .. } = ev {
+                    started.push(index);
+                }
+            })
+            .expect("runs");
+        started.sort_unstable();
+        assert_eq!(started, remaining, "each remaining cell starts once");
+        assert_eq!(stats.cells, remaining.len());
+        let snap = report.snapshot();
+        let worker_cells: u64 = (0..report.workers)
+            .map(|w| snap.counter(&format!("worker.{w:02}.cells")).unwrap_or(0))
+            .sum();
+        assert_eq!(Some(worker_cells), snap.counter("sweep.cells"));
     }
 }

@@ -15,8 +15,8 @@
 //!   `batch.lane_occupancy` gauge drops below 1.0, making the
 //!   divergence observable;
 //! * cells long enough to overflow the 256-row sample stage mid-run
-//!   stay bit-identical, and so does every worker × chunk × K
-//!   schedule (property test);
+//!   stay bit-identical, and so does every worker × K schedule
+//!   (property test);
 //! * an oracle outside the sweep engine — `ScenarioRunner::run`, built
 //!   by hand from each cell's public fields — equals both the scalar
 //!   and the K = 4 sweep, cell by cell, on this suite's grid and on a
@@ -251,16 +251,15 @@ fn scalar_parity_grid() -> &'static BTreeMap<usize, CellOut> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Whatever the schedule (workers × chunk × lane count), every
-    /// cell's summary and digest equal the scalar sequential run's.
+    /// Whatever the schedule (workers × lane count), every cell's
+    /// summary and digest equal the scalar sequential run's.
     #[test]
     fn batched_is_digest_invisible_across_schedules(
         threads in 1usize..=4,
-        chunk in 1usize..=4,
         k in 1usize..=8,
     ) {
         let scalar = scalar_parity_grid();
-        let batched = run_grid(&parity_grid().threads(threads).chunk(chunk).batch(k));
+        let batched = run_grid(&parity_grid().threads(threads).batch(k));
         prop_assert_eq!(scalar.len(), batched.len());
         for (index, s) in scalar {
             prop_assert_eq!(&s.summary, &batched[index].summary,

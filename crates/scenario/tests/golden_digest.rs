@@ -125,11 +125,11 @@ fn explicit_serial_policy_reproduces_pre_refactor_executor() {
 
 /// The streaming-sweep refactor's compatibility contract: a 2×2
 /// scenario × approach grid with an explicit `ContentionPolicy::Serial`
-/// axis, executed by the work-stealing streaming engine, reproduces the
-/// pre-refactor blocking matrix bit for bit — the cells on the golden
-/// seeds must still hit the pinned digests, through the whole new
-/// stack (SweepSpec enumeration → work-stealing workers → event
-/// stream → collect-and-reorder).
+/// axis, executed by the streaming engine, reproduces the pre-refactor
+/// blocking matrix bit for bit — the cells on the golden seeds must
+/// still hit the pinned digests, through the whole new stack
+/// (SweepSpec enumeration → pooled workers → event stream →
+/// collect-and-reorder).
 #[test]
 fn streaming_sweep_reproduces_pre_refactor_matrix_digests() {
     use teem_scenario::SweepSpec;

@@ -210,18 +210,23 @@ fn kill_after_200_of_500_cells_then_resume_matches_uninterrupted_run() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Whatever the grid shape, worker count, chunk size and
-    /// interruption point, run-to-K + resume is indistinguishable from
-    /// one uninterrupted run — per-cell digests and aggregate report
-    /// alike (order-invariant by construction of both checks).
+    /// Whatever the grid shape, worker count, lockstep lane count
+    /// (0 runs unbatched) and interruption point, run-to-K + resume is
+    /// indistinguishable from one uninterrupted run — per-cell digests
+    /// and aggregate report alike (order-invariant by construction of
+    /// both checks). With lanes, the resumed run steps the cells left
+    /// after its skips through lockstep lanes.
     #[test]
     fn kill_resume_union_is_digest_identical_for_random_grids(
         thresholds_len in 0usize..=2,
         threads in 1usize..=4,
-        chunk in 1usize..=3,
+        lanes in 0usize..=4,
         kill_seed in 0u64..1_000_000,
     ) {
-        let mut spec = small_spec().threads(threads).chunk(chunk);
+        let mut spec = small_spec().threads(threads);
+        if lanes > 0 {
+            spec = spec.batch(lanes);
+        }
         let thresholds = [80.0, 85.0];
         if thresholds_len > 0 {
             spec = spec.thresholds_c(&thresholds[..thresholds_len]);
@@ -230,7 +235,7 @@ proptest! {
         prop_assert!(total >= 4);
         // Any interruption point strictly inside the grid.
         let k = 1 + (kill_seed as usize) % (total - 1);
-        kill_resume_and_check(&spec, &format!("prop{thresholds_len}_{threads}_{chunk}_{k}"), k);
+        kill_resume_and_check(&spec, &format!("prop{thresholds_len}_{threads}_{lanes}_{k}"), k);
     }
 }
 
@@ -512,10 +517,7 @@ fn stale_journal_from_a_different_grid_is_rejected() {
 
     // While a pure scheduling change does not: resume may use more or
     // fewer workers than the original run.
-    assert_eq!(
-        spec.fingerprint(),
-        small_spec().threads(1).chunk(1).fingerprint()
-    );
+    assert_eq!(spec.fingerprint(), small_spec().threads(1).fingerprint());
 }
 
 /// Fingerprint values pinned across refactors of the configuration the

@@ -4,8 +4,8 @@
 //!
 //! 1. **Streaming ≡ blocking.** The streamed `CellDone` events are a
 //!    permutation of the blocking `run_collect` results — same cells,
-//!    same physics, any completion order (property test over worker /
-//!    chunk schedules).
+//!    same physics, any completion order (property test over worker
+//!    counts).
 //! 2. **Aggregation is order-blind.** A [`SweepAggregator`] fed the
 //!    same cells in any arrival order reports the same winners, Pareto
 //!    front and totals.
@@ -63,22 +63,19 @@ fn reference_matrix() -> &'static Vec<(String, String, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Whatever the worker count and chunk size — and therefore
-    /// whatever completion order the work-stealing schedule produces —
-    /// the streamed cells are exactly a permutation of the blocking
-    /// matrix results, physics included (trace digests, not just
-    /// summaries).
+    /// Whatever the worker count — and therefore whatever completion
+    /// order the pool's shared claim cursor produces — the streamed
+    /// cells are exactly a permutation of the blocking matrix results,
+    /// physics included (trace digests, not just summaries).
     #[test]
     fn streamed_cells_are_a_permutation_of_the_blocking_matrix(
         threads in 2usize..=8,
-        chunk in 1usize..=5,
     ) {
         let mut streamed: Vec<(String, String, u64)> = Vec::new();
         SweepSpec::over(small_scenarios())
             .approaches(&[Approach::Teem, Approach::Ondemand])
             .patch_config(short_cells())
             .threads(threads)
-            .chunk(chunk)
             .run_streaming(|ev| {
                 if let SweepEvent::CellDone { result, .. } = ev {
                     streamed.push((

@@ -38,7 +38,7 @@ const OCTAVES: usize = 64 - SUB_BITS as usize - 1;
 const BUCKETS: usize = SUB as usize * (OCTAVES + 2);
 
 /// An HDR-style log-bucketed histogram of non-negative integer samples
-/// (nanoseconds, queue depths, steal sizes — any `u64`).
+/// (nanoseconds, lane occupancies, gap lengths — any `u64`).
 ///
 /// Values below 32 are exact; above, each power-of-two range is split
 /// into 32 linear sub-buckets, so any reported quantile is within
@@ -586,8 +586,8 @@ impl MetricsSnapshot {
     }
 
     /// A human-readable table. Histograms whose name ends in `_ns`
-    /// render as durations; anything else (queue depths, steal sizes)
-    /// as plain numbers.
+    /// render as durations; anything else (lane occupancies, gap
+    /// lengths) as plain numbers.
     pub fn render(&self) -> String {
         let mut out = String::new();
         if !self.counters.is_empty() {

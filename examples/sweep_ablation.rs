@@ -11,7 +11,7 @@
 //!   mid-scenario (TEEM → ondemand → TEEM), the policy-switch
 //!   comparison the scenario-ablation roadmap item asked for.
 //!
-//! Cells stream through the work-stealing executor into a
+//! Cells stream through the sweep pool into a
 //! [`SweepAggregator`] — nothing is buffered, so the same loop scales
 //! to thousands of cells — and the first few cells are echoed as CSV
 //! to show the offline-analysis export.

@@ -5,7 +5,8 @@
 //! The sweep engine's observability layer answers the questions a
 //! campaign operator actually asks mid-run ("how far along? how fast?
 //! anything failing?") and afterwards ("where did the time go? did the
-//! work-stealing pool balance? how expensive was the thermal solver?"):
+//! pool's workers share the cells evenly? how expensive was the thermal
+//! solver?"):
 //!
 //! 1. a 200-cell scenario × threshold × ambient grid runs through
 //!    [`SweepSpec::run_instrumented`], with a [`ProgressReporter`]

@@ -7,7 +7,7 @@
 //! that cheap. This example plays the whole story end to end:
 //!
 //! 1. a 500-cell scenario × threshold × ambient grid streams through
-//!    the work-stealing pool while a [`SweepJournal`] spills every
+//!    the sweep pool while a [`SweepJournal`] spills every
 //!    finished cell to an append-only JSONL file;
 //! 2. after ~200 cells the sink "crashes" (a panic cancels the pool —
 //!    the same path a real kill takes through the engine);
