@@ -4,7 +4,8 @@
 //! a scenario × approach matrix collected through the sweep engine, and
 //! a thresholds × ambients grid sweep over the builtin suite — the
 //! thousands-of-scenario parameter-grid shape the zero-allocation hot
-//! path exists for.
+//! path exists for — and the trace digest of a retiring lockstep
+//! cohort, serial against four streams at a time.
 
 use std::hint::black_box;
 use teem_bench::microbench::Runner;
@@ -12,8 +13,56 @@ use teem_core::offline::build_profile_store;
 use teem_core::runner::Approach;
 use teem_scenario::{ContentionPolicy, Scenario, ScenarioRunner, SweepEvent, SweepSpec};
 use teem_soc::Board;
-use teem_telemetry::SweepAggregator;
+use teem_telemetry::{SweepAggregator, Trace};
 use teem_workload::App;
+
+/// The engine's channel set: nine channels, as a scenario cell records.
+const CHANNELS: [&str; 9] = [
+    "freq.big",
+    "freq.gpu",
+    "freq.little",
+    "power.total",
+    "temp.big",
+    "temp.gpu",
+    "temp.little",
+    "temp.max",
+    "util.gpu",
+];
+
+/// A trace of `samples` samples on each of the nine channels, its
+/// values distinct per `seed`.
+fn digest_trace(seed: usize, samples: usize) -> Trace {
+    let mut tr = Trace::with_channels(&CHANNELS);
+    for (c, name) in CHANNELS.iter().enumerate() {
+        for i in 0..samples {
+            let t = 0.1 * i as f64;
+            tr.record(name, t, 40.0 + (seed * 31 + c * 7 + i) as f64 * 0.013);
+        }
+    }
+    tr
+}
+
+/// Bytes of the stream `Trace::digest` folds: per populated channel,
+/// its name framed by its length, its sample count and 16 bytes per
+/// sample.
+fn digest_bytes(tr: &Trace) -> usize {
+    tr.channel_names()
+        .into_iter()
+        .map(|name| (name, tr.channel(name).map_or(0, |s| s.len())))
+        .filter(|&(_, n)| n > 0)
+        .map(|(name, n)| 16 + name.len() + 16 * n)
+        .sum()
+}
+
+/// Prints row `name`'s best time per digested byte, if the row ran.
+fn print_ns_per_byte(r: &Runner, name: &str, bytes: usize) {
+    if let Some(res) = r.results().last().filter(|res| res.name == name) {
+        println!(
+            "    {name}: {:.3} ns/byte over {bytes} bytes",
+            res.best_ns / bytes as f64
+        );
+    }
+}
 
 fn main() {
     let mut r = Runner::from_args();
@@ -81,6 +130,31 @@ fn main() {
         assert_eq!(stats.completed, cells);
         agg.cells()
     });
+
+    // A retiring lockstep cohort's trace digests: 16 traces digested
+    // one at a time, against the same 16 stored four streams at a time
+    // (`Trace::seal_digests`). Two shapes: a `sweep_grid` cell (9
+    // channels × 21 samples, about 3.3 KB) and a long `trace_campaign`
+    // cell (9 × 4 000, about 0.6 MB).
+    for (shape, samples) in [("grid_9x21", 21), ("campaign_9x4000", 4_000)] {
+        let mut traces: Vec<Trace> = (0..16).map(|i| digest_trace(i, samples)).collect();
+        let bytes: usize = traces.iter().map(digest_bytes).sum();
+        let serial = format!("digest_16_traces_{shape}_serial");
+        r.bench(&serial, || {
+            traces
+                .iter()
+                .map(Trace::digest)
+                .fold(0u64, u64::wrapping_add)
+        });
+        print_ns_per_byte(&r, &serial, bytes);
+        let sealed = format!("digest_16_traces_{shape}_four_at_a_time");
+        let mut refs: Vec<&mut Trace> = traces.iter_mut().collect();
+        r.bench(&sealed, || {
+            Trace::seal_digests(black_box(&mut refs));
+            refs[0].digest()
+        });
+        print_ns_per_byte(&r, &sealed, bytes);
+    }
 
     r.finish();
 }

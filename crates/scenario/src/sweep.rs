@@ -45,7 +45,7 @@ use teem_core::offline::build_profile_store;
 use teem_core::runner::Approach;
 use teem_core::{ProfileStore, TeemTunables};
 use teem_soc::{Board, BoardSpec, TimeAdvance, DT_S, SAMPLE_PERIOD_S, WARM_START_FRACTION};
-use teem_telemetry::Fnv;
+use teem_telemetry::{Fnv, Trace};
 use teem_workload::App;
 
 /// Everything that can go wrong in a sweep.
@@ -511,6 +511,20 @@ impl SweepSpec {
     /// `k = 1` degenerates to stepping single cells through the batch
     /// kernel (still bit-identical; useful for A/B tests). Sequential
     /// runs (`threads(1)`) batch too — K lockstep lanes on one thread.
+    ///
+    /// Cells of a grid with a board axis enter lanes on every board: a
+    /// worker whose pool holds one board's cells holds the first cell
+    /// it starts of another board, and claims nothing, until the pool
+    /// drains; it then rebuilds the pool for that board.
+    ///
+    /// When lanes retire together (a cohort of equal-length cells
+    /// reaching their timeout on one round), the worker finishes them
+    /// all and stores their trace digests in one pass, hashing four
+    /// traces at a time ([`Trace::seal_digests`]), before it emits
+    /// their [`SweepEvent::CellDone`]s. A sink's
+    /// [`Trace::digest`] then returns the stored value, computed on the
+    /// worker; a sink that never digests still pays for it there. The
+    /// digest bits are the same either way.
     ///
     /// # Panics
     ///
@@ -1099,7 +1113,9 @@ impl SweepSpec {
     /// lockstep eligibility is admitted into a K-lane pool instead;
     /// lockstep rounds then run while any lane is occupied, retiring
     /// cells finish on the scalar path, and freed lanes refill from the
-    /// claim stream.
+    /// claim stream. An eligible cell of another board than the pool's
+    /// is held, and nothing is claimed, until the pool drains; the pool
+    /// is then rebuilt for its board.
     fn worker_loop(
         &self,
         worker: usize,
@@ -1117,51 +1133,66 @@ impl SweepSpec {
         // by cell index (≤ K entries; linear scans are fine).
         let mut in_flight: Vec<(SweepCell, Option<Instant>)> = Vec::new();
         let mut retired = Vec::new();
+        let mut finished = Vec::new();
+        // A started, eligible cell waiting for the pool to drain.
+        let mut held: Option<(SweepCell, Option<Instant>, EligibleCell)> = None;
         let mut dry = false; // `next` ran out of cells
         let mut dead = false; // `emit` reported a gone consumer
 
         loop {
             // Claim and start cells while a lane is free (always,
-            // unbatched: every cell finishes as it starts).
-            while !dry && !dead && lockstep.as_ref().is_none_or(LockstepPool::has_free_lane) {
-                let Some(index) = next() else {
-                    dry = true;
-                    break;
+            // unbatched: every cell finishes as it starts). A held cell
+            // goes first and blocks claiming until it is admitted.
+            while !dead && lockstep.as_ref().is_none_or(LockstepPool::has_free_lane) {
+                let (cell, started, start) = match held.take() {
+                    Some((cell, started, boxed)) => (cell, started, CellStart::Eligible(boxed)),
+                    None if dry => break,
+                    None => {
+                        let Some(index) = next() else {
+                            dry = true;
+                            break;
+                        };
+                        let cell = self.cell(index);
+                        let announce = SweepEvent::CellStarted {
+                            index,
+                            name: cell.name.clone(),
+                            approach: cell.approach,
+                        };
+                        if !emit(&mut wobs, announce) {
+                            dead = true;
+                            break;
+                        }
+                        let started = clock(&wobs);
+                        let start = self.start_cell(&cell, shared, instrument, lockstep.is_some());
+                        bank_busy(&mut wobs, started);
+                        (cell, started, start)
+                    }
                 };
-                let cell = self.cell(index);
-                let announce = SweepEvent::CellStarted {
-                    index,
-                    name: cell.name.clone(),
-                    approach: cell.approach,
-                };
-                if !emit(&mut wobs, announce) {
-                    dead = true;
-                    break;
-                }
-                let started = clock(&wobs);
-                let start = self.start_cell(&cell, shared, instrument, lockstep.is_some());
-                bank_busy(&mut wobs, started);
                 let outcome = match start {
                     CellStart::Eligible(boxed) => {
-                        let (runner, sim) = *boxed;
                         let pool = lockstep.as_mut().expect("only a lockstep worker admits");
-                        // Board-axis boundary: same-board cells are
-                        // contiguous in the grid, so when the pool has
-                        // drained and the next cell's topology differs,
-                        // rebuild the SoA batch for the new board
-                        // (folding the old pool's counters first)
-                        // instead of degrading its cells to scalar.
-                        if pool.is_empty() && !pool.matches_topology(&sim.board.thermal) {
+                        // Board-axis boundary: a cell of another board
+                        // waits until the pool has drained, then the SoA
+                        // batch is rebuilt for its board (folding the
+                        // old pool's counters first) instead of
+                        // degrading the cell to scalar.
+                        let thermal = &boxed.1.board.thermal;
+                        if !pool.matches_topology(thermal) {
+                            if !pool.is_empty() {
+                                held = Some((cell, started, boxed));
+                                break;
+                            }
                             fold_pool_obs(&mut wobs, pool);
-                            *pool = LockstepPool::new(pool.lanes(), &sim.board.thermal, instrument);
+                            *pool = LockstepPool::new(pool.lanes(), thermal, instrument);
                         }
-                        match pool.admit(runner, sim, index) {
+                        let (runner, sim) = *boxed;
+                        match pool.admit(runner, sim, cell.index) {
                             Ok(()) => {
                                 in_flight.push((cell, started));
                                 continue;
                             }
-                            // Topology or dt mismatch with the pool:
-                            // degrade this cell to scalar.
+                            // Admission re-checks eligibility and
+                            // topology; a refused cell runs scalar.
                             Err((runner, sim, _)) => {
                                 let busy_t0 = clock(&wobs);
                                 let outcome = finish_scalar(runner, sim);
@@ -1209,16 +1240,29 @@ impl SweepSpec {
                 }
             }
 
-            // Finish every retired lane on the scalar path. A lane that
+            if retired.is_empty() {
+                continue;
+            }
+            // Finish every retired lane on the scalar path (a lane that
             // completed in-pool terminates on its first step_cell call,
-            // so completion and divergence share this code.
+            // so completion and divergence share this code), store the
+            // cohort's trace digests in one interleaved pass, then
+            // report the cells in retirement order.
+            let busy_t0 = clock(&wobs);
             for r in retired.drain(..) {
                 let (cell, started) = take_in_flight(&mut in_flight, r.token);
-                let busy_t0 = clock(&wobs);
                 let outcome = finish_scalar(r.runner, r.sim);
-                bank_busy(&mut wobs, busy_t0);
+                finished.push((cell, started, r.steps_at_entry, outcome));
+            }
+            let mut traces: Vec<&mut Trace> = finished
+                .iter_mut()
+                .filter_map(|(.., outcome)| outcome.as_mut().ok().map(|r| &mut r.trace))
+                .collect();
+            Trace::seal_digests(&mut traces);
+            bank_busy(&mut wobs, busy_t0);
+            for (cell, started, steps_at_entry, outcome) in finished.drain(..) {
                 if let (Some(w), Ok(result)) = (wobs.as_mut(), &outcome) {
-                    let in_pool = result.kernel.steps.saturating_sub(r.steps_at_entry);
+                    let in_pool = result.kernel.steps.saturating_sub(steps_at_entry);
                     w.record_lane_occupancy(result.kernel.batched_steps, in_pool);
                 }
                 dead |= !report_cell(&mut wobs, emit, cell, started, outcome);
@@ -1308,10 +1352,13 @@ fn fold_pool_obs(wobs: &mut Option<WorkerObs>, pool: &LockstepPool) {
     }
 }
 
+/// A suspended, lockstep-eligible cell: its runner and simulation.
+type EligibleCell = Box<(ScenarioRunner, crate::exec::CellSim)>;
+
 /// How a started cell came out of [`SweepSpec::start_cell`].
 enum CellStart {
     /// Lockstep-eligible: the suspended simulation, ready to admit.
-    Eligible(Box<(ScenarioRunner, crate::exec::CellSim)>),
+    Eligible(EligibleCell),
     /// Ran to completion (unbatched, or a short or never-eligible
     /// cell).
     Done(Box<ScenarioResult>),

@@ -8,7 +8,9 @@
 //!   mixing the stock XU4 with 16/32/48/64-node generated boards;
 //! * the lockstep fast path engages on many-node cells — the pool
 //!   rebuild at a board boundary works, lanes don't silently degrade
-//!   to scalar stepping;
+//!   to scalar stepping: every cell of a two-board grid enters a lane,
+//!   also when a board boundary falls while the pool is part full, at
+//!   one and two workers;
 //! * cell names carry the board tag (`n32`, `xu4`) so journal rows are
 //!   attributable, and the tag leads the knob tags (boards is the
 //!   outermost knob axis);
@@ -101,19 +103,46 @@ fn many_node_boards_stay_bit_identical_under_batching() {
         assert_parity(&scalar, &batched, &format!("n{nodes}"));
 
         // The pool rebuilds at the board boundary and keeps batching:
-        // *both* topologies must see lockstep steps.
-        for spec in boards {
-            let steps: u64 = batched
-                .values()
-                .filter(|c| c.board == spec)
-                .map(|c| c.batched_steps)
-                .sum();
+        // every cell of *both* topologies must see lockstep steps.
+        for (index, c) in &batched {
             assert!(
-                steps > 0,
-                "n{nodes}: no batched steps on {} cells",
-                spec.label()
+                c.batched_steps > 0,
+                "n{nodes}: cell {index} ({}) never stepped in a lane",
+                c.name
             );
         }
+    }
+}
+
+/// A board boundary that falls while the pool is part full: 10
+/// thresholds per board and 4 lanes leave two cells of one board
+/// resident when the first cell of the other is claimed. That cell
+/// waits for the pool to drain instead of running scalar, so every
+/// cell enters a lane, at one worker and at two.
+#[test]
+fn a_board_change_mid_pool_still_admits_every_cell() {
+    let grid = || {
+        SweepSpec::over(scenarios())
+            .thresholds_c(&[80.0, 81.0, 82.0, 83.0, 84.0, 85.0, 86.0, 87.0, 88.0, 89.0])
+            .boards(&[BoardSpec::OdroidXu4, BoardSpec::ManyNode { nodes: 16 }])
+            .patch_config(ConfigPatch {
+                timeout_s: Some(2.0),
+                ..ConfigPatch::default()
+            })
+    };
+    let scalar = run_grid(&grid().threads(1));
+    assert_eq!(scalar.len(), 40);
+    for threads in [1, 2] {
+        let spec = grid().batch(4).threads(threads);
+        let (stats, report) = spec.run_instrumented(|_| {}).expect("sweep runs");
+        assert_eq!(stats.failed, 0);
+        let entered = report.snapshot().counter("batch.lanes_entered");
+        assert_eq!(
+            entered,
+            Some(stats.cells as u64),
+            "threads({threads}): every cell must enter a lane"
+        );
+        assert_parity(&scalar, &run_grid(&spec), &format!("threads({threads})"));
     }
 }
 

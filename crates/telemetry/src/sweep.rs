@@ -176,19 +176,36 @@ pub struct BestCell {
 }
 
 impl BestCell {
-    /// Ranking key: fewer trips, then fewer misses, then less energy,
-    /// then shorter makespan, then the approach and cell names — a
-    /// total order, so the per-scenario winner cannot depend on cell
-    /// arrival order.
-    fn beats(&self, other: &BestCell) -> bool {
-        (self.zone_trips, self.misses)
-            .cmp(&(other.zone_trips, other.misses))
-            .then(self.energy_j.total_cmp(&other.energy_j))
-            .then(self.makespan_s.total_cmp(&other.makespan_s))
-            .then(self.approach.cmp(&other.approach))
-            .then(self.cell.cmp(&other.cell))
-            .is_lt()
+    /// The ranking key, borrowed: `(trips, misses, energy, makespan,
+    /// approach, cell)`.
+    fn rank(&self) -> Rank<'_> {
+        (
+            self.zone_trips,
+            self.misses,
+            self.energy_j,
+            self.makespan_s,
+            &self.approach,
+            &self.cell,
+        )
     }
+}
+
+/// A cell's ranking key, borrowed from it: `(trips, misses, energy,
+/// makespan, approach, cell)`.
+type Rank<'a> = (u32, u32, f64, f64, &'a str, &'a str);
+
+/// Ranking order: fewer trips, then fewer misses, then less energy,
+/// then shorter makespan, then the approach and cell names — a total
+/// order, so the per-scenario winner cannot depend on cell arrival
+/// order.
+fn beats(a: Rank<'_>, b: Rank<'_>) -> bool {
+    (a.0, a.1)
+        .cmp(&(b.0, b.1))
+        .then(a.2.total_cmp(&b.2))
+        .then(a.3.total_cmp(&b.3))
+        .then(a.4.cmp(b.4))
+        .then(a.5.cmp(b.5))
+        .is_lt()
 }
 
 /// One point of the energy / makespan / trips Pareto front.
@@ -207,16 +224,19 @@ pub struct ParetoPoint {
 }
 
 impl ParetoPoint {
-    /// `true` when `self` is at least as good as `other` on every
-    /// objective and strictly better on at least one (all minimised).
-    fn dominates(&self, other: &ParetoPoint) -> bool {
-        self.energy_j <= other.energy_j
-            && self.makespan_s <= other.makespan_s
-            && self.zone_trips <= other.zone_trips
-            && (self.energy_j < other.energy_j
-                || self.makespan_s < other.makespan_s
-                || self.zone_trips < other.zone_trips)
+    /// The objectives, all minimised: `(energy, makespan, trips)`.
+    fn objectives(&self) -> Objectives {
+        (self.energy_j, self.makespan_s, self.zone_trips)
     }
+}
+
+/// A cell's objectives, all minimised: `(energy, makespan, trips)`.
+type Objectives = (f64, f64, u32);
+
+/// `true` when `a` is at least as good as `b` on every objective and
+/// strictly better on at least one.
+fn dominates(a: Objectives, b: Objectives) -> bool {
+    a.0 <= b.0 && a.1 <= b.1 && a.2 <= b.2 && (a.0 < b.0 || a.1 < b.1 || a.2 < b.2)
 }
 
 /// Order-insensitive online aggregator for a stream of sweep cells.
@@ -293,7 +313,9 @@ impl SweepAggregator {
     }
 
     /// The shared per-cell fold behind [`SweepAggregator::record`] and
-    /// [`SweepAggregator::record_cell`].
+    /// [`SweepAggregator::record_cell`]. It compares the borrowed names
+    /// and numbers, and copies the names only for a cell it keeps (a
+    /// scenario's new best, or a point on the Pareto front).
     #[allow(clippy::too_many_arguments)]
     fn fold(
         &mut self,
@@ -316,7 +338,8 @@ impl SweepAggregator {
             .get_or_insert_with(Online::new)
             .push(peak_temp_c);
 
-        let candidate = BestCell {
+        let rank = (zone_trips, misses, energy_j, makespan_s, approach, scenario);
+        let kept = || BestCell {
             cell: scenario.to_string(),
             approach: approach.to_string(),
             zone_trips,
@@ -327,25 +350,25 @@ impl SweepAggregator {
         let base = base_scenario(scenario);
         match self.best.get_mut(base) {
             Some(incumbent) => {
-                if candidate.beats(incumbent) {
-                    *incumbent = candidate;
+                if beats(rank, incumbent.rank()) {
+                    *incumbent = kept();
                 }
             }
             None => {
-                self.best.insert(base.to_string(), candidate);
+                self.best.insert(base.to_string(), kept());
             }
         }
 
-        let point = ParetoPoint {
-            scenario: scenario.to_string(),
-            approach: approach.to_string(),
-            energy_j,
-            makespan_s,
-            zone_trips,
-        };
-        if !self.pareto.iter().any(|q| q.dominates(&point)) {
-            self.pareto.retain(|q| !point.dominates(q));
-            self.pareto.push(point);
+        let point = (energy_j, makespan_s, zone_trips);
+        if !self.pareto.iter().any(|q| dominates(q.objectives(), point)) {
+            self.pareto.retain(|q| !dominates(point, q.objectives()));
+            self.pareto.push(ParetoPoint {
+                scenario: scenario.to_string(),
+                approach: approach.to_string(),
+                energy_j,
+                makespan_s,
+                zone_trips,
+            });
         }
     }
 

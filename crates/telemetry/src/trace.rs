@@ -1,10 +1,11 @@
 //! Multi-channel traces: named time series recorded during a simulation
 //! run, with CSV export for external plotting of the paper's figures.
 
-use crate::series::TimeSeries;
+use crate::series::{Sample, TimeSeries};
 use crate::stats::SeriesStats;
+use crate::Fnv;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::fmt;
 
 /// A resolved handle to one [`Trace`] channel, obtained from
@@ -143,6 +144,9 @@ pub struct Trace {
     names: BTreeMap<Cow<'static, str>, usize>,
     series: Vec<TimeSeries>,
     late_creates: u64,
+    /// The digest stored by [`Trace::seal_digests`]; every mutator
+    /// clears it. A clone keeps it, because it has the same contents.
+    sealed: Option<u64>,
 }
 
 impl Trace {
@@ -174,6 +178,7 @@ impl Trace {
 
     /// Index of `name`'s series, creating an empty one if missing.
     fn ensure_channel(&mut self, name: Cow<'static, str>) -> usize {
+        self.sealed = None;
         if let Some(&idx) = self.names.get(&*name) {
             return idx;
         }
@@ -194,6 +199,7 @@ impl Trace {
     /// Panics if `t` precedes the channel's last timestamp (see
     /// [`TimeSeries::push`]).
     pub fn record(&mut self, channel: &str, t: f64, v: f64) {
+        self.sealed = None;
         let idx = match self.names.get(channel) {
             Some(&idx) => idx,
             None => {
@@ -234,6 +240,7 @@ impl Trace {
     /// channel's last timestamp.
     #[inline]
     pub fn record_id(&mut self, id: ChannelId, t: f64, v: f64) {
+        self.sealed = None;
         self.series[id.0].push(t, v);
     }
 
@@ -273,17 +280,29 @@ impl Trace {
     /// the raw IEEE-754 bits of every `(t, v)` sample, in deterministic
     /// (name-sorted, time-ordered) iteration order.
     ///
-    /// Two traces share a digest iff their recorded samples are
-    /// bit-identical — the property the physics golden tests pin across
-    /// hot-path refactors: any change to operation order, buffering or
-    /// sensor state in the simulation engines shows up here immediately.
+    /// Traces whose recorded samples are bit-identical share a digest,
+    /// and any change to operation order, buffering or sensor state in
+    /// the simulation engines moves it — the property the physics
+    /// golden tests pin across hot-path refactors. The converse holds
+    /// only up to hash collisions: a 64-bit hash can map two different
+    /// traces to one value, so equal digests are strong evidence of
+    /// equal samples, not proof.
     ///
     /// Empty channels are skipped so engines can pre-register rarely
     /// used channels (e.g. gap telemetry on runs that never idle)
     /// without moving digests of runs that never touch them — pinned
     /// digests depend on what was recorded, not on what was declared.
+    ///
+    /// Returns the digest [`Trace::seal_digests`] stored, when one is
+    /// stored: the same value, computed earlier. Every mutator
+    /// ([`Trace::record`], [`Trace::record_id`], [`Trace::flush_stage`])
+    /// clears it. Otherwise the digest is computed on each call and
+    /// nothing is stored, so a trace nobody asks about costs nothing.
     pub fn digest(&self) -> u64 {
-        let mut h = crate::Fnv::new();
+        if let Some(digest) = self.sealed {
+            return digest;
+        }
+        let mut h = Fnv::new();
         for (name, series) in self.iter_sorted() {
             if series.is_empty() {
                 continue;
@@ -299,6 +318,40 @@ impl Trace {
             }
         }
         h.finish()
+    }
+
+    /// Computes and stores the digests of `traces`, which
+    /// [`Trace::digest`] then returns until the trace is next recorded
+    /// into. Each stored value equals the digest computed alone.
+    ///
+    /// One stream's FNV-1a chain is latency-bound, but the chains of
+    /// different traces are independent: the traces are hashed in
+    /// groups of two to four with their byte streams interleaved, about
+    /// three times as fast per byte as one at a time (the `scenarios`
+    /// bench's `digest_16_traces_*` rows). A lone trace gains nothing,
+    /// so a call with one trace stores nothing.
+    ///
+    /// Each trace's stream is serialised through a fixed 4 KiB buffer,
+    /// refilled as it is folded, so the call holds four such buffers
+    /// however long the traces are.
+    pub fn seal_digests(traces: &mut [&mut Trace]) {
+        if traces.len() < 2 {
+            return;
+        }
+        let mut bufs = [[0; DIGEST_BUF_BYTES]; 4];
+        // Split into ⌈n/4⌉ groups of near-equal size, each 2..=4 wide.
+        let groups = traces.len().div_ceil(4);
+        let mut start = 0;
+        for g in 1..=groups {
+            let end = traces.len() * g / groups;
+            match &mut traces[start..end] {
+                [a, b] => seal_group([a, b], &mut bufs),
+                [a, b, c] => seal_group([a, b, c], &mut bufs),
+                [a, b, c, d] => seal_group([a, b, c, d], &mut bufs),
+                _ => unreachable!("groups hold two to four traces"),
+            }
+            start = end;
+        }
     }
 
     /// Drains a [`SampleStage`] into this trace's channel-major
@@ -318,6 +371,7 @@ impl Trace {
     /// [`TimeSeries::push`] — flush before directly recording into a
     /// staged channel).
     pub fn flush_stage(&mut self, stage: &mut SampleStage) {
+        self.sealed = None;
         let width = stage.ids.len() + 1;
         let rows = stage.len();
         for (col, id) in stage.ids.iter().enumerate() {
@@ -359,6 +413,126 @@ impl Trace {
             out.push('\n');
         }
         out
+    }
+}
+
+/// Bytes of one trace's digest stream serialised per refill in
+/// [`Trace::seal_digests`]: a `sweep_grid` cell's whole trace (about
+/// 3.3 KB) fits in one, and a long trace (a phone_day cell holds about
+/// 0.6 MiB) streams through it.
+const DIGEST_BUF_BYTES: usize = 4096;
+
+/// Digests `N` traces with interleaved FNV-1a, each serialised
+/// through one of `bufs`, and stores each result.
+fn seal_group<const N: usize>(
+    traces: [&mut &mut Trace; N],
+    bufs: &mut [[u8; DIGEST_BUF_BYTES]; 4],
+) {
+    let mut bufs = bufs.iter_mut();
+    let mut lanes = traces.each_ref().map(|t| {
+        let buf = bufs.next().expect("at most four lanes");
+        DigestStream::new(t, buf)
+    });
+    let mut accs = std::array::from_fn(|_| Fnv::new());
+    // Each pass folds one buffer of every stream. Streams of one layout
+    // fill equal buffers; where fills differ (a channel boundary, a
+    // stream that has ended) the kernel folds the excess serially.
+    loop {
+        let chunks = lanes.each_mut().map(|lane| {
+            let n = lane.fill();
+            &lane.buf[..n]
+        });
+        if chunks.iter().all(|c| c.is_empty()) {
+            break;
+        }
+        Fnv::bytes_interleaved(&mut accs, chunks);
+    }
+    for (trace, acc) in traces.into_iter().zip(accs) {
+        trace.sealed = Some(acc.finish());
+    }
+}
+
+/// One trace's digest byte stream — exactly the bytes [`Trace::digest`]
+/// folds, in order — serialised on demand into a fixed buffer.
+struct DigestStream<'a, 'b> {
+    series: &'a [TimeSeries],
+    channels: btree_map::Iter<'a, Cow<'static, str>, usize>,
+    /// The current channel's unwritten parts, in stream order: its
+    /// name's length, its name, its sample count, its samples.
+    name_len: Option<[u8; 8]>,
+    name: &'a [u8],
+    count: Option<[u8; 8]>,
+    samples: &'a [Sample],
+    buf: &'b mut [u8; DIGEST_BUF_BYTES],
+}
+
+impl<'a, 'b> DigestStream<'a, 'b> {
+    fn new(trace: &'a Trace, buf: &'b mut [u8; DIGEST_BUF_BYTES]) -> Self {
+        DigestStream {
+            series: &trace.series,
+            channels: trace.names.iter(),
+            name_len: None,
+            name: &[],
+            count: None,
+            samples: &[],
+            buf,
+        }
+    }
+
+    /// Serialises the stream's next bytes into the buffer, from its
+    /// start; returns how many it wrote, 0 once the stream has ended.
+    fn fill(&mut self) -> usize {
+        let buf = &mut *self.buf;
+        let mut n = 0;
+        loop {
+            if let Some(bytes) = self.name_len {
+                if buf.len() - n < 8 {
+                    return n;
+                }
+                buf[n..n + 8].copy_from_slice(&bytes);
+                n += 8;
+                self.name_len = None;
+            }
+            let k = self.name.len().min(buf.len() - n);
+            buf[n..n + k].copy_from_slice(&self.name[..k]);
+            n += k;
+            self.name = &self.name[k..];
+            if !self.name.is_empty() {
+                return n;
+            }
+            if let Some(bytes) = self.count {
+                if buf.len() - n < 8 {
+                    return n;
+                }
+                buf[n..n + 8].copy_from_slice(&bytes);
+                n += 8;
+                self.count = None;
+            }
+            let k = self.samples.len().min((buf.len() - n) / 16);
+            for (out, s) in buf[n..n + 16 * k].chunks_exact_mut(16).zip(self.samples) {
+                out[..8].copy_from_slice(&s.t.to_bits().to_le_bytes());
+                out[8..].copy_from_slice(&s.v.to_bits().to_le_bytes());
+            }
+            n += 16 * k;
+            self.samples = &self.samples[k..];
+            if !self.samples.is_empty() {
+                return n;
+            }
+            // The next populated channel, framed as `digest` frames it.
+            let series = self.series;
+            let Some((name, s)) = self
+                .channels
+                .by_ref()
+                .map(|(name, &idx)| (name, &series[idx]))
+                .find(|(_, s)| !s.is_empty())
+            else {
+                return n;
+            };
+            self.name_len = Some((name.len() as u64).to_le_bytes());
+            self.name = name.as_bytes();
+            self.count = Some((s.len() as u64).to_le_bytes());
+            self.samples = s.iter().as_slice();
+        }
     }
 }
 
@@ -533,6 +707,37 @@ mod tests {
             by_id.channel_names(),
             vec!["a.late", "freq.big", "temp.max"]
         );
+    }
+
+    #[test]
+    fn only_groups_store_digests_and_every_mutator_clears_them() {
+        let mut a = Trace::with_channels(&["x"]);
+        a.record("x", 0.0, 1.0);
+        let x = a.channel_id("x").unwrap();
+        let mut lone = a.clone();
+        Trace::seal_digests(&mut [&mut lone]);
+        assert_eq!(lone.sealed, None, "one stream gains nothing");
+
+        let mut b = a.clone();
+        Trace::seal_digests(&mut [&mut a, &mut b]);
+        assert_eq!(
+            (a.sealed, b.sealed),
+            (Some(lone.digest()), Some(lone.digest()))
+        );
+        let mutators: [&dyn Fn(&mut Trace); 4] = [
+            &|t| t.record("x", 1.0, 2.0),
+            &|t| t.record_id(x, 1.0, 2.0),
+            &|t| t.flush_stage(&mut SampleStage::new(vec![x])),
+            &|t| {
+                t.ensure_channel(Cow::Borrowed("y"));
+            },
+        ];
+        for (i, mutate) in mutators.iter().enumerate() {
+            let mut c = a.clone();
+            assert!(c.sealed.is_some(), "a clone keeps the stored digest");
+            mutate(&mut c);
+            assert_eq!(c.sealed, None, "mutator {i} must clear the stored digest");
+        }
     }
 
     #[test]
