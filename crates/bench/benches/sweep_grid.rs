@@ -310,9 +310,15 @@ fn main() {
     );
     // Cargo runs bench binaries with the package as working directory;
     // anchor the artifact at the workspace root where CI looks for it.
+    // A filtered run skips rows and would write zeros for them, so only
+    // an unfiltered run writes the artifact.
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sweep.json");
-    std::fs::write(&out, &json).expect("write BENCH_sweep.json");
-    println!("wrote {}", out.display());
+    if r.is_filtered() {
+        println!("name filter active: not writing {}", out.display());
+    } else {
+        std::fs::write(&out, &json).expect("write BENCH_sweep.json");
+        println!("wrote {}", out.display());
+    }
 
     r.finish();
 }

@@ -76,6 +76,13 @@ impl Runner {
         }
     }
 
+    /// `true` when a name filter is active, so some benchmarks may be
+    /// skipped: an artifact that needs every row must not be written
+    /// from such a run.
+    pub fn is_filtered(&self) -> bool {
+        !self.filters.is_empty()
+    }
+
     fn selected(&self, name: &str) -> bool {
         self.filters.is_empty() || self.filters.iter().any(|f| name.contains(f.as_str()))
     }
@@ -216,6 +223,16 @@ mod tests {
         assert!(r.results().is_empty());
         r.bench_heavy("thermal_step", 2, || 1);
         assert_eq!(r.results().len(), 1);
+    }
+
+    #[test]
+    fn reports_whether_a_filter_is_active() {
+        let filtered = Runner {
+            filters: vec!["sweep_".into()],
+            ..Runner::default()
+        };
+        assert!(filtered.is_filtered());
+        assert!(!Runner::default().is_filtered());
     }
 
     #[test]

@@ -261,6 +261,7 @@ impl ScenarioRunner {
         board: &mut Board,
         events: &[TimedEvent],
         idle_freqs: ClusterFreqs,
+        scratch: &mut StepScratch,
     ) -> Result<(), teem_linreg::LinregError> {
         // Replay threshold/approach changes that precede the first
         // arrival, so the pre-heat plan matches the plan the arrival
@@ -312,7 +313,7 @@ impl ScenarioRunner {
             }
             None => (NodePowerModel::idle(board, idle_freqs), 1.0),
         };
-        teem_soc::warm_start(board, &load, fraction);
+        teem_soc::warm_start(board, &load, fraction, scratch);
         Ok(())
     }
 
@@ -334,18 +335,32 @@ impl ScenarioRunner {
     ///
     /// Propagates a profiling (regression) failure for an arriving app.
     pub fn run(&mut self, scenario: &Scenario) -> Result<ScenarioResult, teem_linreg::LinregError> {
-        let mut sim = self.prepare_cell(scenario)?;
+        let mut sim = self.prepare_cell(
+            scenario,
+            scenario.name(),
+            None,
+            None,
+            CellBuffers::default(),
+        )?;
         while self.step_cell(&mut sim, true)? {}
-        Ok(self.finish_cell(sim))
+        Ok(self.finish_cell(sim).0)
     }
 
-    /// Builds the suspended simulation state for `scenario`: from the
-    /// runner's [`CellTemplate`], a board at the scenario's ambient with
-    /// a fresh sensor stream, warm-started, and an empty trace with
-    /// every channel registered; the sorted timeline and pre-sized step
-    /// buffers — everything [`ScenarioRunner::run`] used to set up
+    /// Builds the suspended simulation state for `scenario` renamed to
+    /// `name`, with `threshold_c` as its initial default threshold
+    /// ([`Scenario::with_initial_threshold`]'s semantics) and
+    /// `ambient_c` as its initial ambient when given: from the runner's
+    /// [`CellTemplate`], a board at that ambient with a fresh sensor
+    /// stream, warm-started, and an empty trace with every channel
+    /// registered; the sorted timeline and the step buffers, taken from
+    /// `buffers` — everything [`ScenarioRunner::run`] used to set up
     /// before its loop. The returned [`CellSim`] is positioned exactly
     /// at the first step boundary.
+    ///
+    /// Every buffer of `buffers` is cleared, or cleared and sized for
+    /// this cell's board, before use, so a set a finished cell handed
+    /// back ([`ScenarioRunner::finish_cell`]) carries only its
+    /// allocations into this cell, never its contents.
     ///
     /// # Errors
     ///
@@ -354,11 +369,30 @@ impl ScenarioRunner {
     pub(crate) fn prepare_cell(
         &mut self,
         scenario: &Scenario,
+        name: &str,
+        threshold_c: Option<f64>,
+        ambient_c: Option<f64>,
+        buffers: CellBuffers,
     ) -> Result<CellSim, teem_linreg::LinregError> {
-        let mut board = self
-            .template
-            .board
-            .instantiate(scenario.initial_ambient_c(), SensorBank::tmu_like(42));
+        let CellBuffers {
+            mut scratch,
+            mut gap_energy,
+            mut events,
+            mut queue,
+            mut active,
+            mut shares,
+            mut power_shares,
+            mut claims,
+            mut weights,
+            mut stage,
+        } = buffers;
+        let mut board = self.template.board.instantiate(
+            ambient_c.unwrap_or(scenario.initial_ambient_c()),
+            SensorBank::tmu_like(42),
+        );
+        scenario.sorted_events_into(threshold_c, &mut events);
+        scratch.reset_for(&board);
+        scratch.obs.enabled = self.step_timing;
 
         // Warm start, matching the single-run engine's back-to-back
         // measurement protocol: the device was busy before the scenario
@@ -367,8 +401,7 @@ impl ScenarioRunner {
         // equilibrium the paper's runs never see, scaled by
         // `WARM_START_FRACTION`.
         let idle_freqs = ClusterFreqs::min_of(&board);
-        let events = scenario.sorted_events();
-        self.warm_start(&mut board, &events, idle_freqs)?;
+        self.warm_start(&mut board, &events, idle_freqs, &mut scratch)?;
 
         // The scenario ends at the last completion: environment events
         // scheduled after the final arrival has completed are not
@@ -382,9 +415,20 @@ impl ScenarioRunner {
         // loop is the batch sweep's hot path and must not allocate on
         // its steady-state path (the share/claim buffers are pre-sized
         // to the arbiter's capacity).
-        let mut scratch = StepScratch::for_board(&board);
-        scratch.obs.enabled = self.step_timing;
-        let gap_energy_scratch = vec![0.0_f64; board.thermal.len()];
+        gap_energy.clear();
+        gap_energy.resize(board.thermal.len(), 0.0);
+        queue.clear();
+        for v in [&mut shares, &mut power_shares] {
+            v.clear();
+            v.reserve(capacity);
+        }
+        active.clear();
+        active.reserve(capacity);
+        claims.clear();
+        claims.reserve(capacity);
+        weights.clear();
+        weights.reserve(capacity);
+        stage.clone_from(&self.template.stage);
         // What the arbiter may hand out: this board's cluster sizes.
         let cluster_cores = CpuMapping::new(board.little_power.cores, board.big_power.cores);
         let effective = idle_freqs;
@@ -393,15 +437,15 @@ impl ScenarioRunner {
         let power = NodePowerModel::idle(&board, effective);
 
         Ok(CellSim {
-            scenario_name: scenario.name().to_string(),
+            scenario_name: name.to_string(),
             board,
             idle_freqs,
             events,
             arrivals_end,
             next_ev: 0,
-            queue: VecDeque::new(),
+            queue,
             capacity,
-            active: Vec::with_capacity(capacity),
+            active,
             zone: ThermalZone::stock_xu4(),
             zone_trips: 0,
             timeout_s: self.config.timeout_s,
@@ -411,18 +455,18 @@ impl ScenarioRunner {
             next_sample: 0.0,
             effective,
             gap_hist: LogHistogram::new(),
-            gap_energy_scratch,
+            gap_energy_scratch: gap_energy,
             scratch,
             power,
             power_key: effective,
-            power_shares: Vec::with_capacity(capacity),
-            shares: Vec::with_capacity(capacity),
-            claims: Vec::with_capacity(capacity),
-            weights: Vec::with_capacity(capacity),
+            power_shares,
+            shares,
+            claims,
+            weights,
             cluster_cores,
             trace: self.template.trace.clone(),
             ids: self.template.ids,
-            stage: self.template.stage.clone(),
+            stage,
             busy_s: 0.0,
             overlap_s: 0.0,
             idle_s: 0.0,
@@ -693,8 +737,10 @@ impl ScenarioRunner {
 
     /// Closes out a finished cell: final trace sample, summary
     /// statistics, result assembly — everything [`ScenarioRunner::run`]
-    /// used to do after its loop.
-    pub(crate) fn finish_cell(&self, mut sim: CellSim) -> ScenarioResult {
+    /// used to do after its loop. Returns the cell's buffers beside the
+    /// result, for the next cell [`ScenarioRunner::prepare_cell`]
+    /// builds.
+    pub(crate) fn finish_cell(&self, mut sim: CellSim) -> (ScenarioResult, CellBuffers) {
         // Drain staged samples before the closing records touch the
         // same channels (per-channel time order must hold), then take
         // the final sample that closes the trace.
@@ -736,14 +782,50 @@ impl ScenarioRunner {
             zone_trips: sim.zone_trips,
             apps: sim.completed,
         };
-        ScenarioResult {
+        let result = ScenarioResult {
             summary,
             trace: sim.trace,
             timed_out: sim.timed_out,
             kernel: sim.scratch.obs,
             gap_len_ms: sim.gap_hist,
-        }
+        };
+        let buffers = CellBuffers {
+            scratch: sim.scratch,
+            gap_energy: sim.gap_energy_scratch,
+            events: sim.events,
+            queue: sim.queue,
+            active: sim.active,
+            shares: sim.shares,
+            power_shares: sim.power_shares,
+            claims: sim.claims,
+            weights: sim.weights,
+            stage: sim.stage,
+        };
+        (result, buffers)
     }
+}
+
+/// One cell's scratch buffers: the step scratch and the gap-energy
+/// vector, the sorted timeline and the queue, the active set with its
+/// share, claim and weight vectors, and the sample stage.
+///
+/// [`ScenarioRunner::finish_cell`] hands them back beside the result,
+/// and a sweep worker passes them to the next cell it starts, so a cell
+/// reuses its predecessor's allocations instead of freeing and
+/// requesting them again. A default set holds no allocation; that is
+/// what [`ScenarioRunner::run`] passes.
+#[derive(Default)]
+pub(crate) struct CellBuffers {
+    scratch: StepScratch,
+    gap_energy: Vec<f64>,
+    events: Vec<TimedEvent>,
+    queue: VecDeque<QueuedJob>,
+    active: Vec<ActiveJob>,
+    shares: Vec<CoRunShare>,
+    power_shares: Vec<CoRunShare>,
+    claims: Vec<ResourceClaim>,
+    weights: Vec<f64>,
+    stage: SampleStage,
 }
 
 /// What every run on one board starts from, built once: the
@@ -1673,8 +1755,9 @@ mod tests {
         // sample, the timeout far off), so a releasing zone alone ends
         // its spans.
         let mut runner = ScenarioRunner::new(Approach::Ondemand);
+        let idle = Scenario::new("idle");
         let mut sim = runner
-            .prepare_cell(&Scenario::new("idle"))
+            .prepare_cell(&idle, "idle", None, None, CellBuffers::default())
             .expect("prepares");
         sim.next_sample = f64::INFINITY;
         // A span starting at `tick` (where the zone is polled first, as
@@ -1763,9 +1846,11 @@ mod tests {
         let mut a = ScenarioRunner::new(Approach::Teem);
         let mut b = ScenarioRunner::new(Approach::Teem);
         let ra = a.run(&sc).expect("runs");
-        let mut sim = b.prepare_cell(&sc).expect("prepares");
+        let mut sim = b
+            .prepare_cell(&sc, "one", None, None, CellBuffers::default())
+            .expect("prepares");
         while b.step_cell(&mut sim, false).expect("steps") {}
-        let rb = b.finish_cell(sim);
+        let (rb, _) = b.finish_cell(sim);
         assert_eq!(ra.summary, rb.summary);
         assert_eq!(ra.trace.digest(), rb.trace.digest());
         assert_eq!(ra.kernel.steps, rb.kernel.steps);

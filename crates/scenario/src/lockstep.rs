@@ -836,13 +836,19 @@ pub(crate) fn run_cell_lockstep(
     scenario: &crate::scenario::Scenario,
     k: usize,
 ) -> Result<crate::exec::ScenarioResult, teem_linreg::LinregError> {
-    let mut sim = runner.prepare_cell(scenario)?;
+    let mut sim = runner.prepare_cell(
+        scenario,
+        scenario.name(),
+        None,
+        None,
+        crate::exec::CellBuffers::default(),
+    )?;
     loop {
         if eligible_for_lockstep(&sim) {
             break;
         }
         if !runner.step_cell(&mut sim, false)? {
-            return Ok(runner.finish_cell(sim));
+            return Ok(runner.finish_cell(sim).0);
         }
     }
     // Built from the warmed cell's own board, so the harness drives
@@ -861,7 +867,7 @@ pub(crate) fn run_cell_lockstep(
     let mut runner = r.runner;
     let mut sim = r.sim;
     while runner.step_cell(&mut sim, true)? {}
-    Ok(runner.finish_cell(sim))
+    Ok(runner.finish_cell(sim).0)
 }
 
 #[cfg(test)]
@@ -889,7 +895,9 @@ mod tests {
     fn ineligible_cell_is_returned_at_admission() {
         let sc = Scenario::new("one").arrive(0.0, App::Mvt, 0.9);
         let mut runner = ScenarioRunner::new(Approach::Teem);
-        let sim = runner.prepare_cell(&sc).expect("prepares");
+        let sim = runner
+            .prepare_cell(&sc, "one", None, None, crate::exec::CellBuffers::default())
+            .expect("prepares");
         // Fresh cell: nothing active yet, so not eligible.
         assert!(!eligible_for_lockstep(&sim));
         let reference = teem_soc::Board::odroid_xu4_ideal();

@@ -50,6 +50,10 @@ pub(crate) struct WorkerObs {
     pub backpressure_ns: u64,
     /// Per-cell wall time, nanoseconds.
     pub cell_wall: LogHistogram,
+    /// Wall time of each cell's set-up (`prepare_cell`), nanoseconds.
+    pub cell_prepare: LogHistogram,
+    /// Wall time of each cell's close-out (`finish_cell`), nanoseconds.
+    pub cell_finish: LogHistogram,
     /// Step-loop accumulator merged across every cell this worker ran.
     pub kernel: StepObs,
     /// Fast-forwarded idle-gap lengths (milliseconds) merged across
@@ -88,6 +92,8 @@ impl WorkerObs {
             busy_ns: 0,
             backpressure_ns: 0,
             cell_wall: LogHistogram::new(),
+            cell_prepare: LogHistogram::new(),
+            cell_finish: LogHistogram::new(),
             kernel: StepObs::default(),
             gap_len_ms: LogHistogram::new(),
             lanes_entered: 0,
@@ -106,6 +112,16 @@ impl WorkerObs {
     /// clocks overlap and cannot be summed.
     pub fn bank_busy(&mut self, t0: Instant) {
         self.busy_ns = self.busy_ns.saturating_add(ns_since(t0));
+    }
+
+    /// Records a cell's set-up that began at `t0`.
+    pub fn record_prepare(&mut self, t0: Instant) {
+        self.cell_prepare.record(ns_since(t0));
+    }
+
+    /// Records a cell's close-out that began at `t0`.
+    pub fn record_finish(&mut self, t0: Instant) {
+        self.cell_finish.record(ns_since(t0));
     }
 
     /// Banks time spent blocked on a full event channel.
@@ -251,6 +267,8 @@ impl SweepObsReport {
                 if wall_s > 0.0 { busy_s / wall_s } else { 0.0 },
             );
             registry.merge_histogram("cell.wall_ns", &w.cell_wall);
+            registry.merge_histogram("cell.prepare_ns", &w.cell_prepare);
+            registry.merge_histogram("cell.finish_ns", &w.cell_finish);
             registry.merge_histogram("engine.gap_len_ms", &w.gap_len_ms);
             registry.merge_histogram("batch.lane_occupancy", &w.lane_occupancy);
             kernel.merge(&w.kernel);
@@ -592,6 +610,36 @@ mod tests {
         assert_eq!(w.cell_wall.count(), 1);
         assert_eq!(w.trace.len(), 1);
         assert_eq!(w.trace.events()[0].tid, 3);
+    }
+
+    #[test]
+    fn instrumented_sweeps_time_each_cells_prepare_and_finish() {
+        use crate::scenario::Scenario;
+        use crate::sweep::{ConfigPatch, SweepSpec};
+        use teem_workload::App;
+
+        let spec = SweepSpec::over([Scenario::new("a").arrive(0.0, App::Mvt, 0.9)])
+            .thresholds_c(&[80.0, 84.0, 88.0])
+            .ambients_c(&[20.0, 30.0])
+            .patch_config(ConfigPatch {
+                timeout_s: Some(1.0),
+                ..ConfigPatch::default()
+            })
+            .threads(1);
+        for spec in [spec.clone(), spec.batch(4)] {
+            let (stats, report) = spec.run_instrumented(|_| {}).expect("sweep runs");
+            let snap = report.snapshot();
+            for name in ["cell.prepare_ns", "cell.finish_ns"] {
+                let h = snap
+                    .histogram(name)
+                    .unwrap_or_else(|| panic!("{name} missing"));
+                assert_eq!(
+                    h.count, stats.completed as u64,
+                    "{name}: one sample per cell"
+                );
+                assert!(h.max > 0, "{name}: a cell takes time");
+            }
+        }
     }
 
     #[test]

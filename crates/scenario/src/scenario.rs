@@ -14,6 +14,14 @@ use teem_workload::App;
 /// unless a scenario event or per-app override says otherwise.
 pub const DEFAULT_THRESHOLD_C: f64 = 85.0;
 
+/// The default-threshold change a threshold sweep puts at `t = 0`.
+fn initial_threshold_event(threshold_c: f64) -> TimedEvent {
+    TimedEvent {
+        at_s: 0.0,
+        event: ScenarioEvent::ThresholdChange { threshold_c },
+    }
+}
+
 /// A named timeline of [`ScenarioEvent`]s with an initial ambient
 /// temperature.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,22 +79,20 @@ impl Scenario {
             threshold_c.is_finite() && (40.0..=120.0).contains(&threshold_c),
             "threshold {threshold_c} out of plausible range"
         );
-        if let Some(first) = self.events.first_mut() {
-            if first.at_s == 0.0 {
-                if let ScenarioEvent::ThresholdChange { threshold_c: t } = &mut first.event {
-                    *t = threshold_c;
-                    return self;
-                }
-            }
+        if self.leads_with_threshold_change() {
+            self.events[0].event = ScenarioEvent::ThresholdChange { threshold_c };
+        } else {
+            self.events.insert(0, initial_threshold_event(threshold_c));
         }
-        self.events.insert(
-            0,
-            TimedEvent {
-                at_s: 0.0,
-                event: ScenarioEvent::ThresholdChange { threshold_c },
-            },
-        );
         self
+    }
+
+    /// `true` when the first event declared is a threshold change at
+    /// `t = 0`, which [`Scenario::with_initial_threshold`] replaces.
+    fn leads_with_threshold_change(&self) -> bool {
+        self.events.first().is_some_and(|e| {
+            e.at_s == 0.0 && matches!(e.event, ScenarioEvent::ThresholdChange { .. })
+        })
     }
 
     /// Adds an event at `at_s` seconds.
@@ -125,9 +131,34 @@ impl Scenario {
     /// order, so simultaneous arrivals queue in the order they were
     /// declared).
     pub fn sorted_events(&self) -> Vec<TimedEvent> {
-        let mut evs = self.events.clone();
-        evs.sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).expect("finite times"));
+        let mut evs = Vec::with_capacity(self.events.len());
+        self.sorted_events_into(None, &mut evs);
         evs
+    }
+
+    /// [`Scenario::sorted_events`] into `out`, reusing its allocation,
+    /// with `initial_threshold_c` applied as
+    /// [`Scenario::with_initial_threshold`] applies it: the same events
+    /// in the same order as `with_initial_threshold` followed by
+    /// `sorted_events`, without cloning the scenario.
+    pub(crate) fn sorted_events_into(
+        &self,
+        initial_threshold_c: Option<f64>,
+        out: &mut Vec<TimedEvent>,
+    ) {
+        out.clear();
+        match initial_threshold_c {
+            Some(threshold_c) if self.leads_with_threshold_change() => {
+                out.extend_from_slice(&self.events);
+                out[0].event = ScenarioEvent::ThresholdChange { threshold_c };
+            }
+            Some(threshold_c) => {
+                out.push(initial_threshold_event(threshold_c));
+                out.extend_from_slice(&self.events);
+            }
+            None => out.extend_from_slice(&self.events),
+        }
+        out.sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).expect("finite times"));
     }
 
     /// Number of events on the timeline.
@@ -348,6 +379,47 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sorted_events_into_applies_a_threshold_as_the_builder_does() {
+        let shapes = [
+            Scenario::new("empty"),
+            Scenario::new("one").arrive(0.0, App::Mvt, 0.9),
+            Scenario::new("late")
+                .arrive(3.0, App::Mvt, 0.9)
+                .at(0.0, ScenarioEvent::ThresholdChange { threshold_c: 70.0 }),
+            Scenario::new("leading")
+                .at(0.0, ScenarioEvent::ThresholdChange { threshold_c: 70.0 })
+                .arrive(0.0, App::Syrk, 0.9),
+            Scenario::new("signed-zero")
+                .at(-0.0, ScenarioEvent::ThresholdChange { threshold_c: 70.0 })
+                .arrive(1.0, App::Gemm, 0.9),
+            Scenario::new("unsorted")
+                .arrive(5.0, App::Mvt, 0.9)
+                .arrive(0.0, App::Gesummv, 0.9)
+                .at(2.0, ScenarioEvent::AmbientChange { ambient_c: 30.0 }),
+        ];
+        // A reused buffer: stale events from the last shape must go.
+        let mut out = vec![TimedEvent {
+            at_s: 9.0,
+            event: ScenarioEvent::AmbientChange { ambient_c: 40.0 },
+        }];
+        let bits = |evs: &[TimedEvent]| -> Vec<(u64, String)> {
+            evs.iter()
+                .map(|e| (e.at_s.to_bits(), format!("{:?}", e.event)))
+                .collect()
+        };
+        for s in &shapes {
+            for threshold in [None, Some(82.5)] {
+                s.sorted_events_into(threshold, &mut out);
+                let built = match threshold {
+                    Some(t) => s.clone().with_initial_threshold(t),
+                    None => s.clone(),
+                };
+                assert_eq!(bits(&out), bits(&built.sorted_events()), "{}", s.name());
+            }
+        }
+    }
 
     #[test]
     fn sorted_events_are_stable_at_equal_times() {

@@ -5,11 +5,11 @@
 //! A [`SweepSpec`] names the axes — scenarios × approaches ×
 //! [`ContentionPolicy`] × initial threshold × ambient ×
 //! [`TeemTunables`] × board — and enumerates their cartesian
-//! product *lazily*: a cell is materialised (scenario cloned, knobs
-//! applied) only on the worker that executes it, so a ten-thousand-cell
-//! grid costs ten-thousand-cell memory **never** — the engine's resident
-//! state is O(workers), and whoever consumes the [`SweepEvent`] stream
-//! decides what to keep.
+//! product *lazily*: a cell is materialised (its knobs applied to its
+//! base scenario's timeline) only on the worker that executes it, so a
+//! ten-thousand-cell grid costs ten-thousand-cell memory **never** —
+//! the engine's resident state is O(workers), and whoever consumes the
+//! [`SweepEvent`] stream decides what to keep.
 //!
 //! Execution is a pool over [`std::thread::scope`] sharing one claim
 //! cursor over the work list: each worker takes the next cell with one
@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::arbiter::ContentionPolicy;
-use crate::exec::{CellTemplate, ScenarioResult, ScenarioRunner, SimConfig};
+use crate::exec::{CellBuffers, CellSim, CellTemplate, ScenarioResult, ScenarioRunner, SimConfig};
 use crate::lockstep::LockstepPool;
 use crate::obs::{RunObs, SweepObsReport, WorkerObs};
 use crate::scenario::Scenario;
@@ -1050,30 +1050,23 @@ impl SweepSpec {
             .collect())
     }
 
-    /// Starts one cell: materialises its scenario (name, threshold,
-    /// ambient overrides), builds its configured runner on the run's
-    /// shared profiles and its board's cell template, prepares it and
-    /// steps it on the scalar loop, panics caught. With `admit` set the
-    /// cell stops at the first lockstep-eligible step boundary;
-    /// otherwise, or if it never becomes eligible, it runs to
-    /// completion — exactly [`ScenarioRunner::run`]'s calls.
+    /// Starts one cell: builds its configured runner on the run's
+    /// shared profiles and its board's cell template, prepares it from
+    /// its base scenario with the cell's name, threshold and ambient
+    /// overrides and a buffer set from `spare`, and steps it on the
+    /// scalar loop, panics caught. With `admit` set the cell stops at
+    /// the first lockstep-eligible step boundary; otherwise, or if it
+    /// never becomes eligible, it runs to completion — exactly
+    /// [`ScenarioRunner::run`]'s calls — and gives its buffers back.
     fn start_cell(
         &self,
         cell: &SweepCell,
         shared: &SweepShared,
-        instrument: bool,
         admit: bool,
+        spare: &mut SpareBuffers,
+        wobs: &mut Option<WorkerObs>,
     ) -> CellStart {
-        let mut scenario = self.scenarios[cell.scenario_index].clone();
-        if cell.name != scenario.name() {
-            scenario = scenario.with_name(cell.name.clone());
-        }
-        if let Some(t) = cell.threshold_c {
-            scenario = scenario.with_initial_threshold(t);
-        }
-        if let Some(a) = cell.ambient_c {
-            scenario = scenario.with_initial_ambient(a);
-        }
+        let scenario = &self.scenarios[cell.scenario_index];
         let template = shared
             .templates
             .iter()
@@ -1087,15 +1080,27 @@ impl SweepSpec {
         .with_contention(cell.contention)
         .with_tunables(cell.tunables)
         .with_config(shared.config)
-        .with_step_timing(instrument);
+        .with_step_timing(wobs.is_some());
+        let buffers = spare.take();
         catch_cell(move || {
-            let mut sim = runner.prepare_cell(&scenario)?;
+            let t0 = clock(wobs);
+            let mut sim = runner.prepare_cell(
+                scenario,
+                &cell.name,
+                cell.threshold_c,
+                cell.ambient_c,
+                buffers,
+            )?;
+            if let (Some(w), Some(t0)) = (wobs.as_mut(), t0) {
+                w.record_prepare(t0);
+            }
             loop {
                 if admit && crate::lockstep::eligible_for_lockstep(&sim) {
                     return Ok(CellStart::Eligible(Box::new((runner, sim))));
                 }
                 if !runner.step_cell(&mut sim, !admit)? {
-                    return Ok(CellStart::Done(Box::new(runner.finish_cell(sim))));
+                    let result = finish_cell(&runner, sim, spare, wobs);
+                    return Ok(CellStart::Done(Box::new(result)));
                 }
             }
         })
@@ -1129,6 +1134,10 @@ impl SweepSpec {
         let mut lockstep = self
             .batch
             .map(|k| LockstepPool::new(k, &Board::odroid_xu4_ideal().thermal, instrument));
+        // Finished cells' buffer sets for the cells this worker starts
+        // next. A worker holds at most one cell per lane plus the one it
+        // is starting or holding, so it never has more sets than that.
+        let mut spare = SpareBuffers::new(self.batch.unwrap_or(0) + 1);
         // Cells resident in the pool with their start instants, keyed
         // by cell index (≤ K entries; linear scans are fine).
         let mut in_flight: Vec<(SweepCell, Option<Instant>)> = Vec::new();
@@ -1163,7 +1172,8 @@ impl SweepSpec {
                             break;
                         }
                         let started = clock(&wobs);
-                        let start = self.start_cell(&cell, shared, instrument, lockstep.is_some());
+                        let admit = lockstep.is_some();
+                        let start = self.start_cell(&cell, shared, admit, &mut spare, &mut wobs);
                         bank_busy(&mut wobs, started);
                         (cell, started, start)
                     }
@@ -1195,7 +1205,7 @@ impl SweepSpec {
                             // topology; a refused cell runs scalar.
                             Err((runner, sim, _)) => {
                                 let busy_t0 = clock(&wobs);
-                                let outcome = finish_scalar(runner, sim);
+                                let outcome = finish_scalar(runner, sim, &mut spare, &mut wobs);
                                 bank_busy(&mut wobs, busy_t0);
                                 outcome
                             }
@@ -1230,7 +1240,8 @@ impl SweepSpec {
                 for token in pool.evict_all() {
                     let (cell, started) = take_in_flight(&mut in_flight, token);
                     let busy_t0 = clock(&wobs);
-                    let outcome = match self.start_cell(&cell, shared, instrument, false) {
+                    let start = self.start_cell(&cell, shared, false, &mut spare, &mut wobs);
+                    let outcome = match start {
                         CellStart::Done(result) => Ok(*result),
                         CellStart::Failed(message) => Err(message),
                         CellStart::Eligible(_) => unreachable!("lane admission is off"),
@@ -1251,7 +1262,7 @@ impl SweepSpec {
             let busy_t0 = clock(&wobs);
             for r in retired.drain(..) {
                 let (cell, started) = take_in_flight(&mut in_flight, r.token);
-                let outcome = finish_scalar(r.runner, r.sim);
+                let outcome = finish_scalar(r.runner, r.sim, &mut spare, &mut wobs);
                 finished.push((cell, started, r.steps_at_entry, outcome));
             }
             let mut traces: Vec<&mut Trace> = finished
@@ -1353,7 +1364,38 @@ fn fold_pool_obs(wobs: &mut Option<WorkerObs>, pool: &LockstepPool) {
 }
 
 /// A suspended, lockstep-eligible cell: its runner and simulation.
-type EligibleCell = Box<(ScenarioRunner, crate::exec::CellSim)>;
+type EligibleCell = Box<(ScenarioRunner, CellSim)>;
+
+/// A worker's spare [`CellBuffers`]: each finished cell's set, handed to
+/// the next cell the worker starts. Holds at most `cap` sets and drops
+/// a set given back past that; a failed or evicted cell drops its own.
+struct SpareBuffers {
+    sets: Vec<CellBuffers>,
+    cap: usize,
+}
+
+impl SpareBuffers {
+    fn new(cap: usize) -> Self {
+        SpareBuffers {
+            sets: Vec::with_capacity(cap),
+            cap,
+        }
+    }
+
+    /// The most recently returned set, or an empty one, which allocates
+    /// as its cell first uses it.
+    fn take(&mut self) -> CellBuffers {
+        self.sets.pop().unwrap_or_default()
+    }
+
+    /// Keeps a finished cell's set for a later cell, unless `cap` sets
+    /// are already spare.
+    fn give(&mut self, buffers: CellBuffers) {
+        if self.sets.len() < self.cap {
+            self.sets.push(buffers);
+        }
+    }
+}
 
 /// How a started cell came out of [`SweepSpec::start_cell`].
 enum CellStart {
@@ -1381,17 +1423,36 @@ fn catch_cell<T>(
 }
 
 /// Drives a suspended cell to completion on the scalar path, panics
-/// caught. A cell whose timeline already completed in-pool terminates
-/// on the first `step_cell` call, so completion and divergence share
-/// this one exit.
+/// caught, and gives its buffers back to `spare`. A cell whose timeline
+/// already completed in-pool terminates on the first `step_cell` call,
+/// so completion and divergence share this one exit.
 fn finish_scalar(
     mut runner: ScenarioRunner,
-    mut sim: crate::exec::CellSim,
+    mut sim: CellSim,
+    spare: &mut SpareBuffers,
+    wobs: &mut Option<WorkerObs>,
 ) -> Result<ScenarioResult, String> {
     catch_cell(move || {
         while runner.step_cell(&mut sim, true)? {}
-        Ok(runner.finish_cell(sim))
+        Ok(finish_cell(&runner, sim, spare, wobs))
     })
+}
+
+/// Closes out a finished cell, timed into the worker's collector when
+/// it is instrumented, and gives the cell's buffers back to `spare`.
+fn finish_cell(
+    runner: &ScenarioRunner,
+    sim: CellSim,
+    spare: &mut SpareBuffers,
+    wobs: &mut Option<WorkerObs>,
+) -> ScenarioResult {
+    let t0 = clock(wobs);
+    let (result, buffers) = runner.finish_cell(sim);
+    if let (Some(w), Some(t0)) = (wobs.as_mut(), t0) {
+        w.record_finish(t0);
+    }
+    spare.give(buffers);
+    result
 }
 
 /// Reads the clock only when the worker is instrumented: an

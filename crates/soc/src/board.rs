@@ -138,10 +138,13 @@ impl BoardSpec {
 /// that depends on the ambient or the sensors, so a sweep builds one
 /// template per board and every cell clones it
 /// ([`BoardTemplate::instantiate`]). The clone is bit-identical to
-/// [`BoardSpec::build_with`] at the same ambient and sensor bank, and it
-/// already holds the factors. The template's own board is private and
-/// never stepped, sampled or cooled, so no run's state can reach
-/// another's.
+/// [`BoardSpec::build_with`] at the same ambient and sensor bank. It
+/// shares the template's immutable parts — the thermal network with
+/// its LU factors and spectral basis, and the OPP tables — and
+/// allocates only its per-run state: the node temperatures and the
+/// Euler scratch. The template's own board is private and never
+/// stepped, sampled or cooled, and the shared parts never change, so no
+/// run's state can reach another's.
 #[derive(Debug)]
 pub struct BoardTemplate {
     spec: BoardSpec,

@@ -262,7 +262,12 @@ impl Simulation {
             gpu_items > 0.0,
             chars.activity,
         );
-        warm_start(&mut self.board, &initial_load, WARM_START_FRACTION);
+        warm_start(
+            &mut self.board,
+            &initial_load,
+            WARM_START_FRACTION,
+            &mut scratch,
+        );
 
         let mut meter = crate::meter::SmartPowerMeter::new();
         let mut trace = Trace::with_channels(TRACE_CHANNELS);
@@ -495,13 +500,22 @@ pub struct StepScratch {
 impl StepScratch {
     /// Scratch sized for `board`'s thermal network.
     pub fn for_board(board: &Board) -> Self {
+        let mut scratch = StepScratch::default();
+        scratch.reset_for(board);
+        scratch
+    }
+
+    /// Makes this scratch what [`StepScratch::for_board`] builds for
+    /// `board` — zeroed buffers of its node count and a default
+    /// [`StepObs`] — keeping the buffers' allocations: a finished run's
+    /// scratch, reused for the next run on any board.
+    pub fn reset_for(&mut self, board: &Board) {
         let n = board.thermal.len();
-        StepScratch {
-            power: vec![0.0; n],
-            rhs: vec![0.0; n],
-            steady: vec![0.0; n],
-            obs: StepObs::default(),
+        for v in [&mut self.power, &mut self.rhs, &mut self.steady] {
+            v.clear();
+            v.resize(n, 0.0);
         }
+        self.obs = StepObs::default();
     }
 }
 
@@ -880,19 +894,33 @@ const WARM_START_CEILING_C: f64 = 80.0;
 /// settled to that power's steady state, then clamped to the 80 °C
 /// ceiling and floored at the ambient temperature.
 ///
+/// Evaluates in `scratch`, allocating nothing: `steady` holds the
+/// uniform evaluation temperatures and `power` the scaled load, which
+/// it keeps. Both are scratch the step loop overwrites before reading.
+///
 /// [`Simulation::run`] passes its initial operating point and
 /// [`WARM_START_FRACTION`]; the scenario executor passes its first
 /// arrival's plan at the same fraction, or the idle board at 1.0.
-pub fn warm_start(board: &mut Board, load: &NodePowerModel, fraction: f64) {
-    let n = board.thermal.len();
-    let mut power = vec![0.0; n];
-    load.eval_into(&vec![WARM_START_EVAL_C; n], &mut power);
-    for p in &mut power {
+///
+/// # Panics
+///
+/// Panics if `scratch` is not sized for `board`
+/// ([`StepScratch::for_board`]).
+pub fn warm_start(
+    board: &mut Board,
+    load: &NodePowerModel,
+    fraction: f64,
+    scratch: &mut StepScratch,
+) {
+    let StepScratch { power, steady, .. } = scratch;
+    steady.fill(WARM_START_EVAL_C);
+    load.eval_into(steady, power);
+    for p in power.iter_mut() {
         *p *= fraction;
     }
-    board.thermal.warm_start(&power);
+    board.thermal.warm_start(power);
     let ambient = board.thermal.ambient_c();
-    for i in 0..n {
+    for i in 0..board.thermal.len() {
         let t = board.thermal.temp(i);
         board
             .thermal

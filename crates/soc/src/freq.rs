@@ -7,6 +7,7 @@
 //! (2)'s design-point count depends on exactly these sizes: 19 × 13 × 7.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A clock frequency in megahertz.
 ///
@@ -56,18 +57,22 @@ impl Opp {
 }
 
 /// An ascending table of OPPs for one voltage/frequency domain.
+///
+/// The entries are immutable and shared: a clone copies one pointer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OppTable {
-    opps: Vec<Opp>,
+    opps: Arc<[Opp]>,
 }
 
 impl OppTable {
-    /// Builds a table from OPPs.
+    /// Builds a table from OPPs: a `Vec`, or a shared slice collected
+    /// straight from an iterator.
     ///
     /// # Panics
     ///
     /// Panics if `opps` is empty or not strictly ascending in frequency.
-    pub fn new(opps: Vec<Opp>) -> Self {
+    pub fn new(opps: impl Into<Arc<[Opp]>>) -> Self {
+        let opps = opps.into();
         assert!(!opps.is_empty(), "OPP table must not be empty");
         for w in opps.windows(2) {
             assert!(
@@ -164,7 +169,7 @@ pub fn linear_ramp(start: u32, end: u32, step_mhz: u32, v_min_mv: u32, v_max_mv:
                 volt_mv: v_min_mv + ((v_max_mv - v_min_mv) as f64 * frac).round() as u32,
             }
         })
-        .collect();
+        .collect::<Arc<[Opp]>>();
     OppTable::new(opps)
 }
 
@@ -191,7 +196,7 @@ pub fn mali_opp_table() -> OppTable {
                 freq: MHz(f),
                 volt_mv: v,
             })
-            .collect(),
+            .collect::<Arc<[Opp]>>(),
     )
 }
 

@@ -17,7 +17,7 @@
 use crate::fastexp::{exp_exact, exp_exact_block};
 use crate::power::NodePowerModel;
 use crate::simd::{F64xN, LANES};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use teem_linreg::{
     eigen::sym_eigen,
     solve::{lu_factor, Lu},
@@ -58,6 +58,19 @@ struct CoolingPlan {
     b: Vec<f64>,          // modal-forcing scratch
 }
 
+/// What a thermal network never changes after
+/// [`ThermalModelBuilder::build`]: its nodes' names, capacities and
+/// conductances, and the LU factors derived from them on first use. A
+/// model holds it behind one [`Arc`], so every clone shares it.
+#[derive(Debug)]
+struct Network {
+    names: Vec<String>,
+    capacitance: Vec<f64>, // J/°C per node
+    conductance: Vec<f64>, // bitwise-symmetric node-to-node W/°C, n×n
+    to_ambient: Vec<f64>,  // node-to-ambient W/°C
+    steady: OnceLock<Lu>,  // lazy LU factors of G + G_amb for steady_state
+}
+
 /// A lumped RC thermal network.
 ///
 /// The conductance matrix is stored in one flat `n × n` allocation
@@ -69,18 +82,20 @@ struct CoolingPlan {
 /// slice of row `j`.
 /// The Euler integrator keeps a persistent derivative scratch buffer and
 /// allocates nothing.
+///
+/// The network itself (names, capacities, conductances, and the LU
+/// factors computed from them on first use) is immutable and shared: a
+/// clone copies only the per-run state — the node temperatures, the
+/// derivative scratch, the ambient — and the model's own
+/// [`ThermalModel::cool_to`] plan, once it has one.
 #[derive(Debug, Clone)]
 pub struct ThermalModel {
-    names: Vec<String>,
-    capacitance: Vec<f64>, // J/°C per node
-    conductance: Vec<f64>, // bitwise-symmetric node-to-node W/°C, n×n
-    to_ambient: Vec<f64>,  // node-to-ambient W/°C
-    temps: Vec<f64>,       // current temperature per node, °C
-    deriv: Vec<f64>,       // Euler scratch, reused across sub-steps
+    net: Arc<Network>,
+    temps: Vec<f64>, // current temperature per node, °C
+    deriv: Vec<f64>, // Euler scratch, reused across sub-steps
     ambient_c: f64,
     max_stable_dt: f64,
     plan: Option<CoolingPlan>, // lazy spectral cache for cool_to
-    steady: OnceLock<Lu>,      // lazy LU factors of G + G_amb for steady_state
 }
 
 /// Where an Euler sub-step reads each node's injected power, watts.
@@ -214,16 +229,18 @@ impl ThermalModelBuilder {
             0.1
         };
         ThermalModel {
-            names: self.names.clone(),
-            capacitance: self.capacitance.clone(),
-            conductance: g,
-            to_ambient: self.to_ambient.clone(),
+            net: Arc::new(Network {
+                names: self.names.clone(),
+                capacitance: self.capacitance.clone(),
+                conductance: g,
+                to_ambient: self.to_ambient.clone(),
+                steady: OnceLock::new(),
+            }),
             temps: self.initial_c.clone(),
             deriv: vec![0.0; n],
             ambient_c: self.ambient_c,
             max_stable_dt,
             plan: None,
-            steady: OnceLock::new(),
         }
     }
 }
@@ -231,17 +248,17 @@ impl ThermalModelBuilder {
 impl ThermalModel {
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.temps.len()
     }
 
     /// `true` when the model has no nodes (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.temps.is_empty()
     }
 
     /// Node names in id order.
     pub fn names(&self) -> &[String] {
-        &self.names
+        &self.net.names
     }
 
     /// Current temperature of a node, °C.
@@ -393,10 +410,11 @@ impl ThermalModel {
     #[inline(always)]
     fn node_blocked_euler(&mut self, n: usize, h: f64, powers: NodePowers<'_>) {
         let ambient = self.ambient_c;
-        let g = &self.conductance[..n * n];
+        let net = &*self.net;
+        let g = &net.conductance[..n * n];
         let (cap, g_amb, powers) = (
-            &self.capacitance[..n],
-            &self.to_ambient[..n],
+            &net.capacitance[..n],
+            &net.to_ambient[..n],
             powers.prefix(n),
         );
         let temps = &mut self.temps[..n];
@@ -438,8 +456,8 @@ impl ThermalModel {
     ///
     /// The conductance matrix never changes after
     /// [`ThermalModelBuilder::build`], so the first call LU-factorises
-    /// it once for the network, and a clone keeps any factors already
-    /// computed; every call then costs one `O(n²)` solve. Ambient only
+    /// it once for the network and every clone of the model shares the
+    /// factors; every call then costs one `O(n²)` solve. Ambient only
     /// enters the right-hand side, so [`ThermalModel::set_ambient_c`]
     /// leaves the factors valid.
     ///
@@ -451,11 +469,11 @@ impl ThermalModel {
         assert_eq!(power_w.len(), self.len());
         let b: Vec<f64> = power_w
             .iter()
-            .zip(&self.to_ambient)
+            .zip(&self.net.to_ambient)
             .map(|(&p, &g_amb)| p + g_amb * self.ambient_c)
             .collect();
-        self.steady
-            .get_or_init(|| self.factor_conductance())
+        self.net
+            .steady_lu()
             .solve(&b)
             .expect("dimensions match by construction")
     }
@@ -469,40 +487,23 @@ impl ThermalModel {
     /// Panics if any slice's length differs from the node count, or if
     /// the conductance system is singular.
     pub fn steady_state_into(&self, power_w: &[f64], rhs: &mut [f64], out: &mut [f64]) {
-        for len in [power_w.len(), rhs.len(), out.len()] {
-            assert_eq!(len, self.len());
-        }
-        for (b, (&p, &g_amb)) in rhs.iter_mut().zip(power_w.iter().zip(&self.to_ambient)) {
-            *b = p + g_amb * self.ambient_c;
-        }
-        self.steady
-            .get_or_init(|| self.factor_conductance())
-            .solve_into(rhs, out)
-            .expect("dimensions match by construction");
-    }
-
-    /// LU factors of the steady-state system matrix `G + G_amb`.
-    fn factor_conductance(&self) -> Lu {
-        let n = self.len();
-        let mut a = Matrix::zeros(n, n);
-        for i in 0..n {
-            let mut diag = self.to_ambient[i];
-            for j in 0..n {
-                if i != j {
-                    let g = self.conductance[i * n + j];
-                    a[(i, j)] = -g;
-                    diag += g;
-                }
-            }
-            a[(i, i)] = diag;
-        }
-        lu_factor(&a).expect("thermal network must be connected to ambient")
+        self.net
+            .steady_state_into(self.ambient_c, power_w, rhs, out);
     }
 
     /// Sets every node to its steady state for the given power — a "warm
-    /// start" as if the board idled long enough to equilibrate.
+    /// start" as if the board idled long enough to equilibrate. Solves
+    /// in place, with the derivative scratch holding the right-hand
+    /// side: the bits of [`ThermalModel::steady_state`], and no
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `power_w.len() != self.len()`, or if the conductance
+    /// system is singular.
     pub fn warm_start(&mut self, power_w: &[f64]) {
-        self.temps = self.steady_state(power_w);
+        self.net
+            .steady_state_into(self.ambient_c, power_w, &mut self.deriv, &mut self.temps);
     }
 
     /// Largest Euler step the network tolerates (informational).
@@ -519,24 +520,24 @@ impl ThermalModel {
     pub fn conductance_w_per_c(&self, a: NodeId, b: NodeId) -> f64 {
         let n = self.len();
         assert!(a < n && b < n, "unknown node");
-        self.conductance[a * n + b]
+        self.net.conductance[a * n + b]
     }
 
     /// Per-node heat capacities (J/°C) in id order — the batched SoA
     /// mirror ([`crate::ThermalBatch`]) splats these across lanes.
     pub fn capacitances_j_per_c(&self) -> &[f64] {
-        &self.capacitance
+        &self.net.capacitance
     }
 
     /// Per-node node-to-ambient conductances (W/°C) in id order.
     pub fn ambient_conductances_w_per_c(&self) -> &[f64] {
-        &self.to_ambient
+        &self.net.to_ambient
     }
 
     /// The full flattened row-major `n × n` conductance matrix (W/°C,
     /// symmetric, structurally-zero diagonal).
     pub fn conductance_matrix(&self) -> &[f64] {
-        &self.conductance
+        &self.net.conductance
     }
 
     /// Builds (once) the spectral decomposition behind
@@ -549,13 +550,14 @@ impl ThermalModel {
         }
         let n = self.len();
         let mut s = Matrix::zeros(n, n);
-        let c_sqrt: Vec<f64> = self.capacitance.iter().map(|&c| c.sqrt()).collect();
+        let net = &*self.net;
+        let c_sqrt: Vec<f64> = net.capacitance.iter().map(|&c| c.sqrt()).collect();
         let c_inv_sqrt: Vec<f64> = c_sqrt.iter().map(|&c| 1.0 / c).collect();
         for i in 0..n {
-            let mut diag = self.to_ambient[i];
+            let mut diag = net.to_ambient[i];
             for j in 0..n {
                 if i != j {
-                    let g = self.conductance[i * n + j];
+                    let g = net.conductance[i * n + j];
                     diag += g;
                     s[(i, j)] = -g * c_inv_sqrt[i] * c_inv_sqrt[j];
                 }
@@ -629,10 +631,10 @@ impl ThermalModel {
             return;
         }
         self.ensure_plan();
-        let n = self.names.len();
+        let n = self.len();
         let ThermalModel {
+            net,
             temps,
-            to_ambient,
             ambient_c,
             plan,
             ..
@@ -648,7 +650,7 @@ impl ThermalModel {
             b,
         } = plan.as_mut().expect("plan ensured above");
         let full = n - n % LANES;
-        for (f, (&p, &g_amb)) in forcing.iter_mut().zip(power_w.iter().zip(&*to_ambient)) {
+        for (f, (&p, &g_amb)) in forcing.iter_mut().zip(power_w.iter().zip(&net.to_ambient)) {
             *f = p + g_amb * *ambient_c;
         }
         // Modal transform: y = Qᵀ C^{1/2} T, b = Qᵀ C^{-1/2} (P + G_amb·T_amb),
@@ -743,6 +745,45 @@ impl ThermalModel {
     }
 }
 
+impl Network {
+    /// The steady-state system's LU factors, factorised on first use.
+    fn steady_lu(&self) -> &Lu {
+        self.steady.get_or_init(|| self.factor_conductance())
+    }
+
+    /// The steady state at `ambient_c` under `power_w` into `out`, with
+    /// the right-hand side assembled in `rhs`.
+    fn steady_state_into(&self, ambient_c: f64, power_w: &[f64], rhs: &mut [f64], out: &mut [f64]) {
+        for len in [power_w.len(), rhs.len(), out.len()] {
+            assert_eq!(len, self.names.len());
+        }
+        for (b, (&p, &g_amb)) in rhs.iter_mut().zip(power_w.iter().zip(&self.to_ambient)) {
+            *b = p + g_amb * ambient_c;
+        }
+        self.steady_lu()
+            .solve_into(rhs, out)
+            .expect("dimensions match by construction");
+    }
+
+    /// LU factors of the steady-state system matrix `G + G_amb`.
+    fn factor_conductance(&self) -> Lu {
+        let n = self.names.len();
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            let mut diag = self.to_ambient[i];
+            for j in 0..n {
+                if i != j {
+                    let g = self.conductance[i * n + j];
+                    a[(i, j)] = -g;
+                    diag += g;
+                }
+            }
+            a[(i, i)] = diag;
+        }
+        lu_factor(&a).expect("thermal network must be connected to ambient")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,6 +834,21 @@ mod tests {
         m.warm_start(&[2.0, 0.0]);
         let ss = m.steady_state(&[2.0, 0.0]);
         assert_eq!(m.temps(), ss.as_slice());
+    }
+
+    #[test]
+    fn clones_share_the_network_and_its_factors() {
+        let mut a = toy();
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.net, &b.net));
+        assert!(b.net.steady.get().is_none());
+        // Factors built through one clone serve the other.
+        a.warm_start(&[1.0, 0.0]);
+        assert!(b.net.steady.get().is_some());
+        // The per-run state and the cooling plan are each clone's own.
+        a.cool_to(1.0, 25.0, &[1.0, 0.0]);
+        assert_eq!(b.temps(), [25.0, 25.0]);
+        assert!(a.plan.is_some() && b.plan.is_none());
     }
 
     #[test]
@@ -1153,13 +1209,13 @@ mod oracle {
         fn of(m: &ThermalModel) -> Self {
             let n = m.len();
             let mut s = Matrix::zeros(n, n);
-            let c_sqrt: Vec<f64> = m.capacitance.iter().map(|&c| c.sqrt()).collect();
+            let c_sqrt: Vec<f64> = m.net.capacitance.iter().map(|&c| c.sqrt()).collect();
             let c_inv_sqrt: Vec<f64> = c_sqrt.iter().map(|&c| 1.0 / c).collect();
             for i in 0..n {
-                let mut diag = m.to_ambient[i];
+                let mut diag = m.net.to_ambient[i];
                 for j in 0..n {
                     if i != j {
-                        let g = m.conductance[i * n + j];
+                        let g = m.net.conductance[i * n + j];
                         diag += g;
                         s[(i, j)] = -g * c_inv_sqrt[i] * c_inv_sqrt[j];
                     }
@@ -1197,7 +1253,8 @@ mod oracle {
                 for i in 0..n {
                     let qik = self.q[i * n + k];
                     yk += qik * self.c_sqrt[i] * m.temps[i];
-                    bk += qik * self.c_inv_sqrt[i] * (power_w[i] + m.to_ambient[i] * m.ambient_c);
+                    bk +=
+                        qik * self.c_inv_sqrt[i] * (power_w[i] + m.net.to_ambient[i] * m.ambient_c);
                 }
                 y[k] = yk;
                 b[k] = bk;

@@ -352,7 +352,10 @@ proptest! {
         ambient in 15.0..40.0f64,
         warmth in 0.0..1.0f64,
     ) {
-        use teem_soc::{warm_start, BoardSpec, ClusterFreqs, CoRunShare, CpuMapping, NodePowerModel};
+        use teem_soc::{
+            warm_start, BoardSpec, ClusterFreqs, CoRunShare, CpuMapping, NodePowerModel,
+            StepScratch,
+        };
 
         let busy = |flags: u32| (flags & 1 == 1, flags & 2 == 2);
         let specs = [
@@ -393,7 +396,8 @@ proptest! {
                 NodePowerModel::co_run(&board, &co_run, freqs),
                 NodePowerModel::idle(&board, freqs),
             ];
-            warm_start(&mut board, &models[0], warmth);
+            let mut scratch = StepScratch::for_board(&board);
+            warm_start(&mut board, &models[0], warmth, &mut scratch);
             let n = board.thermal.len();
             for (m, model) in models.iter().enumerate() {
                 for dt in [0.01, 1.0] {

@@ -33,26 +33,34 @@ impl SeriesStats {
         if series.is_empty() {
             return None;
         }
-        let values = series.values();
-        let times = series.times();
-        let n = values.len();
-        let mean = values.iter().sum::<f64>() / n as f64;
-        let variance = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-        let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        // The samples in place: the sums run in time order, as over
+        // copied value and time vectors.
+        let samples = series.iter().as_slice();
+        let n = samples.len();
+        let mean = samples.iter().map(|s| s.v).sum::<f64>() / n as f64;
+        let variance = samples
+            .iter()
+            .map(|s| (s.v - mean) * (s.v - mean))
+            .sum::<f64>()
+            / n as f64;
+        let min = samples.iter().map(|s| s.v).fold(f64::INFINITY, f64::min);
+        let max = samples
+            .iter()
+            .map(|s| s.v)
+            .fold(f64::NEG_INFINITY, f64::max);
 
         // Time-weighted moments: hold each value until the next sample.
         let (tw_mean, tw_variance) = if n >= 2 {
-            let total: f64 = times[n - 1] - times[0];
+            let total: f64 = samples[n - 1].t - samples[0].t;
             if total > 0.0 {
                 let mut m = 0.0;
-                for i in 0..n - 1 {
-                    m += values[i] * (times[i + 1] - times[i]);
+                for w in samples.windows(2) {
+                    m += w[0].v * (w[1].t - w[0].t);
                 }
                 m /= total;
                 let mut var = 0.0;
-                for i in 0..n - 1 {
-                    var += (values[i] - m) * (values[i] - m) * (times[i + 1] - times[i]);
+                for w in samples.windows(2) {
+                    var += (w[0].v - m) * (w[0].v - m) * (w[1].t - w[0].t);
                 }
                 (m, var / total)
             } else {
@@ -64,10 +72,10 @@ impl SeriesStats {
 
         // Slope metrics over consecutive samples.
         let (mut sum_slope, mut max_slope, mut slopes) = (0.0, 0.0_f64, 0usize);
-        for i in 0..n.saturating_sub(1) {
-            let dt = times[i + 1] - times[i];
+        for w in samples.windows(2) {
+            let dt = w[1].t - w[0].t;
             if dt > 0.0 {
-                let s = ((values[i + 1] - values[i]) / dt).abs();
+                let s = ((w[1].v - w[0].v) / dt).abs();
                 sum_slope += s;
                 max_slope = max_slope.max(s);
                 slopes += 1;

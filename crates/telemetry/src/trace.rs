@@ -35,10 +35,27 @@ pub struct ChannelId(usize);
 /// the staged channels* between pushes and the flush would reorder them
 /// — flush first (other channels are unaffected; the trace only orders
 /// time per channel).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct SampleStage {
     ids: Vec<ChannelId>,
     rows: Vec<f64>,
+}
+
+impl Clone for SampleStage {
+    fn clone(&self) -> Self {
+        SampleStage {
+            ids: self.ids.clone(),
+            rows: self.rows.clone(),
+        }
+    }
+
+    /// Copies `source`'s columns and rows into this stage's buffers,
+    /// keeping their allocations: a drained stage made a copy of a
+    /// template's allocates nothing once its buffers are large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.ids.clone_from(&source.ids);
+        self.rows.clone_from(&source.rows);
+    }
 }
 
 /// Rows buffered before [`SampleStage::is_full`] reports true: sized so
