@@ -2,6 +2,8 @@
 //! plus the in-place power model and the combined physics step kernel
 //! (power + integration), i.e. exactly what one `dt` of simulated time
 //! costs. The `it/s` column is the steps/sec throughput figure. The
+//! `*_two_chains_*` and `*_fold32_*` rows price two latency-bound
+//! chains in flight against the fused step's one. The
 //! `*_gap_*` rows time one idle gap both ways: the event-driven
 //! closed-form fast-forward and fixed-dt stepping.
 
@@ -11,6 +13,7 @@ use teem_soc::{
     fast_forward_gap, Board, BoardSpec, ClusterFreqs, CpuMapping, MHz, NodePowerModel, StepScratch,
     DT_S,
 };
+use teem_telemetry::Fnv;
 use teem_workload::App;
 
 /// The idle gap the `*_gap_*` rows cross, seconds.
@@ -81,6 +84,42 @@ fn main() {
                 .thermal
                 .step_frozen(black_box(0.01), &model, &mut scratch.power)
         });
+    }
+
+    // Two latency-bound chains in flight, as the unbatched sweep worker
+    // runs them: two boards stepped in turn (two cells' spans), and one
+    // step beside a 32-byte FNV-1a fold (a finished cell's digest,
+    // two samples per turn). Each chain carries across iterations.
+    // Against the fused row, the first shows whether two chains fill a
+    // step's latency, the second whether a fold hides behind a step.
+    // The line after them gives the first per step.
+    let model = NodePowerModel::single_app(&board, mapping, freqs, true, true, activity);
+    let mut boards = [board.clone(), board.clone()];
+    let mut scratches = [
+        StepScratch::for_board(&board),
+        StepScratch::for_board(&board),
+    ];
+    let two_chains = "physics_step_frozen_two_chains_xu4";
+    r.bench(two_chains, || {
+        let [a, b] = &mut boards;
+        let [sa, sb] = &mut scratches;
+        a.thermal
+            .step_frozen(black_box(0.01), &model, &mut sa.power)
+            + b.thermal
+                .step_frozen(black_box(0.01), &model, &mut sb.power)
+    });
+    let mut folded = board.clone();
+    let mut fnv = Fnv::new();
+    let digest_bytes = [0x5a_u8; 32];
+    r.bench("physics_step_frozen_fold32_xu4", || {
+        fnv.bytes(black_box(&digest_bytes));
+        let substeps = folded
+            .thermal
+            .step_frozen(black_box(0.01), &model, &mut scratch.power);
+        (substeps, fnv.finish())
+    });
+    if let Some(pair) = r.results().iter().find(|b| b.name == two_chains) {
+        println!("{two_chains}: {:.1} ns per step", pair.best_ns / 2.0);
     }
 
     // The full physics step kernel with the operating point re-derived

@@ -497,6 +497,10 @@ impl ScenarioRunner {
     /// bits single steps would. The lockstep warm-up passes `false`, so
     /// a cell reaches lane admission on the same step either way.
     ///
+    /// This is [`ScenarioRunner::begin_step`] followed by
+    /// [`CellSim::span_step`] until the span ends; a sweep worker that
+    /// keeps two cells in flight calls the two halves itself.
+    ///
     /// # Errors
     ///
     /// Propagates a profiling (regression) failure for an arriving app.
@@ -505,6 +509,31 @@ impl ScenarioRunner {
         sim: &mut CellSim,
         span: bool,
     ) -> Result<bool, teem_linreg::LinregError> {
+        Ok(match self.begin_step(sim, span)? {
+            StepBegin::Finished => false,
+            StepBegin::Stepped => true,
+            StepBegin::Span(mut open) => {
+                while !sim.span_step(&mut open) {}
+                true
+            }
+        })
+    }
+
+    /// The phases of one step-loop iteration that run once per call:
+    /// timeline events, launches, termination checks, sensing, gap
+    /// fast-forward, control and actuation. Leaves the cell finished, a
+    /// whole idle gap stepped, or the span of tails
+    /// [`ScenarioRunner::step_cell`] describes open, with its end tick
+    /// (one step on unless `span` is set) and its progress terms.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a profiling (regression) failure for an arriving app.
+    pub(crate) fn begin_step(
+        &mut self,
+        sim: &mut CellSim,
+        span: bool,
+    ) -> Result<StepBegin, teem_linreg::LinregError> {
         // --- Timeline events due at this instant ---
         while sim.next_ev < sim.events.len() && sim.events[sim.next_ev].at_s <= sim.t + 1e-9 {
             let ev = sim.events[sim.next_ev];
@@ -607,11 +636,11 @@ impl ScenarioRunner {
 
         // --- Termination: every arrival admitted and completed ---
         if sim.active.is_empty() && sim.queue.is_empty() && sim.next_ev >= sim.arrivals_end {
-            return Ok(false);
+            return Ok(StepBegin::Finished);
         }
         if sim.t >= sim.timeout_s {
             sim.timed_out = true;
-            return Ok(false);
+            return Ok(StepBegin::Finished);
         }
 
         // --- Sensing (trace cadence) ---
@@ -697,7 +726,7 @@ impl ScenarioRunner {
                 // O(gap).
                 sim.zone
                     .catch_up(sim.t - span_s, sim.t, gap_max_temp_estimate(&sim.board));
-                return Ok(true);
+                return Ok(StepBegin::Stepped);
             }
         }
 
@@ -722,17 +751,11 @@ impl ScenarioRunner {
         } else {
             sim.step_idx + 1
         };
-        let co_running = sim.progress_terms();
-        let mut first = true;
-        loop {
-            let flipped = sim.step_tail(co_running, first);
-            if flipped || sim.step_idx >= end_tick {
-                break;
-            }
-            first = false;
-        }
-
-        Ok(true)
+        Ok(StepBegin::Span(OpenSpan {
+            end_tick,
+            co_running: sim.progress_terms(),
+            first: true,
+        }))
     }
 
     /// Closes out a finished cell: final trace sample, summary
@@ -803,6 +826,31 @@ impl ScenarioRunner {
         };
         (result, buffers)
     }
+}
+
+/// How [`ScenarioRunner::begin_step`] left a step.
+pub(crate) enum StepBegin {
+    /// The loop is finished (timeline complete or timed out): the cell
+    /// goes to [`ScenarioRunner::finish_cell`].
+    Finished,
+    /// An idle gap was fast-forwarded whole; the step is complete.
+    Stepped,
+    /// Control and actuation ran: the span's tails are open, to be run
+    /// through [`CellSim::span_step`].
+    Span(OpenSpan),
+}
+
+/// An open span of step tails: where it ends at the latest, and the
+/// progress terms that hold throughout it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OpenSpan {
+    /// The span ends once the clock reaches this tick, or earlier,
+    /// after a step that flips a busy flag.
+    end_tick: u64,
+    /// Two or more apps co-run.
+    co_running: bool,
+    /// The next tail is the span's first.
+    first: bool,
 }
 
 /// One cell's scratch buffers: the step scratch and the gap-energy
@@ -1036,6 +1084,16 @@ impl CellSim {
             j.delay_s = DT_S * (1.0 - 1.0 / s);
         }
         self.active.len() >= 2
+    }
+
+    /// Runs one tail of an open span ([`CellSim::step_tail`]) and
+    /// returns `true` when that ends the span: its progress flipped a
+    /// busy flag, or the clock reached the span's end tick.
+    #[inline]
+    pub(crate) fn span_step(&mut self, span: &mut OpenSpan) -> bool {
+        let flipped = self.step_tail(span.co_running, span.first);
+        span.first = false;
+        flipped || self.step_idx >= span.end_tick
     }
 
     /// One step's tail: workload progress (slowed by shared-bandwidth

@@ -314,7 +314,10 @@ impl SweepObsReport {
         registry.set_named("engine.gap_fastforward_s", kernel.gap_fastforward_s);
 
         let workers = per_worker.len();
-        for w in per_worker {
+        // A worker holding several cells at once logs them as they
+        // finish; its track lists them as they started.
+        for mut w in per_worker {
+            w.trace.sort_by_ts();
             trace.extend(w.trace);
         }
         SweepObsReport {

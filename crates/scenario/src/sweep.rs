@@ -17,7 +17,10 @@
 //! slow scenario holds up only its own worker, never a queue of cells
 //! behind it. Every finished cell is sent through a bounded
 //! [`mpsc`](std::sync::mpsc) channel and handed to the caller's event
-//! sink *on the calling thread*, in completion order.
+//! sink *on the calling thread*, in completion order. An unbatched
+//! worker keeps two cells in flight and interleaves their span steps,
+//! so two latency-bound step chains overlap on one core; a batched one
+//! steps its cells in SIMD lockstep.
 //!
 //! A panicking cell (satellite of the PR 1 poisoned-mutex fix) is
 //! caught on the worker, reported as [`SweepEvent::CellFailed`] naming
@@ -37,7 +40,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::arbiter::ContentionPolicy;
-use crate::exec::{CellBuffers, CellSim, CellTemplate, ScenarioResult, ScenarioRunner, SimConfig};
+use crate::exec::{
+    CellBuffers, CellSim, CellTemplate, OpenSpan, ScenarioResult, ScenarioRunner, SimConfig,
+    StepBegin,
+};
 use crate::lockstep::LockstepPool;
 use crate::obs::{RunObs, SweepObsReport, WorkerObs};
 use crate::scenario::Scenario;
@@ -161,6 +167,12 @@ pub struct SweepCell {
 }
 
 /// One event on the sweep stream.
+///
+/// Cells start in claim order and complete in finishing order: a worker
+/// keeps several cells in flight (two unbatched, one per lane batched),
+/// so even at `threads(1)` a cell's [`SweepEvent::CellDone`] can arrive
+/// before that of a cell started earlier. Every cell's
+/// [`SweepEvent::CellStarted`] precedes its completion.
 #[derive(Debug)]
 pub enum SweepEvent {
     /// A worker picked up a cell.
@@ -475,14 +487,23 @@ impl SweepSpec {
         self
     }
 
-    /// Caps the worker count (1 ⇒ fully sequential in cell-index order,
-    /// useful for determinism A/B tests).
+    /// Caps the worker count (1 ⇒ one worker, which claims and starts
+    /// cells in cell-index order; useful for determinism A/B tests).
     ///
     /// With one worker the sweep spawns no thread: the cells run on the
     /// calling thread and the sink runs inline, between cells. Sink work
-    /// such as trace digests and journal writes therefore serialises
-    /// with the cells instead of overlapping them, and counts in every
-    /// cell's share of the wall clock.
+    /// such as journal writes therefore serialises with the cells
+    /// instead of overlapping them, and counts in every cell's share of
+    /// the wall clock.
+    ///
+    /// Each worker holds more than one cell at a time: unbatched, two,
+    /// whose span steps it interleaves, storing each finished cell's
+    /// trace digest beside its partner's steps before reporting it (so
+    /// a sink's [`Trace::digest`] returns the stored value); batched,
+    /// one per lane. Completions therefore arrive in finishing order,
+    /// even at `threads(1)`: a short cell claimed after a long one is
+    /// reported first. Results and digests do not depend on the worker
+    /// count; [`SweepSpec::run_collect`] restores cell-index order.
     ///
     /// # Panics
     ///
@@ -1050,22 +1071,19 @@ impl SweepSpec {
             .collect())
     }
 
-    /// Starts one cell: builds its configured runner on the run's
-    /// shared profiles and its board's cell template, prepares it from
-    /// its base scenario with the cell's name, threshold and ambient
-    /// overrides and a buffer set from `spare`, and steps it on the
-    /// scalar loop, panics caught. With `admit` set the cell stops at
-    /// the first lockstep-eligible step boundary; otherwise, or if it
-    /// never becomes eligible, it runs to completion — exactly
-    /// [`ScenarioRunner::run`]'s calls — and gives its buffers back.
-    fn start_cell(
+    /// Builds `cell`'s configured runner on the run's shared profiles
+    /// and its board's cell template, and prepares the cell from its
+    /// base scenario with the cell's name, threshold and ambient
+    /// overrides and a buffer set from `spare`, panics caught; the
+    /// set-up is timed into the worker's collector when it is
+    /// instrumented.
+    fn prepare(
         &self,
         cell: &SweepCell,
         shared: &SweepShared,
-        admit: bool,
         spare: &mut SpareBuffers,
         wobs: &mut Option<WorkerObs>,
-    ) -> CellStart {
+    ) -> Result<(ScenarioRunner, CellSim), String> {
         let scenario = &self.scenarios[cell.scenario_index];
         let template = shared
             .templates
@@ -1082,9 +1100,9 @@ impl SweepSpec {
         .with_config(shared.config)
         .with_step_timing(wobs.is_some());
         let buffers = spare.take();
-        catch_cell(move || {
+        let sim = catch_cell(|| {
             let t0 = clock(wobs);
-            let mut sim = runner.prepare_cell(
+            let sim = runner.prepare_cell(
                 scenario,
                 &cell.name,
                 cell.threshold_c,
@@ -1094,33 +1112,57 @@ impl SweepSpec {
             if let (Some(w), Some(t0)) = (wobs.as_mut(), t0) {
                 w.record_prepare(t0);
             }
-            loop {
-                if admit && crate::lockstep::eligible_for_lockstep(&sim) {
-                    return Ok(CellStart::Eligible(Box::new((runner, sim))));
-                }
-                if !runner.step_cell(&mut sim, !admit)? {
-                    let result = finish_cell(&runner, sim, spare, wobs);
-                    return Ok(CellStart::Done(Box::new(result)));
-                }
+            Ok(sim)
+        })?;
+        Ok((runner, sim))
+    }
+
+    /// Starts one cell: prepares it ([`SweepSpec::prepare`]) and steps
+    /// it on the scalar loop, panics caught. With `admit` set the cell
+    /// stops at the first lockstep-eligible step boundary; otherwise,
+    /// or if it never becomes eligible, it runs to completion — exactly
+    /// [`ScenarioRunner::run`]'s calls — and gives its buffers back.
+    fn start_cell(
+        &self,
+        cell: &SweepCell,
+        shared: &SweepShared,
+        admit: bool,
+        spare: &mut SpareBuffers,
+        wobs: &mut Option<WorkerObs>,
+    ) -> CellStart {
+        let (mut runner, mut sim) = match self.prepare(cell, shared, spare, wobs) {
+            Ok(prepared) => prepared,
+            Err(message) => return CellStart::Failed(message),
+        };
+        catch_cell(move || loop {
+            if admit && crate::lockstep::eligible_for_lockstep(&sim) {
+                return Ok(CellStart::Eligible(Box::new((runner, sim))));
+            }
+            if !runner.step_cell(&mut sim, !admit)? {
+                let result = finish_cell(&runner, sim, spare, wobs);
+                return Ok(CellStart::Done(Box::new(result)));
             }
         })
         .unwrap_or_else(CellStart::Failed)
     }
 
     /// The worker loop every sweep runs, sequential or pooled, batched
-    /// or not: claim cells through `next`, start each one, and hand its
+    /// or not: claim cells through `next`, run them, and hand their
     /// events to `emit`, which returns `false` once the consumer is
     /// gone and so stops the loop. The two call sites differ only in
     /// `emit`.
     ///
-    /// Unbatched, each claimed cell runs to completion as it starts. In
-    /// batch mode ([`SweepSpec::batch`]) a started cell that reaches
-    /// lockstep eligibility is admitted into a K-lane pool instead;
-    /// lockstep rounds then run while any lane is occupied, retiring
-    /// cells finish on the scalar path, and freed lanes refill from the
-    /// claim stream. An eligible cell of another board than the pool's
-    /// is held, and nothing is claimed, until the pool drains; the pool
-    /// is then rebuilt for its board.
+    /// Unbatched, the worker keeps up to [`SLOTS`] cells in flight and
+    /// interleaves their span steps ([`SlotWorker`]). A worker reports
+    /// each cell when it finishes, not when it was claimed, so even at
+    /// `threads(1)` completions arrive in finishing order; cells still
+    /// start in claim order. In batch mode ([`SweepSpec::batch`]) a
+    /// started cell that reaches lockstep eligibility is admitted into
+    /// a K-lane pool instead; lockstep rounds then run while any lane
+    /// is occupied, retiring cells finish on the scalar path, and freed
+    /// lanes refill from the claim stream. An eligible cell of another
+    /// board than the pool's is held, and nothing is claimed, until the
+    /// pool drains; the pool is then rebuilt for its board.
     fn worker_loop(
         &self,
         worker: usize,
@@ -1130,14 +1172,44 @@ impl SweepSpec {
         emit: &mut dyn FnMut(&mut Option<WorkerObs>, SweepEvent) -> bool,
     ) {
         let mut wobs = obs.map(|o| WorkerObs::new(worker, o.epoch));
+        match self.batch {
+            Some(k) => self.lockstep_worker(k, &mut wobs, shared, next, emit),
+            None => SlotWorker {
+                spec: self,
+                shared,
+                next,
+                emit,
+                wobs: &mut wobs,
+                spare: SpareBuffers::new(SLOTS),
+                dry: false,
+                dead: false,
+            }
+            .run(),
+        }
+        if let (Some(w), Some(o)) = (wobs, obs) {
+            o.collected
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push(w);
+        }
+    }
+
+    /// The batched branch of [`SweepSpec::worker_loop`]: a `k`-lane
+    /// lockstep pool, refilled from the claim stream.
+    fn lockstep_worker(
+        &self,
+        k: usize,
+        wobs: &mut Option<WorkerObs>,
+        shared: &SweepShared,
+        next: &dyn Fn() -> Option<usize>,
+        emit: &mut dyn FnMut(&mut Option<WorkerObs>, SweepEvent) -> bool,
+    ) {
         let instrument = wobs.is_some();
-        let mut lockstep = self
-            .batch
-            .map(|k| LockstepPool::new(k, &Board::odroid_xu4_ideal().thermal, instrument));
+        let mut pool = LockstepPool::new(k, &Board::odroid_xu4_ideal().thermal, instrument);
         // Finished cells' buffer sets for the cells this worker starts
         // next. A worker holds at most one cell per lane plus the one it
         // is starting or holding, so it never has more sets than that.
-        let mut spare = SpareBuffers::new(self.batch.unwrap_or(0) + 1);
+        let mut spare = SpareBuffers::new(k + 1);
         // Cells resident in the pool with their start instants, keyed
         // by cell index (≤ K entries; linear scans are fine).
         let mut in_flight: Vec<(SweepCell, Option<Instant>)> = Vec::new();
@@ -1149,10 +1221,9 @@ impl SweepSpec {
         let mut dead = false; // `emit` reported a gone consumer
 
         loop {
-            // Claim and start cells while a lane is free (always,
-            // unbatched: every cell finishes as it starts). A held cell
+            // Claim and start cells while a lane is free. A held cell
             // goes first and blocks claiming until it is admitted.
-            while !dead && lockstep.as_ref().is_none_or(LockstepPool::has_free_lane) {
+            while !dead && pool.has_free_lane() {
                 let (cell, started, start) = match held.take() {
                     Some((cell, started, boxed)) => (cell, started, CellStart::Eligible(boxed)),
                     None if dry => break,
@@ -1167,20 +1238,18 @@ impl SweepSpec {
                             name: cell.name.clone(),
                             approach: cell.approach,
                         };
-                        if !emit(&mut wobs, announce) {
+                        if !emit(wobs, announce) {
                             dead = true;
                             break;
                         }
-                        let started = clock(&wobs);
-                        let admit = lockstep.is_some();
-                        let start = self.start_cell(&cell, shared, admit, &mut spare, &mut wobs);
-                        bank_busy(&mut wobs, started);
+                        let started = clock(wobs);
+                        let start = self.start_cell(&cell, shared, true, &mut spare, wobs);
+                        bank_busy(wobs, started);
                         (cell, started, start)
                     }
                 };
                 let outcome = match start {
                     CellStart::Eligible(boxed) => {
-                        let pool = lockstep.as_mut().expect("only a lockstep worker admits");
                         // Board-axis boundary: a cell of another board
                         // waits until the pool has drained, then the SoA
                         // batch is rebuilt for its board (folding the
@@ -1192,8 +1261,8 @@ impl SweepSpec {
                                 held = Some((cell, started, boxed));
                                 break;
                             }
-                            fold_pool_obs(&mut wobs, pool);
-                            *pool = LockstepPool::new(pool.lanes(), thermal, instrument);
+                            fold_pool_obs(wobs, &pool);
+                            pool = LockstepPool::new(pool.lanes(), thermal, instrument);
                         }
                         let (runner, sim) = *boxed;
                         match pool.admit(runner, sim, cell.index) {
@@ -1204,9 +1273,9 @@ impl SweepSpec {
                             // Admission re-checks eligibility and
                             // topology; a refused cell runs scalar.
                             Err((runner, sim, _)) => {
-                                let busy_t0 = clock(&wobs);
-                                let outcome = finish_scalar(runner, sim, &mut spare, &mut wobs);
-                                bank_busy(&mut wobs, busy_t0);
+                                let busy_t0 = clock(wobs);
+                                let outcome = finish_scalar(runner, sim, &mut spare, wobs);
+                                bank_busy(wobs, busy_t0);
                                 outcome
                             }
                         }
@@ -1214,23 +1283,22 @@ impl SweepSpec {
                     CellStart::Done(result) => Ok(*result),
                     CellStart::Failed(message) => Err(message),
                 };
-                dead |= !report_cell(&mut wobs, emit, cell, started, outcome);
+                dead |= !report_cell(wobs, emit, cell, started, outcome);
             }
             // Nothing resident (or the consumer is gone, dropping the
             // cells still in flight): the worker is done.
-            let pool = match lockstep.as_mut() {
-                Some(pool) if !dead && !pool.is_empty() => pool,
-                _ => break,
-            };
+            if dead || pool.is_empty() {
+                break;
+            }
 
             // One lockstep round, panic-isolated: a panicking manager
             // or model must cost its own cells a scalar re-run, not the
             // grid. Lanes retired before the panic left the pool at
             // valid phase boundaries and finish normally.
-            let busy_t0 = clock(&wobs);
+            let busy_t0 = clock(wobs);
             let round =
                 std::panic::catch_unwind(AssertUnwindSafe(|| pool.step_round(&mut retired)));
-            bank_busy(&mut wobs, busy_t0);
+            bank_busy(wobs, busy_t0);
             if round.is_err() {
                 // Mid-round state is not a valid scalar boundary; the
                 // stuck cells re-run from scratch through the start
@@ -1239,15 +1307,10 @@ impl SweepSpec {
                 // CellStarted was already sent).
                 for token in pool.evict_all() {
                     let (cell, started) = take_in_flight(&mut in_flight, token);
-                    let busy_t0 = clock(&wobs);
-                    let start = self.start_cell(&cell, shared, false, &mut spare, &mut wobs);
-                    let outcome = match start {
-                        CellStart::Done(result) => Ok(*result),
-                        CellStart::Failed(message) => Err(message),
-                        CellStart::Eligible(_) => unreachable!("lane admission is off"),
-                    };
-                    bank_busy(&mut wobs, busy_t0);
-                    dead |= !report_cell(&mut wobs, emit, cell, started, outcome);
+                    let busy_t0 = clock(wobs);
+                    let outcome = self.rerun(&cell, shared, &mut spare, wobs);
+                    bank_busy(wobs, busy_t0);
+                    dead |= !report_cell(wobs, emit, cell, started, outcome);
                 }
             }
 
@@ -1259,10 +1322,10 @@ impl SweepSpec {
             // so completion and divergence share this code), store the
             // cohort's trace digests in one interleaved pass, then
             // report the cells in retirement order.
-            let busy_t0 = clock(&wobs);
+            let busy_t0 = clock(wobs);
             for r in retired.drain(..) {
                 let (cell, started) = take_in_flight(&mut in_flight, r.token);
-                let outcome = finish_scalar(r.runner, r.sim, &mut spare, &mut wobs);
+                let outcome = finish_scalar(r.runner, r.sim, &mut spare, wobs);
                 finished.push((cell, started, r.steps_at_entry, outcome));
             }
             let mut traces: Vec<&mut Trace> = finished
@@ -1270,26 +1333,35 @@ impl SweepSpec {
                 .filter_map(|(.., outcome)| outcome.as_mut().ok().map(|r| &mut r.trace))
                 .collect();
             Trace::seal_digests(&mut traces);
-            bank_busy(&mut wobs, busy_t0);
+            bank_busy(wobs, busy_t0);
             for (cell, started, steps_at_entry, outcome) in finished.drain(..) {
                 if let (Some(w), Ok(result)) = (wobs.as_mut(), &outcome) {
                     let in_pool = result.kernel.steps.saturating_sub(steps_at_entry);
                     w.record_lane_occupancy(result.kernel.batched_steps, in_pool);
                 }
-                dead |= !report_cell(&mut wobs, emit, cell, started, outcome);
+                dead |= !report_cell(wobs, emit, cell, started, outcome);
             }
         }
 
-        // Fold the pool's counters into the worker's collector and hand
-        // the collector to the run.
-        if let Some(pool) = &lockstep {
-            fold_pool_obs(&mut wobs, pool);
-        }
-        if let (Some(w), Some(o)) = (wobs, obs) {
-            o.collected
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(w);
+        // Fold the pool's counters into the worker's collector.
+        fold_pool_obs(wobs, &pool);
+    }
+
+    /// Re-runs a cell from scratch on the single-cell path, lane
+    /// admission off, after a panic left its state mid-step: a
+    /// deterministic panic reproduces there and fails the cell with its
+    /// payload.
+    fn rerun(
+        &self,
+        cell: &SweepCell,
+        shared: &SweepShared,
+        spare: &mut SpareBuffers,
+        wobs: &mut Option<WorkerObs>,
+    ) -> Result<ScenarioResult, String> {
+        match self.start_cell(cell, shared, false, spare, wobs) {
+            CellStart::Done(result) => Ok(*result),
+            CellStart::Failed(message) => Err(message),
+            CellStart::Eligible(_) => unreachable!("lane admission is off"),
         }
     }
 }
@@ -1401,11 +1473,303 @@ impl SpareBuffers {
 enum CellStart {
     /// Lockstep-eligible: the suspended simulation, ready to admit.
     Eligible(EligibleCell),
-    /// Ran to completion (unbatched, or a short or never-eligible
+    /// Ran to completion (admission off, or a short or never-eligible
     /// cell).
     Done(Box<ScenarioResult>),
     /// Failed or panicked.
     Failed(String),
+}
+
+/// Cells an unbatched worker keeps in flight. A span step is one
+/// latency-bound chain (temperatures → leakage → power → Euler), and so
+/// is a trace digest's FNV-1a fold; two chains in flight take a step
+/// from about 42 to 23 ns on the `thermal_step` bench's
+/// `physics_step_frozen_two_chains_xu4` row, and four only to about
+/// 18, while every further slot keeps another whole cell and trace
+/// resident.
+const SLOTS: usize = 2;
+
+/// Samples of a finished cell's trace digest one turn folds: 32 bytes
+/// of FNV-1a cost about one span step's latency
+/// (`physics_step_frozen_fold32_xu4`), so a fold and its partner's step
+/// take turns at one pace.
+const FOLD_SAMPLES: usize = 2;
+
+/// One cell an unbatched worker holds, with its claim instant.
+struct Slot {
+    cell: SweepCell,
+    started: Option<Instant>,
+    work: Work,
+}
+
+/// What a held cell needs next. The running cell stays unboxed: a
+/// worker holds its two slots in place, and a box would cost every cell
+/// one more allocation.
+#[allow(clippy::large_enum_variant)]
+enum Work {
+    /// Running: between spans (`span` is `None`, its next step begins
+    /// in the begin phase) or inside an open span.
+    Run {
+        runner: ScenarioRunner,
+        sim: CellSim,
+        span: Option<OpenSpan>,
+    },
+    /// Finished: its trace digest is being folded
+    /// ([`Trace::fold_digest`]) until it is `stored`; the cell is then
+    /// reported.
+    Fold {
+        result: ScenarioResult,
+        stored: bool,
+    },
+}
+
+impl Work {
+    /// Runs one unit: a step of the open span, or `samples` samples of
+    /// the digest. Returns `true` when that ends the slot's run of
+    /// units: the span is over, or the digest is stored.
+    #[inline(always)]
+    fn unit(&mut self, samples: usize) -> bool {
+        match self {
+            Work::Run {
+                sim,
+                span: Some(span),
+                ..
+            } => sim.span_step(span),
+            Work::Fold { result, .. } => result.trace.fold_digest(samples),
+            Work::Run { span: None, .. } => unreachable!("a settled slot has a unit to run"),
+        }
+    }
+
+    /// Ends this slot's run of units: its span is over, or its digest
+    /// is stored.
+    fn end_run(&mut self) {
+        match self {
+            Work::Run { span, .. } => *span = None,
+            Work::Fold { stored, .. } => *stored = true,
+        }
+    }
+}
+
+/// An unbatched sweep worker: up to [`SLOTS`] cells in flight.
+///
+/// A turn advances every slot by one unit: an open span by one step
+/// ([`CellSim::span_step`]), a finished cell's digest by
+/// [`FOLD_SAMPLES`] samples. The turns of two slots run in one loop, so
+/// the out-of-order core overlaps their latency-bound chains; the loop
+/// stops when either unit's run ends. The begin phase then runs one
+/// slot at a time: claiming and preparing a cell, beginning its next
+/// step ([`ScenarioRunner::begin_step`], which fast-forwards a whole
+/// idle gap), finishing it, and reporting it once its digest is
+/// stored, which the sink then reads instead of computing.
+///
+/// Each cell runs exactly the operations a run to completion would,
+/// so results and digests do not depend on its partner. A panic inside
+/// the joint loop leaves both cells mid-step; both re-run from scratch
+/// on the single-cell path, as lockstep pool recovery does.
+struct SlotWorker<'a> {
+    spec: &'a SweepSpec,
+    shared: &'a SweepShared,
+    next: &'a dyn Fn() -> Option<usize>,
+    emit: &'a mut dyn FnMut(&mut Option<WorkerObs>, SweepEvent) -> bool,
+    wobs: &'a mut Option<WorkerObs>,
+    /// One buffer set per slot.
+    spare: SpareBuffers,
+    /// `next` ran out of cells.
+    dry: bool,
+    /// `emit` reported a gone consumer.
+    dead: bool,
+}
+
+impl SlotWorker<'_> {
+    fn run(mut self) {
+        let mut slots: [Option<Slot>; SLOTS] = [None, None];
+        loop {
+            for slot in &mut slots {
+                self.settle(slot);
+            }
+            // Nothing held (or the consumer is gone, dropping the cells
+            // still in flight): the worker is done.
+            if self.dead || slots.iter().all(Option::is_none) {
+                return;
+            }
+            let busy_t0 = clock(self.wobs);
+            let turns = std::panic::catch_unwind(AssertUnwindSafe(|| run_turns(&mut slots)));
+            bank_busy(self.wobs, busy_t0);
+            match turns {
+                Ok(ended) => {
+                    for (slot, ended) in slots.iter_mut().zip(ended) {
+                        if let (true, Some(slot)) = (ended, slot) {
+                            slot.work.end_run();
+                        }
+                    }
+                }
+                Err(_) => {
+                    for slot in &mut slots {
+                        let Some(Slot { cell, started, .. }) = slot.take() else {
+                            continue;
+                        };
+                        let busy_t0 = clock(self.wobs);
+                        let outcome =
+                            self.spec
+                                .rerun(&cell, self.shared, &mut self.spare, self.wobs);
+                        bank_busy(self.wobs, busy_t0);
+                        self.report(cell, started, outcome);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The begin phase of one slot: brings it to a unit the joint loop
+    /// can run (an open span, or a digest still folding), claiming,
+    /// preparing, beginning, finishing and reporting cells on the way.
+    /// Leaves the slot empty once nothing is left to claim.
+    fn settle(&mut self, slot: &mut Option<Slot>) {
+        while !self.dead {
+            let Some(held) = slot else {
+                *slot = self.claim();
+                if slot.is_none() {
+                    return;
+                }
+                continue;
+            };
+            match &mut held.work {
+                Work::Run { span: Some(_), .. } | Work::Fold { stored: false, .. } => return,
+                Work::Run {
+                    runner,
+                    sim,
+                    span: span @ None,
+                } => {
+                    let busy_t0 = clock(self.wobs);
+                    let begun = catch_cell(|| runner.begin_step(sim, true));
+                    bank_busy(self.wobs, busy_t0);
+                    match begun {
+                        Ok(StepBegin::Span(open)) => *span = Some(open),
+                        Ok(StepBegin::Stepped) => {}
+                        Ok(StepBegin::Finished) => self.finish(slot),
+                        Err(message) => {
+                            let held = slot.take().expect("slot holds a cell");
+                            self.report(held.cell, held.started, Err(message));
+                        }
+                    }
+                }
+                Work::Fold { stored: true, .. } => {
+                    let Some(Slot {
+                        cell,
+                        started,
+                        work: Work::Fold { result, .. },
+                    }) = slot.take()
+                    else {
+                        unreachable!("the slot holds a folded cell");
+                    };
+                    self.report(cell, started, Ok(result));
+                }
+            }
+        }
+    }
+
+    /// Claims the next cell, announces it and prepares it; a cell that
+    /// fails to prepare is reported and the next one claimed. `None`
+    /// once the claim stream runs dry or the consumer is gone.
+    fn claim(&mut self) -> Option<Slot> {
+        while !self.dry && !self.dead {
+            let Some(index) = (self.next)() else {
+                self.dry = true;
+                break;
+            };
+            let cell = self.spec.cell(index);
+            let announce = SweepEvent::CellStarted {
+                index,
+                name: cell.name.clone(),
+                approach: cell.approach,
+            };
+            if !(self.emit)(self.wobs, announce) {
+                self.dead = true;
+                break;
+            }
+            let started = clock(self.wobs);
+            let prepared = self
+                .spec
+                .prepare(&cell, self.shared, &mut self.spare, self.wobs);
+            bank_busy(self.wobs, started);
+            match prepared {
+                Ok((runner, sim)) => {
+                    return Some(Slot {
+                        cell,
+                        started,
+                        work: Work::Run {
+                            runner,
+                            sim,
+                            span: None,
+                        },
+                    })
+                }
+                Err(message) => self.report(cell, started, Err(message)),
+            }
+        }
+        None
+    }
+
+    /// Closes out the finished cell in `slot`, panics caught, and leaves
+    /// it folding its digest; a cell whose close-out fails is reported.
+    fn finish(&mut self, slot: &mut Option<Slot>) {
+        let Some(Slot {
+            cell,
+            started,
+            work: Work::Run { runner, sim, .. },
+        }) = slot.take()
+        else {
+            unreachable!("only a running cell finishes");
+        };
+        let busy_t0 = clock(self.wobs);
+        let finished = catch_cell(|| Ok(finish_cell(&runner, sim, &mut self.spare, self.wobs)));
+        bank_busy(self.wobs, busy_t0);
+        match finished {
+            Ok(result) => {
+                *slot = Some(Slot {
+                    cell,
+                    started,
+                    work: Work::Fold {
+                        result,
+                        stored: false,
+                    },
+                });
+            }
+            Err(message) => self.report(cell, started, Err(message)),
+        }
+    }
+
+    /// Reports a cell's outcome; marks the worker dead once the
+    /// consumer is gone.
+    fn report(
+        &mut self,
+        cell: SweepCell,
+        started: Option<Instant>,
+        outcome: Result<ScenarioResult, String>,
+    ) {
+        self.dead |= !report_cell(self.wobs, self.emit, cell, started, outcome);
+    }
+}
+
+/// Runs turns of every held slot's unit until one slot's run of units
+/// ends; returns which slots' runs ended. A lone slot runs its span to
+/// its end, or folds its digest whole.
+fn run_turns(slots: &mut [Option<Slot>; SLOTS]) -> [bool; SLOTS] {
+    match slots {
+        [Some(a), Some(b)] => loop {
+            #[cfg(test)]
+            tests::joint_fault();
+            let ended = [a.work.unit(FOLD_SAMPLES), b.work.unit(FOLD_SAMPLES)];
+            if ended[0] || ended[1] {
+                return ended;
+            }
+        },
+        [Some(lone), None] | [None, Some(lone)] => {
+            while !lone.work.unit(usize::MAX) {}
+            [slots[0].is_some(), slots[1].is_some()]
+        }
+        [None, None] => [false; SLOTS],
+    }
 }
 
 /// Runs one cell's execution segment with panics caught, turning an
@@ -1748,6 +2112,154 @@ mod tests {
         let err = spec.run_collect().expect_err("poison cell fails");
         let msg = err.to_string();
         assert!(msg.contains("poison"), "{msg}");
+    }
+
+    thread_local! {
+        /// When set, the joint loop of a worker on this thread panics
+        /// after this many more two-slot turns, once.
+        static JOINT_FAULT: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// The joint loop's fault hook (see [`JOINT_FAULT`]).
+    pub(super) fn joint_fault() {
+        JOINT_FAULT.with(|fault| match fault.get() {
+            Some(0) => {
+                fault.set(None);
+                panic!("injected joint-loop fault");
+            }
+            Some(n) => fault.set(Some(n - 1)),
+            None => {}
+        });
+    }
+
+    /// A long two-arrival scenario: its cell runs beside another for
+    /// many span steps.
+    fn long_scenario(name: &str) -> Scenario {
+        Scenario::new(name)
+            .arrive(0.0, App::Syrk, 0.9)
+            .arrive(2.0, App::Covariance, 0.9)
+    }
+
+    /// `scenario`'s summary and trace digest from a standalone run.
+    fn solo(scenario: &Scenario) -> (teem_telemetry::ScenarioSummary, u64) {
+        let result = ScenarioRunner::new(Approach::Teem)
+            .run(scenario)
+            .expect("solo run");
+        (result.summary, result.trace.digest())
+    }
+
+    #[test]
+    fn a_cell_panicking_mid_run_fails_alone_beside_its_partner() {
+        // The poisoned cell runs for 5 s before its second arrival's
+        // 500 °C threshold panics; at threads(1) its partner runs in the
+        // other slot all that time, and carries on alone afterwards.
+        let poison = Scenario::new("poison").arrive(0.0, App::Mvt, 0.9).at(
+            5.0,
+            ScenarioEvent::Arrival(AppRequest::new(App::Mvt, 0.9).with_threshold(500.0)),
+        );
+        let good = long_scenario("good");
+        let expected = solo(&good);
+        let spec = SweepSpec::over([poison, good]).threads(1);
+        let mut failed = Vec::new();
+        let mut done = Vec::new();
+        let stats = spec
+            .run_streaming(|ev| match ev {
+                SweepEvent::CellFailed { name, message, .. } => failed.push((name, message)),
+                SweepEvent::CellDone { cell, result } => {
+                    done.push((cell.name, result.summary, result.trace.digest()));
+                }
+                _ => {}
+            })
+            .expect("profiling fine");
+        assert_eq!((stats.completed, stats.failed), (1, 1));
+        let [(name, message)] = failed.as_slice() else {
+            panic!("one failure, got {failed:?}");
+        };
+        assert_eq!(name, "poison");
+        assert!(message.contains("out of plausible range"), "{message}");
+        let [(name, summary, digest)] = done.as_slice() else {
+            panic!("one completion");
+        };
+        assert_eq!(name, "good");
+        assert_eq!((summary, *digest), (&expected.0, expected.1));
+        assert!(summary.makespan_s > 5.0, "the good cell outlives the panic");
+    }
+
+    #[test]
+    fn a_joint_loop_panic_reruns_both_cells_from_scratch() {
+        let scenarios = [long_scenario("a"), long_scenario("b")];
+        let expected: Vec<_> = scenarios.iter().map(solo).collect();
+        let spec = SweepSpec::over(scenarios).threads(1);
+        let mut results = vec![None, None];
+        JOINT_FAULT.with(|f| f.set(Some(300)));
+        let (stats, report) = spec
+            .run_instrumented(|ev| {
+                if let SweepEvent::CellDone { cell, result } = ev {
+                    results[cell.index] = Some((result.summary, result.trace.digest()));
+                }
+            })
+            .expect("runs");
+        assert_eq!(
+            JOINT_FAULT.with(std::cell::Cell::get),
+            None,
+            "the fault fired inside the joint loop"
+        );
+        assert_eq!((stats.completed, stats.failed), (2, 0));
+        let snap = report.snapshot();
+        let count = |name: &str| snap.histogram(name).map(|h| h.count);
+        assert_eq!(
+            count("cell.prepare_ns"),
+            Some(4),
+            "both cells prepared twice"
+        );
+        assert_eq!(count("cell.wall_ns"), Some(2), "each cell reported once");
+        for (result, expected) in results.into_iter().zip(expected) {
+            assert_eq!(result, Some(expected));
+        }
+    }
+
+    #[test]
+    fn an_instrumented_two_slot_worker_accounts_for_every_cell_once() {
+        // Uneven cells, so the two slots finish out of claim order.
+        let spec = SweepSpec::over([
+            long_scenario("long"),
+            Scenario::new("short").arrive(0.0, App::Mvt, 0.9),
+            Scenario::new("late").arrive(1.5, App::Gesummv, 0.9),
+        ])
+        .thresholds_c(&[80.0, 85.0])
+        .patch_config(ConfigPatch {
+            time_advance: Some(teem_soc::TimeAdvance::EventDriven),
+            ..ConfigPatch::default()
+        })
+        .threads(1);
+        let plain = spec.run_collect().expect("runs");
+        let mut digests = vec![0; spec.cells()];
+        let (stats, report) = spec
+            .run_instrumented(|ev| {
+                if let SweepEvent::CellDone { cell, result } = ev {
+                    digests[cell.index] = result.trace.digest();
+                }
+            })
+            .expect("runs");
+        assert_eq!(stats.completed, spec.cells());
+        for (plain, digest) in plain.iter().zip(&digests) {
+            assert_eq!(plain.trace.digest(), *digest, "instrumenting moves no bits");
+        }
+        let snap = report.snapshot();
+        for name in ["cell.prepare_ns", "cell.finish_ns", "cell.wall_ns"] {
+            let h = snap.histogram(name).expect("registered");
+            assert_eq!(h.count, stats.cells as u64, "{name}: one sample per cell");
+        }
+        // Step timing ran, and every timed phase lies inside busy time:
+        // the span steps the joint loop ran are banked with the rest.
+        let k = &report.kernel;
+        assert!(k.thermal_ns > 0 && k.power_ns > 0 && k.control_ns > 0);
+        let timed = k.thermal_ns + k.power_ns + k.control_ns + k.sample_ns + k.trace_ns;
+        assert!(
+            report.busy_ns >= timed,
+            "busy {} ns < timed phases {timed} ns",
+            report.busy_ns
+        );
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! uncounted first, so the memoised offline profiles are in place.
 //!
 //! What keeps a cell lean: each board's network, LU factors and OPP
-//! tables are shared by every board cloned from its template, and a
-//! worker hands a finished cell's scratch buffers to the next cell it
-//! starts. Before both, a batched cell here made 64.7 allocation
-//! calls and an unbatched one 64.3.
+//! tables are shared by every board cloned from its template, a worker
+//! hands a finished cell's scratch buffers to the next cell it starts,
+//! and a trace's last flush leaves room for the closing records. Before
+//! the first two, a batched cell here made 64.7 allocation calls and an
+//! unbatched one 64.3; before the last, 23.7 and 22.4.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -125,8 +126,8 @@ fn calls_per_cell(spec: &SweepSpec) -> f64 {
 
 #[test]
 fn a_batched_cell_stays_within_its_allocation_budget() {
-    // Measured at 23.7 calls (64.7 before the shared network and
-    // recycled buffers).
+    // Measured at 21.7 calls (64.7 before the shared network and
+    // recycled buffers, 23.7 before the room for the closing records).
     let spec = grid().batch(16);
     assert!(spec.cells() >= 320);
     let per_cell = calls_per_cell(&spec);
@@ -139,8 +140,9 @@ fn a_batched_cell_stays_within_its_allocation_budget() {
 
 #[test]
 fn an_unbatched_cell_stays_within_its_allocation_budget() {
-    // Measured at 22.4 calls (64.3 before the shared network and recycled
-    // buffers).
+    // Measured at 19.4 calls (64.3 before the shared network and recycled
+    // buffers, 22.4 before the room for the closing records and the
+    // two-slot worker, which boxes no finished result).
     let spec = grid();
     let per_cell = calls_per_cell(&spec);
     println!("unbatched: {per_cell:.2} allocation calls per cell");

@@ -3,9 +3,11 @@
 //! A sweep worker hands each finished cell's scratch buffers — step
 //! scratch, gap-energy vector, sorted timeline, queue, active set,
 //! share, claim and weight vectors, sample stage — to the next cell it
-//! starts. At `threads(1)` one worker runs every cell in turn, so each
-//! cell here starts on its predecessor's buffers. The grid makes
-//! neighbouring cells differ in what those buffers held:
+//! starts. At `threads(1)` one worker runs every cell, so each cell
+//! here starts on a predecessor's buffers; unbatched, that worker keeps
+//! two cells in flight and interleaves their span steps, and at
+//! `threads(2)` two workers do. The grid makes neighbouring cells
+//! differ in what those buffers held:
 //!
 //! * the board (XU4, ManyNode 16 and ManyNode 17), so every per-node
 //!   buffer changes size;
@@ -15,10 +17,10 @@
 //!   claim and weight vectors;
 //! * an initial idle gap, which the event-driven clock fast-forwards.
 //!
-//! Under `FixedDt` and `EventDriven`, unbatched and at `batch(4)`,
-//! every cell's summary and trace digest must equal a standalone
-//! `ScenarioRunner::run` of the same materialised cell, which starts
-//! from fresh buffers.
+//! Under `FixedDt` and `EventDriven`, unbatched and at `batch(4)`, on
+//! one worker and on two, every cell's summary and trace digest must
+//! equal a standalone `ScenarioRunner::run` of the same materialised
+//! cell, which starts from fresh buffers and runs alone.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -113,7 +115,12 @@ fn recycled_buffers_leave_every_cell_as_a_standalone_run() {
             .map(|i| standalone(&spec.cell(i), time_advance, &profiles))
             .collect();
         let (mut timed_out, mut gaps) = (0, 0);
-        for (tag, spec) in [("unbatched", spec.clone()), ("batch(4)", spec.batch(4))] {
+        for (tag, spec) in [
+            ("unbatched", spec.clone()),
+            ("batch(4)", spec.clone().batch(4)),
+            ("unbatched threads(2)", spec.clone().threads(2)),
+            ("batch(4) threads(2)", spec.threads(2).batch(4)),
+        ] {
             let mut seen = 0;
             let stats = spec
                 .run_streaming(|ev| {

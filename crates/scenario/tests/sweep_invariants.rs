@@ -202,8 +202,11 @@ fn three_axis_500_cell_sweep_streams_in_constant_memory() {
         .expect("sweep runs");
     assert_eq!(stats.completed, 500);
     assert!(done.iter().all(|&d| d), "every cell streamed exactly once");
+    // An unbatched worker holds up to two cells at once (it interleaves
+    // their span steps), so the bound is two per worker: still
+    // O(workers), as a batched worker's K lanes are.
     assert!(
-        peak_in_flight <= threads,
+        peak_in_flight <= 2 * threads,
         "peak resident results {peak_in_flight} must be O(workers = {threads}), not O(cells)"
     );
     assert_eq!(agg.cells(), 500);

@@ -748,6 +748,13 @@ impl TraceEventLog {
         self.events.extend(other.events);
     }
 
+    /// Orders the events by timestamp, keeping the order of equal ones:
+    /// a track whose events were logged as they ended (a worker holding
+    /// several cells at once) then lists them as they began.
+    pub fn sort_by_ts(&mut self) {
+        self.events.sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us));
+    }
+
     /// The events recorded so far.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events

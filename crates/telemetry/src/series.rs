@@ -72,6 +72,19 @@ impl TimeSeries {
         self.samples.push(Sample { t, v });
     }
 
+    /// [`TimeSeries::push`] for a caller that has already checked `t`:
+    /// finite, and not before the last sample. Checks `v` alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is non-finite.
+    #[inline]
+    pub(crate) fn push_checked_time(&mut self, t: f64, v: f64) {
+        assert!(v.is_finite(), "non-finite sample ({t}, {v})");
+        debug_assert!(self.samples.last().is_none_or(|last| t >= last.t));
+        self.samples.push(Sample { t, v });
+    }
+
     /// Reserves room for at least `additional` more samples.
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.samples.reserve(additional);

@@ -161,9 +161,22 @@ pub struct Trace {
     names: BTreeMap<Cow<'static, str>, usize>,
     series: Vec<TimeSeries>,
     late_creates: u64,
-    /// The digest stored by [`Trace::seal_digests`]; every mutator
-    /// clears it. A clone keeps it, because it has the same contents.
+    /// The digest stored by [`Trace::seal_digests`] or a finished
+    /// [`Trace::fold_digest`]; every mutator clears it. A clone keeps
+    /// it, because it has the same contents.
     sealed: Option<u64>,
+    /// A [`Trace::fold_digest`] in progress; every mutator drops it.
+    fold: Option<DigestFold>,
+}
+
+/// Where a [`Trace::fold_digest`] stopped: the accumulator, how many
+/// channels (in name order) it has passed, and the open channel's
+/// series with the index of its next sample.
+#[derive(Debug, Clone, Default)]
+struct DigestFold {
+    acc: Fnv,
+    passed: usize,
+    open: Option<(usize, usize)>,
 }
 
 impl Trace {
@@ -193,9 +206,17 @@ impl Trace {
         tr
     }
 
+    /// Clears the stored digest and any fold in progress: the contents
+    /// are about to change.
+    #[inline]
+    fn unseal(&mut self) {
+        self.sealed = None;
+        self.fold = None;
+    }
+
     /// Index of `name`'s series, creating an empty one if missing.
     fn ensure_channel(&mut self, name: Cow<'static, str>) -> usize {
-        self.sealed = None;
+        self.unseal();
         if let Some(&idx) = self.names.get(&*name) {
             return idx;
         }
@@ -216,7 +237,7 @@ impl Trace {
     /// Panics if `t` precedes the channel's last timestamp (see
     /// [`TimeSeries::push`]).
     pub fn record(&mut self, channel: &str, t: f64, v: f64) {
-        self.sealed = None;
+        self.unseal();
         let idx = match self.names.get(channel) {
             Some(&idx) => idx,
             None => {
@@ -257,7 +278,7 @@ impl Trace {
     /// channel's last timestamp.
     #[inline]
     pub fn record_id(&mut self, id: ChannelId, t: f64, v: f64) {
-        self.sealed = None;
+        self.unseal();
         self.series[id.0].push(t, v);
     }
 
@@ -310,11 +331,12 @@ impl Trace {
     /// without moving digests of runs that never touch them — pinned
     /// digests depend on what was recorded, not on what was declared.
     ///
-    /// Returns the digest [`Trace::seal_digests`] stored, when one is
-    /// stored: the same value, computed earlier. Every mutator
-    /// ([`Trace::record`], [`Trace::record_id`], [`Trace::flush_stage`])
-    /// clears it. Otherwise the digest is computed on each call and
-    /// nothing is stored, so a trace nobody asks about costs nothing.
+    /// Returns the digest [`Trace::seal_digests`] or
+    /// [`Trace::fold_digest`] stored, when one is stored: the same
+    /// value, computed earlier. Every mutator ([`Trace::record`],
+    /// [`Trace::record_id`], [`Trace::flush_stage`]) clears it.
+    /// Otherwise the digest is computed on each call and nothing is
+    /// stored, so a trace nobody asks about costs nothing.
     pub fn digest(&self) -> u64 {
         if let Some(digest) = self.sealed {
             return digest;
@@ -371,6 +393,60 @@ impl Trace {
         }
     }
 
+    /// Folds up to `samples` more samples of [`Trace::digest`]'s byte
+    /// stream into a digest kept on the trace, resuming where the last
+    /// call stopped, and stores the digest as [`Trace::seal_digests`]
+    /// does once the stream ends. Returns `true` once it is stored,
+    /// and at once while one is stored. A channel's framing (name and
+    /// sample count) is folded with its first sample, beyond the
+    /// budget.
+    ///
+    /// A caller with other latency-bound work interleaves the two: a
+    /// budget of a few samples folds about as long as that work's
+    /// chain takes, and the out-of-order core overlaps them. Any
+    /// mutator drops the fold in progress, so a later call starts
+    /// over on the new contents.
+    pub fn fold_digest(&mut self, samples: usize) -> bool {
+        if self.sealed.is_some() {
+            return true;
+        }
+        let fold = self.fold.get_or_insert_with(DigestFold::default);
+        let mut budget = samples;
+        loop {
+            if let Some((idx, next)) = fold.open {
+                let rest = &self.series[idx].iter().as_slice()[next..];
+                let k = rest.len().min(budget);
+                for s in &rest[..k] {
+                    fold.acc.f64(s.t);
+                    fold.acc.f64(s.v);
+                }
+                if k < rest.len() {
+                    fold.open = Some((idx, next + k));
+                    return false;
+                }
+                budget -= k;
+            }
+            // The next populated channel, framed as `digest` frames it.
+            let series = &self.series;
+            let next = self
+                .names
+                .iter()
+                .enumerate()
+                .skip(fold.passed)
+                .find(|(_, (_, &idx))| !series[idx].is_empty());
+            let Some((ordinal, (name, &idx))) = next else {
+                let digest = fold.acc.finish();
+                self.fold = None;
+                self.sealed = Some(digest);
+                return true;
+            };
+            fold.passed = ordinal + 1;
+            fold.acc.str(name);
+            fold.acc.u64(series[idx].len() as u64);
+            fold.open = Some((idx, 0));
+        }
+    }
+
     /// Drains a [`SampleStage`] into this trace's channel-major
     /// storage: for each staged channel (column), its buffered samples
     /// are pushed in row order — exactly the per-channel sequence that
@@ -378,26 +454,49 @@ impl Trace {
     /// so digests and exports are bit-identical to unstaged recording.
     ///
     /// Each channel reserves room for the staged rows once per flush
-    /// instead of growing sample by sample. The stage keeps its channel
-    /// set and capacity; only the rows are consumed.
+    /// instead of growing sample by sample, plus one sample, so that a
+    /// closing record after a run's last flush (its final reading)
+    /// does not regrow the channel. The time column is checked once
+    /// for every channel, not once per channel and row. The stage
+    /// keeps its channel set and capacity; only the rows are consumed.
     ///
     /// # Panics
     ///
-    /// Panics if a staged id did not come from this trace, or if a
-    /// staged time precedes its channel's last flushed timestamp (see
-    /// [`TimeSeries::push`] — flush before directly recording into a
-    /// staged channel).
+    /// As [`TimeSeries::push`] would for each staged sample: if a time
+    /// or value is non-finite, if the staged times decrease, or if the
+    /// first precedes a channel's last timestamp (flush before
+    /// directly recording into a staged channel). Also if a staged id
+    /// did not come from this trace.
     pub fn flush_stage(&mut self, stage: &mut SampleStage) {
-        self.sealed = None;
+        self.unseal();
+        if stage.ids.is_empty() {
+            stage.rows.clear();
+            return;
+        }
         let width = stage.ids.len() + 1;
+        let mut last_t = f64::NEG_INFINITY;
+        for row in stage.rows.chunks_exact(width) {
+            let t = row[0];
+            assert!(t.is_finite(), "non-finite sample ({t}, {})", row[1]);
+            assert!(
+                t >= last_t,
+                "timestamps must be non-decreasing: {t} after {last_t}"
+            );
+            last_t = t;
+        }
         let rows = stage.len();
         for (col, id) in stage.ids.iter().enumerate() {
             let series = &mut self.series[id.0];
-            series.reserve(rows);
-            let mut row = 0;
-            while row < stage.rows.len() {
-                series.push(stage.rows[row], stage.rows[row + 1 + col]);
-                row += width;
+            if let (Some(&t), Some(last)) = (stage.rows.first(), series.last()) {
+                assert!(
+                    t >= last.t,
+                    "timestamps must be non-decreasing: {t} after {}",
+                    last.t
+                );
+            }
+            series.reserve(rows + 1);
+            for row in stage.rows.chunks_exact(width) {
+                series.push_checked_time(row[0], row[1 + col]);
             }
         }
         stage.rows.clear();
@@ -755,6 +854,64 @@ mod tests {
             mutate(&mut c);
             assert_eq!(c.sealed, None, "mutator {i} must clear the stored digest");
         }
+    }
+
+    #[test]
+    fn a_fold_stores_its_digest_and_every_mutator_drops_it() {
+        let mut a = Trace::with_channels(&["x", "y", "empty"]);
+        for i in 0..5 {
+            a.record("x", f64::from(i), 1.0);
+            a.record("y", f64::from(i), 2.0);
+        }
+        let x = a.channel_id("x").unwrap();
+        let expected = a.digest();
+        assert!(!a.fold_digest(3), "10 samples take four calls of 3");
+        assert!(a.fold.is_some() && a.sealed.is_none());
+        let mutators: [&dyn Fn(&mut Trace); 4] = [
+            &|t| t.record("x", 9.0, 2.0),
+            &|t| t.record_id(x, 9.0, 2.0),
+            &|t| t.flush_stage(&mut SampleStage::new(vec![x])),
+            &|t| {
+                t.ensure_channel(Cow::Borrowed("z"));
+            },
+        ];
+        for (i, mutate) in mutators.iter().enumerate() {
+            let mut c = a.clone();
+            mutate(&mut c);
+            assert!(c.fold.is_none(), "mutator {i} must drop the fold");
+        }
+        let calls = 1 + std::iter::from_fn(|| (!a.fold_digest(3)).then_some(())).count();
+        assert_eq!(calls, 3, "three more calls finish the fold");
+        assert_eq!((a.sealed, a.fold.is_none()), (Some(expected), true));
+    }
+
+    #[test]
+    #[should_panic(expected = "timestamps must be non-decreasing")]
+    fn flush_stage_rejects_a_row_before_a_channels_last_sample() {
+        let mut tr = Trace::with_channels(&["a", "b"]);
+        let mut stage = SampleStage::for_channels(&tr, &["a", "b"]);
+        tr.record("b", 5.0, 1.0);
+        stage.push(4.0, &[1.0, 2.0]);
+        tr.flush_stage(&mut stage);
+    }
+
+    #[test]
+    #[should_panic(expected = "timestamps must be non-decreasing")]
+    fn flush_stage_rejects_decreasing_staged_times() {
+        let mut tr = Trace::with_channels(&["a"]);
+        let mut stage = SampleStage::for_channels(&tr, &["a"]);
+        stage.push(2.0, &[1.0]);
+        stage.push(1.0, &[1.0]);
+        tr.flush_stage(&mut stage);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite sample")]
+    fn flush_stage_rejects_non_finite_values() {
+        let mut tr = Trace::with_channels(&["a", "b"]);
+        let mut stage = SampleStage::for_channels(&tr, &["a", "b"]);
+        stage.push(1.0, &[1.0, f64::NAN]);
+        tr.flush_stage(&mut stage);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Property tests for the digest [`Trace::seal_digests`] stores: after
-//! a group of traces is sealed, every `digest()` equals the digest an
+//! Property tests for the digests [`Trace::seal_digests`] and
+//! [`Trace::fold_digest`] store: after a group of traces is sealed, or
+//! a trace folded at any budget, every `digest()` equals the digest an
 //! untouched clone computes, and after any later mutation it equals a
-//! fresh computation again.
+//! fresh computation again; a fold the trace changes under starts over.
 //!
 //! Each case draws 1–9 traces, either all with one registered channel
 //! layout or each with its own: random channel subsets, channels left
@@ -117,6 +118,39 @@ fn mutate(tr: &mut Trace, shadow: &mut Trace, rng: &mut TestRng, t: f64) {
     }
 }
 
+/// Samples in `tr`, every channel counted.
+fn samples(tr: &Trace) -> usize {
+    tr.channel_names()
+        .into_iter()
+        .map(|name| tr.channel(name).map_or(0, |s| s.len()))
+        .sum()
+}
+
+/// Folds `tr`'s digest `budget` samples per call until it is stored;
+/// returns the number of calls.
+fn fold(tr: &mut Trace, budget: usize) -> usize {
+    let mut calls = 1;
+    while !tr.fold_digest(budget) {
+        calls += 1;
+    }
+    calls
+}
+
+/// The fold budgets checked on a trace of `total` samples: every one
+/// from 1 sample to one past the whole trace, where that is at most
+/// `EVERY_BUDGET_UP_TO` samples (the check costs `total²`); on a longer
+/// trace every budget up to 40, the three just around the whole trace
+/// and a few between.
+fn budgets(total: usize) -> Vec<usize> {
+    const EVERY_BUDGET_UP_TO: usize = 400;
+    if total <= EVERY_BUDGET_UP_TO {
+        return (1..=total + 1).collect();
+    }
+    let mut b: Vec<usize> = (1..=40).collect();
+    b.extend([97, 256, total / 3, total / 2, total - 1, total, total + 1]);
+    b
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -140,6 +174,25 @@ proptest! {
             prop_assert_eq!(tr.clone().digest(), shadow.digest(), "clone of trace {}", i);
         }
 
+        // Folded at every budget, each call but the last taking exactly
+        // `budget` samples.
+        for (i, shadow) in shadows.iter().enumerate() {
+            let total = samples(shadow);
+            for budget in budgets(total) {
+                let mut folded = shadow.clone();
+                let calls = fold(&mut folded, budget);
+                prop_assert_eq!(
+                    folded.digest(),
+                    shadow.digest(),
+                    "trace {} folded {} samples per call",
+                    i,
+                    budget
+                );
+                prop_assert_eq!(calls, total.div_ceil(budget).max(1), "trace {}", i);
+                prop_assert!(folded.fold_digest(1), "a stored digest stays stored");
+            }
+        }
+
         for round in 0..3 {
             let t = 1e6 * f64::from(round + 1);
             for (i, (tr, shadow)) in traces.iter_mut().zip(&mut shadows).enumerate() {
@@ -151,10 +204,25 @@ proptest! {
                     i,
                     round
                 );
+                // A mutation in the middle of a fold restarts it.
+                tr.fold_digest(1 + rng.below(8) as usize);
+                mutate(tr, shadow, &mut rng, t + 1e3);
+                fold(tr, 1 + rng.below(64) as usize);
+                prop_assert_eq!(
+                    tr.digest(),
+                    shadow.digest(),
+                    "trace {} folded across a mutation in round {}",
+                    i,
+                    round
+                );
             }
-            // Re-seal, so the next round mutates stored digests again.
-            let mut refs: Vec<&mut Trace> = traces.iter_mut().collect();
-            Trace::seal_digests(&mut refs);
+            // Every trace now holds a folded digest. Re-seal every other
+            // round, so the next round's mutations clear digests stored
+            // both ways.
+            if round % 2 == 1 {
+                let mut refs: Vec<&mut Trace> = traces.iter_mut().collect();
+                Trace::seal_digests(&mut refs);
+            }
         }
     }
 }
